@@ -1,13 +1,13 @@
 """Command line surface.
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
-Exit codes: 0 success, 1 validation failure, 2 inconclusive (a pass or
-margin cap was hit), 3 I/O or schema error.  Failures print one JSON object
+Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
+pass cap or the phase-B walk limit was hit), 3 I/O or schema error.  Failures print one JSON object
 {"error": {"kind", "message"}} so callers can parse them.
 
-Defaults for the validation depth, the pass cap and the synthesis margin may
-also come from the environment (FRIEZE_DEPTH, FRIEZE_CAP, FRIEZE_MARGIN);
-an explicit flag wins over the environment.
+Defaults for the validation depth and the pass cap may also come from the
+environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
+environment.
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="lower index range LO..HI")
     p.add_argument("--cap", type=int, default=None,
                    help=f"phase-A pass cap (env FRIEZE_CAP, default {synthesis.DEFAULT_CAP})")
-    p.add_argument("--margin", type=int, default=None,
-                   help="materialization margin (env FRIEZE_MARGIN, default 2x window width)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("file")
@@ -223,8 +221,7 @@ def _cmd_synthesize(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     window = _parse_range(args.window, "--window")
     cap = _setting(args.cap, "FRIEZE_CAP", synthesis.DEFAULT_CAP)
-    margin = _setting(args.margin, "FRIEZE_MARGIN", None)
-    outcome = synthesis.psi(q, window, cap=cap, margin=margin)
+    outcome = synthesis.psi(q, window, cap=cap)
     doc = serialize.dumps(serialize.strip_to_json(outcome.triangulation))
     if args.output:
         _write_text(args.output, doc)

@@ -18,7 +18,7 @@ from .strip import StripTriangulation, StripError
 
 
 class CutError(StripError):
-    """No enclosing cut was found in the materialized region; enlarge the margin."""
+    """No complete enclosing cut was found among the materialized arcs."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
     if len(chords) != n - 3:
         raise CutError(
             f"cut region has {len(chords)} chords but needs {n - 3}; "
-            "materialization is incomplete, enlarge the margin")
+            "the strip does not materialize this cut completely")
     poly = PolygonTriangulation(n, frozenset(chords))
     return PolygonCut(poly, lower_map, upper_map, "bridging")
 

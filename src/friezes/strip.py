@@ -156,11 +156,12 @@ def m2_finite(n: int) -> M2Class:
 class StripTriangulation:
     """Windowed materialization of a strip triangulation.
 
-    `arcs` holds every arc of the underlying triangulation whose lower span
-    meets [window lo - margin, window hi + margin]; producers guarantee that
-    arc stars of lower points inside the window are complete.  Queries about
-    points outside the window may be answered from partial data and raise
-    StripError where that would be unsound.
+    `arcs` holds arcs of the underlying triangulation.  Producers guarantee
+    complete stars at the window's lower points and a complete window cut:
+    the polygon counting.cut_polygon cuts out around lower points lo-1..hi+1,
+    within [lo - margin, hi + margin].  Queries about points outside the
+    window may be answered from partial data and raise StripError where that
+    would be unsound.
     """
 
     window: tuple[int, int]

@@ -21,7 +21,7 @@ that lower marked point (0 marks a fully consumed position):
 
 The shape of the upper index set is read off from which phases terminate.
 Residuals stay eventually periodic throughout, so passes are computed as
-exact descriptor rewrites; arcs are materialized for a window plus margin.
+exact descriptor rewrites; arcs are materialized for a window and its cut.
 Nontermination of phase A is detected by recurrence, up to translation, of
 the residual with its zeros collapsed away (zero positions are inert, and
 the gaps between survivors grow, so the uncollapsed residual never recurs).
@@ -30,16 +30,16 @@ the gaps between survivors grow, so the uncollapsed residual never recurs).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .quiddity import QuiddityDescriptor, QuiddityError, tiled_value, validate
+from .quiddity import (DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError,
+                       tiled_value, validate)
 from .strip import (Arc, M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, bridging, m2_finite,
                     peripheral)
 
 DEFAULT_CAP = 1000
-MARGIN_WINDOW_FACTOR = 2  # starting margin = factor * window width
-MARGIN_DOUBLINGS = 2      # margin may grow to 4x the starting value
+WALK_CAP = 10 * DEFAULT_CAP  # positions phase B may walk past its range
 
 
 class InconclusiveError(RuntimeError):
@@ -370,8 +370,10 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     The anchor defaults to the value > 2 position nearest the window
     midpoint (preferring the right); it is the one free choice of the
     construction and amounts, on a bi-infinite upper boundary, to fixing the
-    twist class representative.  Fountain families are materialized for
-    lower indices in [mat_lo, mat_hi].
+    twist class representative.  Fans are recorded at lower indices in
+    [mat_lo, mat_hi] and on to the end of each terminating side; walked fans
+    elsewhere still take their upper points.  InconclusiveError is raised
+    when that end or the anchor is over WALK_CAP positions outside the range.
     """
     if res.has_one():
         raise QuiddityError("phase B requires a residual with no 1s")
@@ -405,15 +407,20 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
         m2 = m2_finite(1)
         labels = {0: 1}
     else:
+        stop_lo = min(mat_lo, f_lo - len(res.left)) if b2_term else mat_lo
+        stop_hi = max(mat_hi, f_hi + len(res.right)) if b1_term else mat_hi
+        if max(mat_lo - min(stop_lo, anchor), max(stop_hi, anchor) - mat_hi) > WALK_CAP:
+            raise InconclusiveError(
+                f"phase B would walk more than {WALK_CAP} positions past its range")
         v0 = res.value_at(anchor)
         temps = list(range(v0 - 1))
-        arcs += [(anchor, t) for t in temps]
+        if stop_lo <= anchor <= stop_hi:
+            arcs += [(anchor, t) for t in temps]
         rightmost, next_right = v0 - 2, v0 - 1
         # grow rightward
         pos = anchor
         while True:
-            bound = max(mat_hi, f_hi + len(res.right)) if n_value is not None else mat_hi
-            nxt = _next_gt2(res, pos, bound)
+            nxt = _next_gt2(res, pos, stop_hi)
             if nxt is None:
                 for i in range(pos + 1, mat_hi + 1):
                     if res.value_at(i) == 2:
@@ -422,20 +429,19 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
             for i in range(pos + 1, nxt):
                 if res.value_at(i) == 2 and mat_lo <= i <= mat_hi:
                     arcs.append((i, rightmost))
-            if mat_lo <= nxt <= mat_hi or n_value is not None:
+            w = res.value_at(nxt)
+            fresh = list(range(next_right, next_right + w - 2))
+            temps += fresh
+            if stop_lo <= nxt <= stop_hi:
                 arcs.append((nxt, rightmost))
-                w = res.value_at(nxt)
-                fresh = list(range(next_right, next_right + w - 2))
-                temps += fresh
                 arcs += [(nxt, t) for t in fresh]
-                rightmost, next_right = fresh[-1], next_right + w - 2
+            rightmost, next_right = fresh[-1], next_right + w - 2
             pos = nxt
         # grow leftward
         leftmost, next_left = 0, -1
         pos = anchor
         while True:
-            bound = min(mat_lo, f_lo - len(res.left)) if n_value is not None else mat_lo
-            prv = _prev_gt2(res, pos, bound)
+            prv = _prev_gt2(res, pos, stop_lo)
             if prv is None:
                 for i in range(pos - 1, mat_lo - 1, -1):
                     if res.value_at(i) == 2:
@@ -444,16 +450,16 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
             for i in range(pos - 1, prv, -1):
                 if res.value_at(i) == 2 and mat_lo <= i <= mat_hi:
                     arcs.append((i, leftmost))
-            if mat_lo <= prv <= mat_hi or n_value is not None:
+            w = res.value_at(prv)
+            fresh = list(range(next_left, next_left - (w - 2), -1))
+            temps += fresh
+            if stop_lo <= prv <= stop_hi:
                 arcs.append((prv, leftmost))
-                w = res.value_at(prv)
-                fresh = list(range(next_left, next_left - (w - 2), -1))
-                temps += fresh
                 arcs += [(prv, t) for t in fresh]
-                leftmost, next_left = fresh[-1], next_left - (w - 2)
+            leftmost, next_left = fresh[-1], next_left - (w - 2)
             pos = prv
 
-        m2 = _m2_from(True, b1_term, b2_term, n_value)
+        m2 = m2_class(True, b1_term, b2_term, n_value)
         temps_sorted = sorted(set(temps))
         if m2.kind == "finite":
             if len(temps_sorted) != n_value:
@@ -473,29 +479,24 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     return StepBResult(final_arcs, upper, b1_term, b2_term, n_value, anchor, m2)
 
 
-def _m2_from(a_terminated: bool, b1: bool | None, b2: bool | None,
-             n: int | None) -> M2Class:
-    if not a_terminated:
-        return M2_EMPTY
-    if b1 is None or b2 is None:
-        raise QuiddityError("terminated runs need both fountain flags")
-    if b1 and b2:
-        if n is None:
-            raise QuiddityError("both fountains terminated yet the excess sum is infinite")
-        return m2_finite(n)
-    if n is not None:
-        raise QuiddityError("finite excess sum is inconsistent with a running fountain")
-    if b1 and not b2:
-        return M2_NAT_LEFT
-    if b2 and not b1:
-        return M2_NAT_RIGHT
-    return M2_BI_INFINITE
-
-
 def m2_class(a_terminated: bool, b1_terminated: bool | None,
              b2_terminated: bool | None, n_value: int | None) -> M2Class:
     """Upper index class from the phase termination flags (pure lookup)."""
-    return _m2_from(a_terminated, b1_terminated, b2_terminated, n_value)
+    if not a_terminated:
+        return M2_EMPTY
+    if b1_terminated is None or b2_terminated is None:
+        raise QuiddityError("terminated runs need both fountain flags")
+    if b1_terminated and b2_terminated:
+        if n_value is None:
+            raise QuiddityError("both fountains terminated yet the excess sum is infinite")
+        return m2_finite(n_value)
+    if n_value is not None:
+        raise QuiddityError("finite excess sum is inconsistent with a running fountain")
+    if b1_terminated and not b2_terminated:
+        return M2_NAT_LEFT
+    if b2_terminated and not b1_terminated:
+        return M2_NAT_RIGHT
+    return M2_BI_INFINITE
 
 
 @dataclass(frozen=True)
@@ -512,59 +513,60 @@ class SynthesisOutcome:
     anchor: int | None
 
 
-def _build(q: QuiddityDescriptor, window: tuple[int, int], margin: int,
-           cap: int, anchor: int | None) -> SynthesisOutcome:
-    lo, hi = window
-    mat_lo, mat_hi = lo - margin, hi + margin
-    a = run_step_a(q, mat_lo, mat_hi, cap)
-    if a.verdict == "cap_reached":
-        raise InconclusiveError(
-            f"phase A hit the {cap}-pass cap without terminating or recurring")
-    arcs = {peripheral(i, j) for i, j in a.arcs}
-    if a.verdict == "nonterminating":
-        tri = StripTriangulation(window, margin, M2_EMPTY, frozenset(arcs))
-        return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
-                                a.trace, None, None, None, None)
-    b = step_b(a.residual, window, mat_lo, mat_hi, anchor)
-    tri = StripTriangulation(window, margin, b.m2, frozenset(arcs) | set(b.bridging_arcs))
-    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, a.trace,
-                            b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)
+def _cut_region(a: StepAResult, lo: int, hi: int) -> tuple[int, int]:
+    """Lower span of the polygon counting.cut_polygon cuts around lo-1..hi+1.
+
+    The tightest arc over (lo - 2, hi + 2), final once recorded as no later
+    arc ends strictly inside an earlier one; failing that, the nearest
+    bridging arcs, which sit at the nearest nonzero residual positions.
+    """
+    over = [(i, j) for i, j in a.arcs if i <= lo - 2 and hi + 2 <= j]
+    if over:
+        return max(over, key=lambda arc: (arc[0], -arc[1]))
+    return a.residual.prev_nonzero(lo - 1), a.residual.next_nonzero(hi + 1)
 
 
-def _window_incident(tri: StripTriangulation) -> frozenset[Arc]:
-    lo, hi = tri.window
-    out = set()
-    for arc in tri.arcs:
-        ends = [arc.a.index] if arc.is_bridging() else [arc.a.index, arc.b.index]
-        if any(lo <= e <= hi for e in ends):
-            out.add(arc)
-    return frozenset(out)
+def _reread(q: QuiddityDescriptor, trace: tuple[PassRecord, ...], lo: int,
+            hi: int) -> tuple[PassRecord, ...]:
+    """The pass records of a run, with ones and arcs read over [lo, hi]."""
+    before = [_normalize(Residual.from_descriptor(q))]
+    before += [rec.residual_after for rec in trace[:-1]]
+    out = []
+    for res, rec in zip(before, trace):
+        ones, arcs = pass_arcs(res, lo, hi)
+        out.append(replace(rec, ones=tuple(ones), arcs=tuple(arcs)))
+    return tuple(out)
 
 
 def psi(q: QuiddityDescriptor, window: tuple[int, int], cap: int = DEFAULT_CAP,
-        margin: int | None = None, anchor: int | None = None,
+        anchor: int | None = None,
         validation_depth: int | None = None) -> SynthesisOutcome:
     """Full synthesis pipeline for a validated quiddity descriptor.
 
-    The margin starts at twice the window width (or the explicit value) and
-    doubles until an enlargement adds no arc incident to the window; the
-    stable build is returned.  Raises QuiddityError on invalid input and
-    InconclusiveError when a cap prevents classification.
+    Phase A runs once over the window plus two on each side (until that is
+    consumed and spanned, if it never terminates).  The window's cut and its
+    arcs are read off that run, phase B runs once over the cut, and the
+    margin is the smallest that holds it.  Raises QuiddityError on invalid
+    input and InconclusiveError when the pass cap or WALK_CAP is hit.
     """
-    from .quiddity import DEFAULT_DEPTH
-    report = validate(q, validation_depth or DEFAULT_DEPTH)
+    report = validate(q, DEFAULT_DEPTH if validation_depth is None else validation_depth)
     if not report.ok:
         raise QuiddityError(
             f"not a valid quiddity sequence: t{report.witness[:2]} = {report.witness[2]}")
     lo, hi = window
-    width = hi - lo + 1
-    m = margin if margin is not None else max(MARGIN_WINDOW_FACTOR * width, 8)
-    prev = _build(q, window, m, cap, anchor)
-    for _ in range(MARGIN_DOUBLINGS):
-        m *= 2
-        cur = _build(q, window, m, cap, anchor)
-        if _window_incident(cur.triangulation) == _window_incident(prev.triangulation):
-            return cur
-        prev = cur
-    raise InconclusiveError(
-        "window-incident arcs kept changing under margin doubling")
+    a = run_step_a(q, lo - 2, hi + 2, cap)
+    if a.verdict == "cap_reached":
+        raise InconclusiveError(
+            f"phase A hit the {cap}-pass cap without terminating or recurring")
+    r_lo, r_hi = _cut_region(a, lo, hi)
+    margin = max(lo - r_lo, r_hi - hi)
+    trace = _reread(q, a.trace, r_lo, r_hi)
+    arcs = {peripheral(i, j) for rec in trace for i, j in rec.arcs}
+    if a.verdict == "nonterminating":
+        tri = StripTriangulation(window, margin, M2_EMPTY, frozenset(arcs))
+        return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
+                                trace, None, None, None, None)
+    b = step_b(a.residual, window, r_lo, r_hi, anchor)
+    tri = StripTriangulation(window, margin, b.m2, frozenset(arcs) | set(b.bridging_arcs))
+    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, trace,
+                            b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)

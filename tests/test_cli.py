@@ -154,13 +154,6 @@ def test_synthesize_cap_reached_is_inconclusive(qfile, capsys, monkeypatch):
     assert _json_out(capsys)["error"]["kind"] == "inconclusive"
 
 
-def test_synthesize_margin_env(qfile, capsys, monkeypatch):
-    monkeypatch.setenv("FRIEZE_MARGIN", "12")
-    assert main(["synthesize", "--window=-3..3", qfile(refdata.MIXED_TAILS)]) == 0
-    doc = _json_out(capsys)
-    assert doc["margin"] in (24, 48)  # doubling starts from the env value
-
-
 def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     monkeypatch.setenv("FRIEZE_DEPTH", "many")
     assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 3

@@ -73,19 +73,19 @@ def test_validate_witness_entry_matches_frieze():
 def test_synthesis_translation_equivariance():
     rng = random.Random(991)
     corpus = bijection_corpus()[:12] + enough_ones_corpus()[:4]
+    def normal(t, off):
+        out = set()
+        for a in t.arcs:
+            if a.is_peripheral():
+                out.add(("P", a.a.index - off, a.b.index - off))
+            else:
+                out.add(("B", a.lower_index() - off, a.upper_index()))
+        return out
     for q in corpus:
-        n = rng.randint(-5, 5)
         base = psi(q, (-4, 4)).triangulation
-        moved = psi(q.shift(n), (-4 + n, 4 + n)).triangulation
-        def normal(t, off):
-            out = set()
-            for a in t.arcs:
-                if a.is_peripheral():
-                    out.add(("P", a.a.index - off, a.b.index - off))
-                else:
-                    out.add(("B", a.lower_index() - off, a.upper_index()))
-            return out
-        assert normal(base, 0) == normal(moved, n), (q, n)
+        for n in (rng.randint(-5, 5), rng.randint(-1000, 1000)):
+            moved = psi(q.shift(n), (-4 + n, 4 + n)).triangulation
+            assert normal(base, 0) == normal(moved, n), (q, n)
 
 
 def test_corpus_covers_all_reachable_classes():

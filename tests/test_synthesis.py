@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from friezes import (QuiddityDescriptor, QuiddityError, psi, run_step_a,
-                     step_a_pass, step_b, m2_class)
+from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
+                     StripTriangulation, bci_entry, cc_entry, cut_polygon, m2_class,
+                     peripheral, psi, run_step_a, step_a_pass, step_b)
+from friezes.strip import M2_EMPTY
 from friezes.synthesis import Residual, _collapsed_signature, _normalize
 
 import refdata
+
+# MIXED_TAILS reflected: nat_right, with its closed end on the left
+MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
+
+
+def _incident(tri, lo, hi):
+    """Arcs with a lower endpoint in [lo, hi]."""
+    return {a for a in tri.arcs if any(lo <= e <= hi for e in a.lower_span())}
 
 
 def test_worked_example_pass_by_pass():
@@ -93,6 +103,9 @@ def test_zigzag_nonterminating_empty_upper_boundary():
     # the printed strip picture: ladder arcs around the bend
     arcs = {(a.a.index, a.b.index) for a in tri.peripheral_arcs}
     assert {(-2, 0), (-2, 1), (1, 3), (-2, 3), (-4, -2), (-4, 3), (-4, 5), (3, 5)} <= arcs
+    # a wide window fits the pass cap: the run stops once the window's cut is final
+    wide = psi(refdata.ZIGZAG, (-128, 128))
+    assert wide.step_a_verdict == "nonterminating" and wide.m2_class.kind == "empty"
 
 
 def test_zigzag_collapsed_recurrence_detected():
@@ -154,6 +167,9 @@ def test_collapsed_signature_ignores_shift_and_zeros():
 def test_psi_rejects_invalid_quiddity():
     with pytest.raises(QuiddityError):
         psi(QuiddityDescriptor((2,), (1, 1), (2,), 0), (-3, 3))
+    for depth in (0, 1):  # too shallow to check anything, not a request for the default
+        with pytest.raises(QuiddityError):
+            psi(refdata.LINEAR, (-3, 3), validation_depth=depth)
 
 
 def test_dehn_invariance_of_quiddity():
@@ -172,12 +188,79 @@ def test_two_anchors_are_dehn_equivalent_with_predicted_shift():
     # moving the anchor right by two excess-1 positions shifts labels down by 2
     assert n == -2
     assert run0.dehn_twist(n).dehn_equivalent(run2) == 0
+    # an anchor outside the window's cut: the fans walked past still count
+    assert run0.dehn_equivalent(psi(q, (-4, 4), anchor=10).triangulation) == -10
+
+
+def test_half_line_anchor_outside_the_window_cut():
+    base = psi(refdata.MIXED_TAILS, (-43, -37)).triangulation
+    for anchor in (-60, -30, -5):
+        tri = psi(refdata.MIXED_TAILS, (-43, -37), anchor=anchor).triangulation
+        assert _incident(tri, -43, -37) == _incident(base, -43, -37), anchor
+        assert tri.special_upper_points() == [], anchor
+
+
+def test_phase_b_walk_limit_fails_fast():
+    far_core = QuiddityDescriptor((3,), (4, 2, 1, 6), (2,), core_start=10**9)
+    with pytest.raises(InconclusiveError, match="walk"):
+        psi(far_core, (0, 8))
+    with pytest.raises(InconclusiveError, match="walk"):
+        psi(QuiddityDescriptor.constant(3), (-4, 4), anchor=10**9)
 
 
 def test_margin_stability_default_pipeline():
-    out_small = psi(refdata.MIXED_TAILS, (-4, 4), margin=9)
-    out_big = psi(refdata.MIXED_TAILS, (-4, 4), margin=30)
-    assert out_small.triangulation.quiddity_of() == out_big.triangulation.quiddity_of()
+    # psi's one build agrees with both phases run over a range 10x wider
+    lo, hi = -4, 4
+    for q in (refdata.LINEAR, refdata.BUMPED, refdata.MIXED_TAILS, MIRROR_TAILS,
+              QuiddityDescriptor.constant(3), refdata.ZIGZAG):
+        tri = psi(q, (lo, hi)).triangulation
+        wide = 5 * (hi - lo + 1 + 2 * tri.margin)
+        a = run_step_a(q, lo - wide, hi + wide, cap=5000)
+        arcs = {peripheral(i, j) for i, j in a.arcs}
+        m2 = M2_EMPTY
+        if a.verdict == "terminated":
+            b = step_b(a.residual, (lo, hi), lo - wide, hi + wide)
+            arcs |= set(b.bridging_arcs)
+            m2 = b.m2
+        ref = StripTriangulation((lo, hi), wide, m2, frozenset(arcs))
+        assert _incident(tri, lo, hi) == _incident(ref, lo, hi), q
+        assert tri.quiddity_of() == ref.quiddity_of(), q
+
+
+@pytest.mark.parametrize("q, window, kind", [
+    (refdata.MIXED_TAILS, (-43, -37), "nat_left"),
+    (refdata.MIXED_TAILS, (-1008, -992), "nat_left"),
+    (MIRROR_TAILS, (37, 43), "nat_right"),
+    (MIRROR_TAILS, (992, 1008), "nat_right")])
+def test_far_side_windows_of_half_lines(q, window, kind):
+    lo, hi = window
+    out = psi(q, window)
+    assert out.m2_class.kind == kind
+    tri = out.triangulation
+    assert tri.quiddity_of() == {i: q.value_at(i) for i in range(lo, hi + 1)}
+    assert tri.special_upper_points() == []
+    # labels are absolute: a window reaching over the core has the same arcs here
+    wide = psi(q, (min(lo, -4), max(hi, 4))).triangulation
+    assert _incident(tri, lo, hi) == _incident(wide, lo, hi)
+
+
+def test_zigzag_window_beyond_the_bend_counts_every_entry():
+    tri = psi(refdata.ZIGZAG, (36, 44)).triangulation
+    view = FriezeView(refdata.ZIGZAG)
+    for i in range(36, 45):
+        for j in range(i, 45):
+            assert cc_entry(tri, i, j) == view.entry(i, j), (i, j)
+            if j - i <= 6:
+                assert bci_entry(tri, i, j) == view.entry(i, j), (i, j)
+
+
+def test_margin_is_the_smallest_holding_the_window_cut():
+    from corpus import bijection_corpus
+    for q in bijection_corpus()[:16] + [MIRROR_TAILS, refdata.ZIGZAG]:
+        for lo, hi in ((-4, 4), (-43, -37), (37, 43)):
+            tri = psi(q, (lo, hi)).triangulation
+            cut = cut_polygon(tri, lo - 1, hi + 1)
+            assert tri.margin == max(lo - min(cut.lower_map), max(cut.lower_map) - hi), (q, lo)
 
 
 @pytest.mark.parametrize("q", [refdata.LINEAR, refdata.BUMPED,
