@@ -15,32 +15,24 @@ tiles rightward so that its first element sits just after the core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 
 class QuiddityError(ValueError):
     """Raised for structurally invalid quiddity data."""
 
 
-def tiled_value(left: tuple[int, ...], core: tuple[int, ...],
-                right: tuple[int, ...], start: int, i: int) -> int:
-    """Value at index i of the sequence described by (left, core, right, start)."""
-    if i < start:
-        d = start - 1 - i
-        return left[len(left) - 1 - (d % len(left))]
-    if i < start + len(core):
-        return core[i - start]
-    d = i - (start + len(core))
-    return right[d % len(right)]
-
-
 @dataclass(frozen=True)
 class QuiddityDescriptor:
     """Finite presentation of a bi-infinite quiddity sequence.
 
-    All values must be integers >= 1.  Purely periodic sequences are the
-    special case of an empty core with equal tails.
+    All values must be integers >= MIN_VALUE, which is 1 here and 0 for the
+    synthesis residual.  Purely periodic sequences are the special case of an
+    empty core with equal tails.
     """
+
+    MIN_VALUE: ClassVar[int] = 1
 
     left_period: tuple[int, ...]
     core: tuple[int, ...]
@@ -54,8 +46,9 @@ class QuiddityDescriptor:
         if not self.left_period or not self.right_period:
             raise QuiddityError("periodic tails must be nonempty")
         for v in (*self.left_period, *self.core, *self.right_period):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise QuiddityError(f"quiddity values must be integers >= 1, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < self.MIN_VALUE:
+                raise QuiddityError(
+                    f"quiddity values must be integers >= {self.MIN_VALUE}, got {v!r}")
 
     @classmethod
     def constant(cls, c: int) -> "QuiddityDescriptor":
@@ -68,8 +61,14 @@ class QuiddityDescriptor:
         return cls(vals, (), vals, core_start)
 
     def value_at(self, i: int) -> int:
-        return tiled_value(self.left_period, self.core, self.right_period,
-                           self.core_start, i)
+        start, core = self.core_start, self.core
+        if i < start:
+            left = self.left_period
+            return left[len(left) - 1 - ((start - 1 - i) % len(left))]
+        if i < start + len(core):
+            return core[i - start]
+        right = self.right_period
+        return right[(i - start - len(core)) % len(right)]
 
     def values(self, lo: int, hi: int) -> list[int]:
         """Values at indices lo..hi inclusive."""
@@ -77,8 +76,38 @@ class QuiddityDescriptor:
 
     def shift(self, n: int) -> "QuiddityDescriptor":
         """Translate by n: shift(q, n).value_at(i) == q.value_at(i - n)."""
-        return QuiddityDescriptor(self.left_period, self.core,
-                                  self.right_period, self.core_start + n)
+        return replace(self, core_start=self.core_start + n)
+
+    def footprint(self) -> tuple[int, int]:
+        """Index range holding the core plus one period of each tail."""
+        return (self.core_start - len(self.left_period),
+                self.core_start + len(self.core) + len(self.right_period) - 1)
+
+    def scan(self, i: int, step: int, bound: int, above: int = 0) -> int | None:
+        """First j past i in direction step (+1 or -1), up to bound inclusive,
+        whose value exceeds above; None when there is none."""
+        for j in range(i + step, bound + step, step):
+            if self.value_at(j) > above:
+                return j
+        return None
+
+    def next_nonzero(self, i: int) -> int | None:
+        # one whole right period past both the footprint and i
+        R = len(self.right_period)
+        return self.scan(i, 1, max(self.footprint()[1], i + R) + R + 1)
+
+    def prev_nonzero(self, i: int) -> int | None:
+        L = len(self.left_period)
+        return self.scan(i, -1, min(self.footprint()[0], i - L) - L - 1)
+
+    def max_zero_gap(self) -> int:
+        """Upper bound on the distance from any position to a nonzero one."""
+        w = self.left_period * 2 + self.core + self.right_period * 2
+        best = run = 0
+        for v in w:
+            run = run + 1 if v == 0 else 0
+            best = max(best, run)
+        return best + 1
 
     def has_value(self, v: int) -> bool:
         return v in self.left_period or v in self.core or v in self.right_period
@@ -111,21 +140,25 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
 
     Rows are scanned over one full period of each tail plus the core; by
     periodicity this covers every band position of the bi-infinite frieze.
+    Each row t(i, i + d) runs through the recurrence with two entries held;
+    once a nonpositive entry turns up at band d, later rows are only scanned
+    below band d, so the report is the first in band-major order.
     """
     if depth < 2:
         raise QuiddityError("validation depth must be >= 2")
     core_end = q.core_start + len(q.core) - 1
     row_lo = q.core_start - depth + 1 - len(q.left_period)
     row_hi = core_end + len(q.right_period) + 1
-    # rows[i][d] = t(i, i + d), filled by the three-term recurrence
-    rows: dict[int, list[int]] = {}
-    for i in range(row_lo, row_hi + 1):
-        ts = [0, 1]
-        for d in range(1, depth):
-            ts.append(q.value_at(i + d) * ts[d] - ts[d - 1])
-        rows[i] = ts
-    for d in range(2, depth + 1):
-        for i in range(row_lo, row_hi + 1):
-            if rows[i][d] <= 0:
-                return ValidationReport("invalid", depth, (i, i + d, rows[i][d]))
+    vals = q.values(row_lo, row_hi + depth - 1)  # a_k at vals[k - row_lo]
+    witness = None
+    top = depth
+    for r in range(row_hi - row_lo + 1):
+        prev, cur = 0, 1
+        for d in range(2, top + 1):
+            prev, cur = cur, vals[r + d - 1] * cur - prev
+            if cur <= 0:
+                witness, top = (row_lo + r, row_lo + r + d, cur), d - 1
+                break
+    if witness is not None:
+        return ValidationReport("invalid", depth, witness)
     return ValidationReport("valid_to_depth", depth)

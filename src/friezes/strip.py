@@ -205,10 +205,6 @@ class StripTriangulation:
                       if (a.is_peripheral() and i in (a.a.index, a.b.index))
                       or (a.is_bridging() and a.lower_index() == i))
 
-    def upper_star(self, u: int) -> list[Arc]:
-        return sorted(a for a in self.arcs
-                      if a.is_bridging() and a.upper_index() == u)
-
     def quiddity_of(self, window: tuple[int, int] | None = None) -> dict[int, int]:
         """Triangle count at each lower point of the window: 1 + arc degree.
 

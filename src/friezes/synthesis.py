@@ -1,8 +1,9 @@
 """Synthesis of an admissible strip triangulation from a quiddity sequence.
 
-The construction runs in two phases over a residual copy of the quiddity
-sequence, where a position's value counts the triangles still missing at
-that lower marked point (0 marks a fully consumed position):
+The construction runs in two phases over a Residual: the quiddity
+sequence's own eventually periodic word with 0 allowed, where a position's
+value counts the triangles still missing at that lower marked point (0 marks
+a fully consumed position):
 
 * Phase A repeatedly scans for positions of value 1.  Each such position i
   receives a peripheral arc joining its nearest nonzero neighbours, then is
@@ -13,11 +14,11 @@ that lower marked point (0 marks a fully consumed position):
   triangulate the strip with an empty upper boundary.
 * Phase B distributes upper marked points.  The leftover values are 0 or
   >= 2; each value v >= 2 position still needs v - 1 bridging arcs.  A fan
-  of points is planted at an anchor position of value > 2, then fountains
-  are grown rightward and leftward: stepping from one value > 2 position to
-  the next shares one upper point, positions of value exactly 2 hook onto
-  the current extreme point, and a side with no further value > 2 positions
-  ends in a single fountain point serving its whole tail.
+  of points is planted at an anchor position of value > 2, then one
+  fountain routine grows it rightward and leftward alike: stepping from one
+  value > 2 position to the next shares one upper point, positions of value
+  exactly 2 hook onto the current extreme point, and a side with no further
+  value > 2 positions ends in a single fountain point serving its whole tail.
 
 The shape of the upper index set is read off from which phases terminate.
 Residuals stay eventually periodic throughout, so passes are computed as
@@ -29,11 +30,9 @@ the gaps between survivors grow, so the uncollapsed residual never recurs).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
-from .quiddity import (DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError,
-                       tiled_value, validate)
+from .quiddity import DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, validate
 from .strip import (Arc, M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, bridging, m2_finite,
                     peripheral)
@@ -46,61 +45,20 @@ class InconclusiveError(RuntimeError):
     """A cap was reached before the synthesis could classify the input."""
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Working copy of a quiddity sequence during synthesis; zeros allowed.
+class Residual(QuiddityDescriptor):
+    """Working copy of a quiddity sequence during synthesis.
 
-    Same tiling convention as QuiddityDescriptor.  Values are never negative:
-    a pass zeroes the removed positions and only decrements nonzero ones.
+    The same eventually periodic word as QuiddityDescriptor, except that 0
+    is allowed: a value counts the triangles still missing at that lower
+    point, and 0 marks a consumed one.  Values are never negative, as a pass
+    zeroes the removed positions and only decrements nonzero ones.
     """
 
-    left: tuple[int, ...]
-    core: tuple[int, ...]
-    right: tuple[int, ...]
-    start: int
+    MIN_VALUE = 0
 
     @classmethod
     def from_descriptor(cls, q: QuiddityDescriptor) -> "Residual":
-        return cls(q.left_period, q.core, q.right_period, q.core_start)
-
-    def value_at(self, i: int) -> int:
-        return tiled_value(self.left, self.core, self.right, self.start, i)
-
-    def values(self, lo: int, hi: int) -> list[int]:
-        return [self.value_at(i) for i in range(lo, hi + 1)]
-
-    def has_one(self) -> bool:
-        return 1 in self.left or 1 in self.core or 1 in self.right
-
-    def footprint(self) -> tuple[int, int]:
-        """Index range holding the core plus one period of each tail."""
-        return (self.start - len(self.left),
-                self.start + len(self.core) + len(self.right) - 1)
-
-    def next_nonzero(self, i: int) -> int | None:
-        f_lo, f_hi = self.footprint()
-        limit = max(f_hi, i + len(self.right)) + len(self.right) + 1
-        for j in range(i + 1, limit + 1):
-            if self.value_at(j):
-                return j
-        return None
-
-    def prev_nonzero(self, i: int) -> int | None:
-        f_lo, f_hi = self.footprint()
-        limit = min(f_lo, i - len(self.left)) - len(self.left) - 1
-        for j in range(i - 1, limit - 1, -1):
-            if self.value_at(j):
-                return j
-        return None
-
-    def max_zero_gap(self) -> int:
-        """Upper bound on the distance from any position to a nonzero one."""
-        w = (list(self.left) * 2 + list(self.core) + list(self.right) * 2)
-        best = run = 0
-        for v in w:
-            run = run + 1 if v == 0 else 0
-            best = max(best, run)
-        return best + 1
+        return cls(**vars(q))
 
 
 def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -111,25 +69,31 @@ def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
-def _normalize(res: Residual) -> Residual:
-    """Primitive tails and a core trimmed of values matching the tail patterns."""
-    left = _primitive(res.left)
-    right = _primitive(res.right)
-    core = list(res.core)
-    start = res.start
-    while core and core[0] == left[0]:
+def _trim(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...],
+          start: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Primitive tails, and a core trimmed of values that continue them.
+
+    A tail may be empty (an all-zero period once collapsed); it trims nothing.
+    """
+    left, right, core = _primitive(left), _primitive(right), list(core)
+    while core and left and core[0] == left[0]:
         core.pop(0)
         start += 1
         left = left[1:] + left[:1]
-    while core and core[-1] == right[-1]:
+    while core and right and core[-1] == right[-1]:
         core.pop()
         right = right[-1:] + right[:-1]
-    return Residual(left, tuple(core), right, start)
+    return left, tuple(core), right, start
+
+
+def _normalize(res: Residual) -> Residual:
+    """The residual with its fields passed through _trim."""
+    return Residual(*_trim(res.left_period, res.core, res.right_period, res.core_start))
 
 
 def _collapsed(res: Residual) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     drop = lambda w: tuple(v for v in w if v)
-    return drop(res.left), drop(res.core), drop(res.right)
+    return drop(res.left_period), drop(res.core), drop(res.right_period)
 
 
 def _check_no_adjacent_ones(res: Residual) -> None:
@@ -139,13 +103,8 @@ def _check_no_adjacent_ones(res: Residual) -> None:
     hitting it means the input was not a valid quiddity sequence.
     """
     a, c, b = _collapsed(res)
-    pairs = []
-    if a:
-        pairs += [(a[i], a[(i + 1) % len(a)]) for i in range(len(a))]
-    if b:
-        pairs += [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
-    chain = ([a[-1]] if a else []) + list(c) + ([b[0]] if b else [])
-    pairs += list(zip(chain, chain[1:]))
+    chain = a[-1:] + c + b[:1]
+    pairs = [*zip(a, a[1:] + a[:1]), *zip(b, b[1:] + b[:1]), *zip(chain, chain[1:])]
     if any(x == 1 and y == 1 for x, y in pairs):
         raise QuiddityError(
             "two residual 1s are adjacent through zeros; "
@@ -154,21 +113,11 @@ def _check_no_adjacent_ones(res: Residual) -> None:
 
 def _collapsed_signature(res: Residual):
     """Canonical form of the zero-collapsed residual, up to index translation."""
-    a, c, b = _collapsed(res)
-    a, b = _primitive(a), _primitive(b)
-    c = list(c)
-    if a:
-        while c and c[0] == a[0]:
-            c.pop(0)
-            a = a[1:] + a[:1]
-    if b:
-        while c and c[-1] == b[-1]:
-            c.pop()
-            b = b[-1:] + b[:-1]
+    a, c, b, _ = _trim(*_collapsed(res), 0)
     if not c and a and a == b:
         rotations = [a[i:] + a[:i] for i in range(len(a))]
         return ("pure", min(rotations))
-    return ("mixed", a, tuple(c), b)
+    return ("mixed", a, c, b)
 
 
 def _circular_pass(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -182,16 +131,11 @@ def _circular_pass(period: tuple[int, ...]) -> tuple[int, ...]:
             out.append(0)
             continue
         dec = 0
-        for step in itertools.count(1):
-            w = period[(idx - step) % n]
-            if w:
-                dec += 1 if w == 1 else 0
-                break
-        for step in itertools.count(1):
-            w = period[(idx + step) % n]
-            if w:
-                dec += 1 if w == 1 else 0
-                break
+        for step in (-1, 1):  # nearest nonzero each way; at worst v itself
+            k = idx + step
+            while not period[k % n]:
+                k += step
+            dec += period[k % n] == 1
         out.append(v - dec)
     return tuple(out)
 
@@ -240,9 +184,9 @@ def step_a_pass(res: Residual) -> tuple[Residual, bool]:
     new periods.
     """
     _check_no_adjacent_ones(res)
-    L, C, R = len(res.left), len(res.core), len(res.right)
-    w_lo = res.start - 2 * L
-    w_hi = res.start + C + 2 * R - 1
+    L, C, R = len(res.left_period), len(res.core), len(res.right_period)
+    w_lo = res.core_start - 2 * L
+    w_hi = res.core_start + C + 2 * R - 1
     new: dict[int, int] = {}
     double = False
     for i in range(w_lo, w_hi + 1):
@@ -250,19 +194,16 @@ def step_a_pass(res: Residual) -> tuple[Residual, bool]:
         if v <= 1:
             new[i] = 0
             continue
-        dec = 0
-        p, n = res.prev_nonzero(i), res.next_nonzero(i)
-        if p is not None and res.value_at(p) == 1:
-            dec += 1
-        if n is not None and res.value_at(n) == 1:
-            dec += 1
+        near = (res.prev_nonzero(i), res.next_nonzero(i))
+        dec = sum(j is not None and res.value_at(j) == 1 for j in near)
         if dec == 2:
             double = True
         new[i] = v - dec
     new_left = tuple(new[i] for i in range(w_lo, w_lo + L))
     new_core = tuple(new[i] for i in range(w_lo + L, w_hi - R + 1))
     new_right = tuple(new[i] for i in range(w_hi - R + 1, w_hi + 1))
-    if new_left != _circular_pass(res.left) or new_right != _circular_pass(res.right):
+    if (new_left != _circular_pass(res.left_period)
+            or new_right != _circular_pass(res.right_period)):
         raise AssertionError("tail rewrite deviated from its periodic context")
     return _normalize(Residual(new_left, new_core, new_right, w_lo + L)), double
 
@@ -295,7 +236,7 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     detected: int | None = None
     k = 0
     while True:
-        if not res.has_one():
+        if not res.has_value(1):
             return StepAResult("terminated", k, res, tuple(sorted(set(arcs))),
                                tuple(trace))
         if detected is not None and _materialization_done(res, arcs, mat_lo, mat_hi):
@@ -328,7 +269,6 @@ def _materialization_done(res: Residual, arcs: list[tuple[int, int]],
 @dataclass(frozen=True)
 class StepBResult:
     bridging_arcs: tuple[Arc, ...]
-    upper_labels: tuple[int, ...]
     b1_terminated: bool
     b2_terminated: bool
     n_value: int | None  # None when infinite
@@ -338,29 +278,10 @@ class StepBResult:
 
 def _pick_anchor(res: Residual, mid: int) -> int | None:
     f_lo, f_hi = res.footprint()
-    scan_hi = max(mid, f_hi) + len(res.right)
-    scan_lo = min(mid, f_lo) - len(res.left)
-    for i in range(mid, scan_hi + 1):
-        if res.value_at(i) > 2:
-            return i
-    for i in range(mid - 1, scan_lo - 1, -1):
-        if res.value_at(i) > 2:
-            return i
-    return None
-
-
-def _next_gt2(res: Residual, i: int, bound: int) -> int | None:
-    for j in range(i + 1, bound + 1):
-        if res.value_at(j) > 2:
-            return j
-    return None
-
-
-def _prev_gt2(res: Residual, i: int, bound: int) -> int | None:
-    for j in range(i - 1, bound - 1, -1):
-        if res.value_at(j) > 2:
-            return j
-    return None
+    right = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+    if right is not None:
+        return right
+    return res.scan(mid, -1, min(mid, f_lo) - len(res.left_period), above=2)
 
 
 def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
@@ -375,10 +296,10 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     elsewhere still take their upper points.  InconclusiveError is raised
     when that end or the anchor is over WALK_CAP positions outside the range.
     """
-    if res.has_one():
+    if res.has_value(1):
         raise QuiddityError("phase B requires a residual with no 1s")
-    right_inf = any(v > 2 for v in res.right)
-    left_inf = any(v > 2 for v in res.left)
+    right_inf = any(v > 2 for v in res.right_period)
+    left_inf = any(v > 2 for v in res.left_period)
     b1_term, b2_term = not right_inf, not left_inf
     f_lo, f_hi = res.footprint()
     if b1_term and b2_term:
@@ -403,12 +324,11 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
             raise QuiddityError(
                 "residual vanished entirely; a valid frieze cannot reach this state")
         arcs += [(i, 0) for i in twos]
-        temps = [0]
         m2 = m2_finite(1)
         labels = {0: 1}
     else:
-        stop_lo = min(mat_lo, f_lo - len(res.left)) if b2_term else mat_lo
-        stop_hi = max(mat_hi, f_hi + len(res.right)) if b1_term else mat_hi
+        stop_lo = min(mat_lo, f_lo - len(res.left_period)) if b2_term else mat_lo
+        stop_hi = max(mat_hi, f_hi + len(res.right_period)) if b1_term else mat_hi
         if max(mat_lo - min(stop_lo, anchor), max(stop_hi, anchor) - mat_hi) > WALK_CAP:
             raise InconclusiveError(
                 f"phase B would walk more than {WALK_CAP} positions past its range")
@@ -416,48 +336,27 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
         temps = list(range(v0 - 1))
         if stop_lo <= anchor <= stop_hi:
             arcs += [(anchor, t) for t in temps]
-        rightmost, next_right = v0 - 2, v0 - 1
-        # grow rightward
-        pos = anchor
-        while True:
-            nxt = _next_gt2(res, pos, stop_hi)
-            if nxt is None:
-                for i in range(pos + 1, mat_hi + 1):
-                    if res.value_at(i) == 2:
-                        arcs.append((i, rightmost))
-                break
-            for i in range(pos + 1, nxt):
-                if res.value_at(i) == 2 and mat_lo <= i <= mat_hi:
-                    arcs.append((i, rightmost))
-            w = res.value_at(nxt)
-            fresh = list(range(next_right, next_right + w - 2))
-            temps += fresh
-            if stop_lo <= nxt <= stop_hi:
-                arcs.append((nxt, rightmost))
-                arcs += [(nxt, t) for t in fresh]
-            rightmost, next_right = fresh[-1], next_right + w - 2
-            pos = nxt
-        # grow leftward
-        leftmost, next_left = 0, -1
-        pos = anchor
-        while True:
-            prv = _prev_gt2(res, pos, stop_lo)
-            if prv is None:
-                for i in range(pos - 1, mat_lo - 1, -1):
-                    if res.value_at(i) == 2:
-                        arcs.append((i, leftmost))
-                break
-            for i in range(pos - 1, prv, -1):
-                if res.value_at(i) == 2 and mat_lo <= i <= mat_hi:
-                    arcs.append((i, leftmost))
-            w = res.value_at(prv)
-            fresh = list(range(next_left, next_left - (w - 2), -1))
-            temps += fresh
-            if stop_lo <= prv <= stop_hi:
-                arcs.append((prv, leftmost))
-                arcs += [(prv, t) for t in fresh]
-            leftmost, next_left = fresh[-1], next_left - (w - 2)
-            pos = prv
+
+        def grow(step: int, edge: int, fresh_at: int, stop: int) -> None:
+            """Fountain from the anchor in direction step: each value > 2
+            position up to stop shares the extreme point edge and adds fresh
+            points from fresh_at on; value-2 positions hook onto edge."""
+            pos = anchor
+            while (nxt := res.scan(pos, step, stop, above=2)) is not None:
+                arcs.extend((i, edge) for i in range(pos + step, nxt, step)
+                            if mat_lo <= i <= mat_hi and res.value_at(i) == 2)
+                fresh = list(range(fresh_at, fresh_at + step * (res.value_at(nxt) - 2), step))
+                temps.extend(fresh)
+                if stop_lo <= nxt <= stop_hi:
+                    arcs.extend((nxt, t) for t in (edge, *fresh))
+                edge, fresh_at, pos = fresh[-1], fresh[-1] + step, nxt
+            # the tail past the last fan: only its far end is bounded by the range
+            end = mat_hi if step > 0 else mat_lo
+            arcs.extend((i, edge) for i in range(pos + step, end + step, step)
+                        if res.value_at(i) == 2)
+
+        grow(1, v0 - 2, v0 - 1, stop_hi)
+        grow(-1, 0, -1, stop_lo)
 
         m2 = m2_class(True, b1_term, b2_term, n_value)
         temps_sorted = sorted(set(temps))
@@ -475,8 +374,7 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
             labels = {t: t + 1 for t in temps_sorted}
 
     final_arcs = tuple(sorted(bridging(i, labels[t]) for i, t in set(arcs)))
-    upper = tuple(sorted(labels[t] for t in set(temps)))
-    return StepBResult(final_arcs, upper, b1_term, b2_term, n_value, anchor, m2)
+    return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)
 
 
 def m2_class(a_terminated: bool, b1_terminated: bool | None,

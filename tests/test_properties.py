@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from friezes import (FriezeView, QuiddityDescriptor, QuiddityError, psi,
-                     validate)
+from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
+                     StripTriangulation, bridging, psi, validate)
 from friezes.serialize import strip_from_json, strip_to_json
 
 import refdata
@@ -86,6 +86,46 @@ def test_synthesis_translation_equivariance():
         for n in (rng.randint(-5, 5), rng.randint(-1000, 1000)):
             moved = psi(q.shift(n), (-4 + n, 4 + n)).triangulation
             assert normal(base, 0) == normal(moved, n), (q, n)
+
+
+def _mirror(q: QuiddityDescriptor) -> QuiddityDescriptor:
+    """The reflected sequence: value a_{-i} at index i."""
+    return QuiddityDescriptor(q.right_period[::-1], q.core[::-1], q.left_period[::-1],
+                              -(q.core_start + len(q.core) - 1))
+
+
+def test_synthesis_mirror_symmetry():
+    """psi commutes with the reflection i -> -i of the strip.
+
+    Peripheral arcs (i, j) become (-j, -i); the nat classes swap; upper
+    labels reverse as u -> N + 1 - u (finite), u -> -u (nat), and up to a
+    Dehn twist on a bi-infinite boundary.
+    """
+    swap = {"nat_left": "nat_right", "nat_right": "nat_left"}
+    seen = set()
+    for q in bijection_corpus() + enough_ones_corpus():
+        m = _mirror(q)
+        assert [m.value_at(-i) for i in range(-9, 10)] == q.values(-9, 9)
+        for lo, hi in ((-4, 4), (1, 9), (-43, -37), (37, 43)):
+            out, ref = psi(q, (lo, hi)), psi(m, (-hi, -lo))
+            t, r = out.triangulation, ref.triangulation
+            assert (ref.step_a_verdict, ref.step_a_passes, r.margin) == (
+                out.step_a_verdict, out.step_a_passes, t.margin), (q, lo, hi)
+            kind = out.m2_class.kind
+            assert ref.m2_class == M2Class(swap.get(kind, kind), out.m2_class.size)
+            assert ({(-a.b.index, -a.a.index) for a in t.peripheral_arcs}
+                    == {(a.a.index, a.b.index) for a in r.peripheral_arcs}), (q, lo, hi)
+            top = out.m2_class.size + 1 if kind == "finite" else 0
+            mapped = {bridging(-a.lower_index(), top - a.upper_index())
+                      for a in t.bridging_arcs}
+            if kind == "bi_infinite":
+                twisted = StripTriangulation(r.window, r.margin, r.m2_class,
+                                             frozenset(r.peripheral_arcs) | mapped)
+                assert r.dehn_equivalent(twisted) is not None, (q, lo, hi)
+            else:
+                assert mapped == set(r.bridging_arcs), (q, lo, hi)
+            seen.add(kind)
+    assert seen == {"empty", "finite", "nat_left", "nat_right", "bi_infinite"}
 
 
 def test_corpus_covers_all_reachable_classes():

@@ -103,9 +103,14 @@ def test_zigzag_nonterminating_empty_upper_boundary():
     # the printed strip picture: ladder arcs around the bend
     arcs = {(a.a.index, a.b.index) for a in tri.peripheral_arcs}
     assert {(-2, 0), (-2, 1), (1, 3), (-2, 3), (-4, -2), (-4, 3), (-4, 5), (3, 5)} <= arcs
-    # a wide window fits the pass cap: the run stops once the window's cut is final
-    wide = psi(refdata.ZIGZAG, (-128, 128))
-    assert wide.step_a_verdict == "nonterminating" and wide.m2_class.kind == "empty"
+    # a wide window fits the pass cap: the run stops once the window's cut is final;
+    # 1-free tails whose 3s the core's 1s consume are nonterminating too
+    eaten = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
+    for q, window in ((refdata.ZIGZAG, (-128, 128)), (eaten, (-5, 5)), (eaten, (30, 40))):
+        wide = psi(q, window)
+        assert wide.step_a_verdict == "nonterminating" and wide.m2_class.kind == "empty"
+        lo, hi = window
+        assert wide.triangulation.quiddity_of() == {i: q.value_at(i) for i in range(lo, hi + 1)}
 
 
 def test_zigzag_collapsed_recurrence_detected():
