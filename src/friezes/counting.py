@@ -45,8 +45,7 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
         raise StripError("need i <= j")
     if route not in ("auto", "peripheral", "bridging"):
         raise StripError(f"unknown cut route {route!r}")
-    over = [(a.a.index, a.b.index) for a in t.peripheral_arcs
-            if a.a.index <= i - 1 and a.b.index >= j + 1]
+    over = [(x, y) for x, y in t.peripheral_arcs if x <= i - 1 and y >= j + 1]
     if route == "bridging":
         over = []
     if over:
@@ -54,8 +53,7 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
         b0 = min(y for x, y in over if x == a0)
         lower_map = {k: k - a0 + 1 for k in range(a0, b0 + 1)}
         chords = set()
-        for arc in t.peripheral_arcs:
-            x, y = arc.a.index, arc.b.index
+        for x, y in t.peripheral_arcs:
             if a0 <= x and y <= b0 and (x, y) != (a0, b0):
                 chords.add((lower_map[x], lower_map[y]))
         poly = PolygonTriangulation(b0 - a0 + 1, frozenset(chords))
@@ -63,7 +61,7 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
 
     if route == "peripheral":
         raise CutError(f"no peripheral arc over ({i - 1}, {j + 1})")
-    carriers = sorted({a.lower_index() for a in t.bridging_arcs})
+    carriers = sorted({k for k, _ in t.bridging_arcs})
     left = [p for p in carriers if p <= i - 1]
     right = [q for q in carriers if q >= j + 1]
     if not left or not right:
@@ -71,8 +69,8 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
             f"no peripheral arc over ({i - 1}, {j + 1}) and no flanking bridging "
             "arcs in the materialized region")
     p, q = left[-1], right[0]
-    u = max(a.upper_index() for a in t.bridging_arcs if a.lower_index() == p)
-    v = min(a.upper_index() for a in t.bridging_arcs if a.lower_index() == q)
+    u = max(w for k, w in t.bridging_arcs if k == p)
+    v = min(w for k, w in t.bridging_arcs if k == q)
     if u > v:
         raise StripError("flanking bridging arcs cross; triangulation is corrupt")
     n_low = q - p + 1
@@ -80,12 +78,10 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
     upper_map = {w: n_low + (v - w) + 1 for w in range(u, v + 1)}
     n = n_low + (v - u + 1)
     chords = set()
-    for arc in t.peripheral_arcs:
-        x, y = arc.a.index, arc.b.index
+    for x, y in t.peripheral_arcs:
         if p <= x and y <= q:
             chords.add((lower_map[x], lower_map[y]))
-    for arc in t.bridging_arcs:
-        k, w = arc.lower_index(), arc.upper_index()
+    for k, w in t.bridging_arcs:
         if p <= k <= q and u <= w <= v and (k, w) not in ((p, u), (q, v)):
             chords.add(tuple(sorted((lower_map[k], upper_map[w]))))
     if len(chords) != n - 3:

@@ -194,8 +194,7 @@ def has_enough_ones(t: FriezeView, window: tuple[int, int],
         return EnoughOnes("unknown")
     if outcome.m2_class.kind == "empty":
         return EnoughOnes("yes")
-    bridged = sorted({a.lower_index() for a in outcome.triangulation.arcs
-                      if a.is_bridging()})
+    bridged = sorted({i for i, _ in outcome.triangulation.bridging_arcs})
     if bridged:
         p = bridged[len(bridged) // 2]
         return EnoughOnes("no", (p - 1, p + 1))

@@ -18,7 +18,7 @@ import math
 
 from .frieze import FriezeView
 from .polygon import PolygonTriangulation
-from .strip import StripTriangulation
+from .strip import LOWER, UPPER, StripTriangulation
 
 
 def render_frieze(view: FriezeView, rows: tuple[int, int],
@@ -55,13 +55,13 @@ def render_strip_svg(t: StripTriangulation, scale: float = 40.0) -> str:
     """
     lo, hi = t.window
     pad = scale
-    arcs = [a for a in sorted(t.arcs)
-            if a.lower_span()[1] >= lo - 2 and a.lower_span()[0] <= hi + 2]
-    lowers = sorted({i for a in arcs for i in
-                     ([a.a.index, a.b.index] if a.is_peripheral() else [a.a.index])}
+    # (i, boundary of the other end, its index), in the arcs' sorted order
+    arcs = [(i, end, j) for (_, i), (end, j) in sorted(t.arcs)
+            if i <= hi + 2 and (j if end == LOWER else i) >= lo - 2]
+    lowers = sorted({i for i, _, _ in arcs} | {j for _, end, j in arcs if end == LOWER}
                     | set(range(lo, hi + 1)))
-    used_here = {a.upper_index() for a in arcs if a.is_bridging()}
-    used_anywhere = {a.upper_index() for a in t.bridging_arcs}
+    used_here = {u for _, end, u in arcs if end == UPPER}
+    used_anywhere = {u for _, u in t.bridging_arcs}
     uppers = [u for u in t.materialized_upper_labels()
               if u in used_here or u not in used_anywhere]  # keep special points
     x_min = min([lowers[0]] + uppers) if uppers else lowers[0]
@@ -82,17 +82,17 @@ def render_strip_svg(t: StripTriangulation, scale: float = 40.0) -> str:
     if t.m2_class.kind != "empty":
         body.append(f'<line x1="{_fmt(x_of(x_min) - pad / 2)}" y1="{_fmt(y_up)}" '
                     f'x2="{_fmt(x_of(x_max) + pad / 2)}" y2="{_fmt(y_up)}" stroke="black"/>')
-    for arc in arcs:
-        if arc.is_peripheral():
-            x1, x2 = x_of(arc.a.index), x_of(arc.b.index)
+    for i, end, j in arcs:
+        if end == LOWER:
+            x1, x2 = x_of(i), x_of(j)
             r = (x2 - x1) / 2
             ry = min(r, scale * 0.9)
             body.append(f'<path d="M {_fmt(x1)} {_fmt(y_low)} '
                         f'A {_fmt(r)} {_fmt(ry)} 0 0 1 {_fmt(x2)} {_fmt(y_low)}" '
                         f'fill="none" stroke="blue"/>')
         else:
-            body.append(f'<line x1="{_fmt(x_of(arc.lower_index()))}" y1="{_fmt(y_low)}" '
-                        f'x2="{_fmt(x_of(arc.upper_index()))}" y2="{_fmt(y_up)}" '
+            body.append(f'<line x1="{_fmt(x_of(i))}" y1="{_fmt(y_low)}" '
+                        f'x2="{_fmt(x_of(j))}" y2="{_fmt(y_up)}" '
                         f'stroke="green"/>')
     for i in lowers:
         body.append(f'<circle cx="{_fmt(x_of(i))}" cy="{_fmt(y_low)}" r="2" fill="black"/>')

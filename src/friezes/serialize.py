@@ -7,6 +7,8 @@ Formats (all plain JSON objects):
 * polygon:   {"n": n, "chords": [[u, v], ...]}
 * strip:     {"window": [lo, hi], "margin": m, "m2_class": "...",
               "arcs": [{"a": ["L", i], "b": ["U", u]}, ...]}
+             (each arc is the library's arc tuple, lower endpoint as "a";
+             parsing also accepts the endpoints in the other order)
 * frieze pattern: {"n": n, "fundamental": [[a, b, value], ...]}
 
 The upper index class is a string: "empty", "finite:N", "nat_right",
@@ -22,8 +24,7 @@ from typing import Any
 
 from .polygon import FriezePattern, PolygonError, PolygonTriangulation
 from .quiddity import QuiddityDescriptor, QuiddityError
-from .strip import (LOWER, UPPER, Arc, M2Class, MarkedPoint, StripError,
-                    StripTriangulation)
+from .strip import Arc, M2Class, MarkedPoint, StripError, StripTriangulation
 
 
 class SchemaError(ValueError):
@@ -101,12 +102,8 @@ def m2_from_str(s: Any) -> M2Class:
         raise SchemaError(f"m2_class: {e}") from e
 
 
-def _point_to_json(p: MarkedPoint) -> list:
-    return [p.boundary, p.index]
-
-
 def _point_from_json(x: Any) -> MarkedPoint:
-    if (not isinstance(x, list) or len(x) != 2 or x[0] not in (LOWER, UPPER)
+    if (not isinstance(x, list) or len(x) != 2 or not isinstance(x[0], str)
             or not isinstance(x[1], int) or isinstance(x[1], bool)):
         raise SchemaError(f"marked point: expected ['L'|'U', index], got {x!r}")
     return MarkedPoint(x[0], x[1])
@@ -117,8 +114,7 @@ def strip_to_json(t: StripTriangulation) -> dict:
         "window": list(t.window),
         "margin": t.margin,
         "m2_class": m2_to_str(t.m2_class),
-        "arcs": [{"a": _point_to_json(a.a), "b": _point_to_json(a.b)}
-                 for a in sorted(t.arcs)],
+        "arcs": [{"a": list(a), "b": list(b)} for a, b in sorted(t.arcs)],
     }
 
 
@@ -137,10 +133,7 @@ def strip_from_json(d: Any) -> StripTriangulation:
     for entry in raw:
         a = _point_from_json(_require(entry, "a", "strip.arcs[]"))
         b = _point_from_json(_require(entry, "b", "strip.arcs[]"))
-        try:
-            arcs.add(Arc(a, b))
-        except StripError as e:
-            raise SchemaError(f"strip.arcs: {e}") from e
+        arcs.add(Arc(min(a, b), max(a, b)))  # a document may list either end first
     try:
         t = StripTriangulation((window[0], window[1]), margin, m2, frozenset(arcs))
         t.check_pairwise_noncrossing()

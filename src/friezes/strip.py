@@ -8,6 +8,13 @@ upper-upper arcs never occur in the triangulations produced here.  A
 triangulation is a maximal pairwise noncrossing arc collection; it is
 admissible when every lower point meets only finitely many arcs.
 
+An arc is a plain tuple of two (boundary, index) marked points, lower
+endpoint first: (("L", i), ("L", j)) with i < j, or (("L", i), ("U", u)).
+Arc and MarkedPoint name the fields but add no behaviour, so arcs hash,
+compare and sort as tuples.  A StripTriangulation checks the arc rules once,
+when it is built, and offers its arcs as sorted int pairs: peripheral_arcs
+(i, j) and bridging_arcs (i, u).
+
 A full triangulation is infinite, so a StripTriangulation materializes only
 the arcs relevant to a finite window of lower indices plus a margin, and
 records the upper index class explicitly (a finite window cannot tell the
@@ -16,8 +23,10 @@ classes apart by inspection).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 LOWER = "L"
 UPPER = "U"
@@ -27,58 +36,26 @@ class StripError(ValueError):
     """Raised for invalid strip data or queries outside the materialized region."""
 
 
-@dataclass(frozen=True, order=True)
-class MarkedPoint:
+class MarkedPoint(NamedTuple):
     boundary: str  # LOWER or UPPER
     index: int
 
-    def __post_init__(self):
-        if self.boundary not in (LOWER, UPPER):
-            raise StripError(f"boundary must be {LOWER!r} or {UPPER!r}")
 
+class Arc(NamedTuple):
+    """An arc between two marked points, the lower (or smaller) endpoint first.
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """An arc between two marked points, endpoints stored in sorted order."""
+    Plain tuples: ((L, i), (L, j)) with i < j for a peripheral arc and
+    ((L, i), (U, u)) for a bridging one, compared and hashed as tuples.  The
+    arc rules are checked where arcs enter a StripTriangulation.
+    """
 
     a: MarkedPoint
     b: MarkedPoint
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise StripError("arc endpoints must be distinct")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-        if self.a.boundary == UPPER and self.b.boundary == UPPER:
-            raise StripError("upper-upper arcs do not occur here")
-        if self.is_peripheral() and self.b.index - self.a.index < 2:
-            raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
-
-    def is_peripheral(self) -> bool:
-        return self.a.boundary == LOWER and self.b.boundary == LOWER
-
-    def is_bridging(self) -> bool:
-        return not self.is_peripheral()
-
-    def lower_index(self) -> int:
-        # bridging arcs sort (L, i) before (U, u), so a is the lower endpoint
-        return self.a.index
-
-    def upper_index(self) -> int:
-        if not self.is_bridging():
-            raise StripError("peripheral arc has no upper endpoint")
-        return self.b.index
-
-    def lower_span(self) -> tuple[int, int]:
-        """Lower indices covered: (i, j) for peripheral, (i, i) for bridging."""
-        if self.is_peripheral():
-            return (self.a.index, self.b.index)
-        return (self.a.index, self.a.index)
-
 
 def peripheral(i: int, j: int) -> Arc:
+    if i > j:
+        i, j = j, i
     return Arc(MarkedPoint(LOWER, i), MarkedPoint(LOWER, j))
 
 
@@ -88,17 +65,15 @@ def bridging(lower_i: int, upper_u: int) -> Arc:
 
 def cross(x: Arc, y: Arc) -> bool:
     """Whether two arcs cross in the strip interior (shared endpoints never cross)."""
-    if x.is_peripheral() and y.is_peripheral():
-        i, j = x.a.index, x.b.index
-        k, l = y.a.index, y.b.index
+    (_, i), (x_end, j) = x
+    (_, k), (y_end, l) = y
+    if x_end == LOWER and y_end == LOWER:
         return (i < k < j < l) or (k < i < l < j)
-    if x.is_peripheral() != y.is_peripheral():
-        per, br = (x, y) if x.is_peripheral() else (y, x)
-        i, j = per.a.index, per.b.index
-        return i < br.lower_index() < j
-    u, p = x.upper_index(), x.lower_index()
-    v, q = y.upper_index(), y.lower_index()
-    return (u - v) * (p - q) < 0
+    if x_end == LOWER:
+        return i < k < j
+    if y_end == LOWER:
+        return k < i < l
+    return (j - l) * (i - k) < 0
 
 
 @dataclass(frozen=True)
@@ -156,7 +131,9 @@ def m2_finite(n: int) -> M2Class:
 class StripTriangulation:
     """Windowed materialization of a strip triangulation.
 
-    `arcs` holds arcs of the underlying triangulation.  Producers guarantee
+    `arcs` holds arcs of the underlying triangulation, each either
+    ((L, i), (L, j)) with j - i >= 2 or ((L, i), (U, u)) with u in the upper
+    class; the constructor rejects any other.  Producers guarantee
     complete stars at the window's lower points and a complete window cut:
     the polygon counting.cut_polygon cuts out around lower points lo-1..hi+1,
     within [lo - margin, hi + margin].  Queries about points outside the
@@ -176,34 +153,35 @@ class StripTriangulation:
         if self.margin < 0:
             raise StripError("margin must be >= 0")
         for arc in self.arcs:
-            if arc.is_bridging() and not self.m2_class.contains_label(arc.upper_index()):
-                raise StripError(
-                    f"bridging arc to upper {arc.upper_index()} outside class {self.m2_class}")
+            a, b = arc
+            (a_end, i), (b_end, j) = a, b
+            if not {a_end, b_end} <= {LOWER, UPPER}:
+                raise StripError(f"boundary must be {LOWER!r} or {UPPER!r}: {arc}")
+            if a_end == UPPER == b_end:
+                raise StripError("upper-upper arcs do not occur here")
+            if a > b:
+                raise StripError(f"arc endpoints must be sorted, lower first: {arc}")
+            if b_end == LOWER and j - i < 2:
+                raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
+            if b_end == UPPER and not self.m2_class.contains_label(j):
+                raise StripError(f"bridging arc to upper {j} outside class {self.m2_class}")
 
     @cached_property
-    def peripheral_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(a for a in self.arcs if a.is_peripheral()))
+    def peripheral_arcs(self) -> tuple[tuple[int, int], ...]:
+        """The peripheral arcs as sorted lower index pairs (i, j), i < j."""
+        return tuple(sorted((i, j) for (_, i), (end, j) in self.arcs if end == LOWER))
 
     @cached_property
-    def bridging_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(a for a in self.arcs if a.is_bridging()))
+    def bridging_arcs(self) -> tuple[tuple[int, int], ...]:
+        """The bridging arcs as sorted (lower index, upper label) pairs."""
+        return tuple(sorted((i, u) for (_, i), (end, u) in self.arcs if end == UPPER))
 
     @cached_property
-    def _lower_degree(self) -> dict[int, int]:
-        deg: dict[int, int] = {}
-        for arc in self.arcs:
-            if arc.is_peripheral():
-                for i in (arc.a.index, arc.b.index):
-                    deg[i] = deg.get(i, 0) + 1
-            else:
-                i = arc.lower_index()
-                deg[i] = deg.get(i, 0) + 1
-        return deg
+    def _lower_degree(self) -> Counter[int]:
+        return Counter(i for arc in self.arcs for end, i in arc if end == LOWER)
 
     def lower_star(self, i: int) -> list[Arc]:
-        return sorted(a for a in self.arcs
-                      if (a.is_peripheral() and i in (a.a.index, a.b.index))
-                      or (a.is_bridging() and a.lower_index() == i))
+        return sorted(arc for arc in self.arcs if (LOWER, i) in arc)
 
     def quiddity_of(self, window: tuple[int, int] | None = None) -> dict[int, int]:
         """Triangle count at each lower point of the window: 1 + arc degree.
@@ -216,7 +194,7 @@ class StripTriangulation:
             raise StripError(
                 f"stars outside window {self.window} may be truncated by the margin")
         deg = self._lower_degree
-        return {i: 1 + deg.get(i, 0) for i in range(lo, hi + 1)}
+        return {i: 1 + deg[i] for i in range(lo, hi + 1)}
 
     def check_pairwise_noncrossing(self) -> None:
         arcs = sorted(self.arcs)
@@ -229,10 +207,7 @@ class StripTriangulation:
         """Whether some peripheral arc (i, j) has i <= m <= n <= j (endpoints count)."""
         if m > n:
             raise StripError("need m <= n")
-        return any(a.a.index <= m and n <= a.b.index for a in self.peripheral_arcs)
-
-    def _bridging_lowers(self) -> list[int]:
-        return sorted({a.lower_index() for a in self.bridging_arcs})
+        return any(i <= m and n <= j for i, j in self.peripheral_arcs)
 
     def is_admissible_window(self) -> bool:
         """Local admissibility criterion over all window pairs m < n.
@@ -242,9 +217,9 @@ class StripTriangulation:
         arcs only, so a too-small margin can produce a false negative.
         """
         lo, hi = self.window
-        carriers = self._bridging_lowers()
-        left = carriers[0] if carriers else None
-        right = carriers[-1] if carriers else None
+        bridging_arcs = self.bridging_arcs
+        left = bridging_arcs[0][0] if bridging_arcs else None
+        right = bridging_arcs[-1][0] if bridging_arcs else None
         for m in range(lo, hi):
             for n in range(m + 1, hi + 1):
                 if self.has_peripheral_over(m, n):
@@ -256,7 +231,7 @@ class StripTriangulation:
 
     def materialized_upper_labels(self) -> list[int]:
         """All upper labels implied by the class within the materialized span."""
-        used = sorted({a.upper_index() for a in self.bridging_arcs})
+        used = sorted({u for _, u in self.bridging_arcs})
         cls_lo, cls_hi = self.m2_class.label_range()
         if self.m2_class.kind == "empty":
             return []
@@ -271,7 +246,7 @@ class StripTriangulation:
 
     def special_upper_points(self) -> list[MarkedPoint]:
         """Materialized upper points incident to no arc at all."""
-        used = {a.upper_index() for a in self.bridging_arcs}
+        used = {u for _, u in self.bridging_arcs}
         return [MarkedPoint(UPPER, u) for u in self.materialized_upper_labels()
                 if u not in used]
 
@@ -303,9 +278,8 @@ class StripTriangulation:
         """
         if self.m2_class.kind != "bi_infinite":
             raise StripError("Dehn twist needs a bi-infinite upper boundary")
-        new_arcs = frozenset(
-            bridging(a.lower_index(), a.upper_index() + n) if a.is_bridging() else a
-            for a in self.arcs)
+        new_arcs = frozenset(peripheral(i, j) for i, j in self.peripheral_arcs)
+        new_arcs |= {bridging(i, u + n) for i, u in self.bridging_arcs}
         return StripTriangulation(self.window, self.margin, self.m2_class, new_arcs)
 
     def dehn_equivalent(self, other: "StripTriangulation") -> int | None:
@@ -321,25 +295,17 @@ class StripTriangulation:
             raise StripError("windows differ")
         lo, hi = self.window
 
-        def window_arcs(t: StripTriangulation) -> tuple[set[Arc], set[Arc]]:
-            per, bri = set(), set()
-            for a in t.arcs:
-                s, e = a.lower_span()
-                if e >= lo and s <= hi:
-                    (per if a.is_peripheral() else bri).add(a)
-            return per, bri
+        def window_arcs(t: StripTriangulation) -> tuple[set, set]:
+            return ({(i, j) for i, j in t.peripheral_arcs if j >= lo and i <= hi},
+                    {(i, u) for i, u in t.bridging_arcs if lo <= i <= hi})
 
-        per1, bri1 = window_arcs(self)
-        per2, bri2 = window_arcs(other)
+        (per1, bri1), (per2, bri2) = window_arcs(self), window_arcs(other)
         if per1 != per2:
             return None
         if not bri1 and not bri2:
             return 0
-        if {a.lower_index() for a in bri1} != {a.lower_index() for a in bri2}:
+        if {i for i, _ in bri1} != {i for i, _ in bri2}:
             return None
-        anchor = min(a.lower_index() for a in bri1)
-        u1 = min(a.upper_index() for a in bri1 if a.lower_index() == anchor)
-        u2 = min(a.upper_index() for a in bri2 if a.lower_index() == anchor)
-        n = u2 - u1
-        shifted = {bridging(a.lower_index(), a.upper_index() + n) for a in bri1}
-        return n if shifted == bri2 else None
+        # both sides share the leftmost carrier; compare its lowest upper ends
+        n = min(bri2)[1] - min(bri1)[1]
+        return n if {(i, u + n) for i, u in bri1} == bri2 else None

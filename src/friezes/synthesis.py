@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .quiddity import DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, validate
-from .strip import (Arc, M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
+from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, bridging, m2_finite,
                     peripheral)
 
@@ -268,7 +268,7 @@ def _materialization_done(res: Residual, arcs: list[tuple[int, int]],
 
 @dataclass(frozen=True)
 class StepBResult:
-    bridging_arcs: tuple[Arc, ...]
+    bridging_arcs: tuple[tuple[int, int], ...]  # sorted (lower index, upper label)
     b1_terminated: bool
     b2_terminated: bool
     n_value: int | None  # None when infinite
@@ -373,7 +373,7 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
         else:  # bi-infinite: leftmost point of the anchor fan gets label 1
             labels = {t: t + 1 for t in temps_sorted}
 
-    final_arcs = tuple(sorted(bridging(i, labels[t]) for i, t in set(arcs)))
+    final_arcs = tuple(sorted({(i, labels[t]) for i, t in arcs}))
     return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)
 
 
@@ -465,6 +465,7 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int], cap: int = DEFAULT_CAP,
         return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
                                 trace, None, None, None, None)
     b = step_b(a.residual, window, r_lo, r_hi, anchor)
-    tri = StripTriangulation(window, margin, b.m2, frozenset(arcs) | set(b.bridging_arcs))
+    arcs |= {bridging(i, u) for i, u in b.bridging_arcs}
+    tri = StripTriangulation(window, margin, b.m2, frozenset(arcs))
     return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, trace,
                             b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)

@@ -150,7 +150,7 @@ def test_criterion_5_bijection_properties():
             assert tri.quiddity_of() == {i: q.value_at(i) for i in range(lo, hi + 1)}
             assert tri.is_admissible_window(), q
             assert tri.special_upper_points() == [], q
-            peripherals = {(a.a.index, a.b.index) for a in tri.peripheral_arcs}
+            peripherals = set(tri.peripheral_arcs)
             for i in range(lo, hi + 1):
                 for j in range(i + 2, hi + 1):
                     assert (view.entry(i, j) == 1) == ((i, j) in peripherals), (q, i, j)

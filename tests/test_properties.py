@@ -7,7 +7,7 @@ import random
 import pytest
 
 from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bridging, psi, validate)
+                     StripTriangulation, bridging, peripheral, psi, validate)
 from friezes.serialize import strip_from_json, strip_to_json
 
 import refdata
@@ -74,13 +74,8 @@ def test_synthesis_translation_equivariance():
     rng = random.Random(991)
     corpus = bijection_corpus()[:12] + enough_ones_corpus()[:4]
     def normal(t, off):
-        out = set()
-        for a in t.arcs:
-            if a.is_peripheral():
-                out.add(("P", a.a.index - off, a.b.index - off))
-            else:
-                out.add(("B", a.lower_index() - off, a.upper_index()))
-        return out
+        return ({("P", i - off, j - off) for i, j in t.peripheral_arcs}
+                | {("B", i - off, u) for i, u in t.bridging_arcs})
     for q in corpus:
         base = psi(q, (-4, 4)).triangulation
         for n in (rng.randint(-5, 5), rng.randint(-1000, 1000)):
@@ -113,14 +108,14 @@ def test_synthesis_mirror_symmetry():
                 out.step_a_verdict, out.step_a_passes, t.margin), (q, lo, hi)
             kind = out.m2_class.kind
             assert ref.m2_class == M2Class(swap.get(kind, kind), out.m2_class.size)
-            assert ({(-a.b.index, -a.a.index) for a in t.peripheral_arcs}
-                    == {(a.a.index, a.b.index) for a in r.peripheral_arcs}), (q, lo, hi)
+            assert ({(-j, -i) for i, j in t.peripheral_arcs}
+                    == set(r.peripheral_arcs)), (q, lo, hi)
             top = out.m2_class.size + 1 if kind == "finite" else 0
-            mapped = {bridging(-a.lower_index(), top - a.upper_index())
-                      for a in t.bridging_arcs}
+            mapped = {(-i, top - u) for i, u in t.bridging_arcs}
             if kind == "bi_infinite":
-                twisted = StripTriangulation(r.window, r.margin, r.m2_class,
-                                             frozenset(r.peripheral_arcs) | mapped)
+                arcs = {peripheral(i, j) for i, j in r.peripheral_arcs}
+                arcs |= {bridging(i, u) for i, u in mapped}
+                twisted = StripTriangulation(r.window, r.margin, r.m2_class, frozenset(arcs))
                 assert r.dehn_equivalent(twisted) is not None, (q, lo, hi)
             else:
                 assert mapped == set(r.bridging_arcs), (q, lo, hi)
@@ -262,5 +257,5 @@ def test_finite_class_counts_every_upper_point():
     out = psi(q, (-6, 6))
     assert out.m2_class.kind == "finite"
     assert out.n_value == 1 + (5 - 2) + (3 - 2) + (4 - 2)
-    used = {a.upper_index() for a in out.triangulation.bridging_arcs}
+    used = {u for _, u in out.triangulation.bridging_arcs}
     assert used == set(range(1, out.n_value + 1))

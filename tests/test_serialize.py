@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from friezes import psi
@@ -13,6 +15,8 @@ from friezes.serialize import (SchemaError, dumps, frieze_pattern_from_json,
                                strip_from_json, strip_to_json)
 
 import refdata
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_quiddity_round_trip():
@@ -79,10 +83,27 @@ def test_strip_schema_rejects_crossing_arcs():
 
 
 def test_strip_schema_rejects_bad_points():
-    doc = {"window": [-2, 2], "margin": 1, "m2_class": "empty",
-           "arcs": [{"a": ["X", 0], "b": ["L", 2]}]}
-    with pytest.raises(SchemaError):
-        strip_from_json(doc)
+    def doc(a, b, m2="empty"):
+        return {"window": [-2, 2], "margin": 1, "m2_class": m2,
+                "arcs": [{"a": a, "b": b}]}
+
+    for a, b in ((["X", 0], ["L", 2]),     # unknown boundary
+                 (["U", 0], ["U", 2]),     # upper-upper
+                 (["L", 1], ["L", 1]),     # equal endpoints
+                 (["L", 1], ["L", 2]),     # span 1
+                 (["L", "1"], ["L", 3])):  # non-integer index
+        with pytest.raises(SchemaError):
+            strip_from_json(doc(a, b))
+    # either end of a bridging arc may come first in a document
+    lower_first = strip_from_json(doc(["L", 0], ["U", 5], "bi_infinite"))
+    assert strip_from_json(doc(["U", 5], ["L", 0], "bi_infinite")) == lower_first
+    assert strip_to_json(lower_first)["arcs"] == [{"a": ["L", 0], "b": ["U", 5]}]
+
+
+def test_strip_json_matches_golden():
+    # the CLI's `synthesize --window=-6..6` document for MIXED_TAILS, byte for byte
+    tri = psi(refdata.MIXED_TAILS, (-6, 6)).triangulation
+    assert dumps(strip_to_json(tri)) == (GOLDEN / "mixed_tails_strip.json").read_text()
 
 
 def test_frieze_pattern_round_trip():

@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from friezes import StripError, StripTriangulation, bridging, cross, peripheral
-from friezes.strip import M2_BI_INFINITE, M2_EMPTY, MarkedPoint, m2_finite
+from friezes.strip import (LOWER, M2_BI_INFINITE, M2_EMPTY, UPPER, Arc, MarkedPoint,
+                           m2_finite)
 
 
 def test_peripheral_crossing_rules():
@@ -39,13 +40,20 @@ def test_cross_symmetric_and_irreflexive():
 
 
 def test_arc_construction_rules():
-    with pytest.raises(StripError):
-        peripheral(1, 2)  # contractible
-    with pytest.raises(StripError):
-        from friezes.strip import Arc, UPPER
-        Arc(MarkedPoint(UPPER, 0), MarkedPoint(UPPER, 2))
+    bad = [
+        peripheral(1, 2),                                      # contractible
+        peripheral(3, 3),                                      # equal endpoints
+        Arc(MarkedPoint(UPPER, 0), MarkedPoint(UPPER, 2)),     # upper-upper
+        Arc(MarkedPoint(UPPER, 1), MarkedPoint(LOWER, 0)),     # upper end first
+        Arc(MarkedPoint(LOWER, 4), MarkedPoint(LOWER, 0)),     # unsorted
+        Arc(MarkedPoint("X", 0), MarkedPoint(LOWER, 2)),       # unknown boundary
+    ]
+    for arc in bad:
+        with pytest.raises(StripError):
+            StripTriangulation((-1, 1), 2, M2_BI_INFINITE, frozenset({arc}))
     arc = peripheral(4, 0)  # endpoints get sorted
-    assert (arc.a.index, arc.b.index) == (0, 4)
+    assert arc == ((LOWER, 0), (LOWER, 4)) and (arc.a.index, arc.b.index) == (0, 4)
+    assert bridging(0, 3) == ((LOWER, 0), (UPPER, 3))
 
 
 def _fan_triangulation(n_points: int = 4) -> StripTriangulation:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bci_entry, cc_entry, cut_polygon, m2_class,
-                     peripheral, psi, run_step_a, step_a_pass, step_b)
+                     StripTriangulation, bci_entry, bridging, cc_entry, cut_polygon,
+                     m2_class, peripheral, psi, run_step_a, step_a_pass, step_b)
 from friezes.strip import M2_EMPTY
 from friezes.synthesis import Residual, _collapsed_signature, _normalize
 
@@ -18,7 +18,7 @@ MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
 
 def _incident(tri, lo, hi):
     """Arcs with a lower endpoint in [lo, hi]."""
-    return {a for a in tri.arcs if any(lo <= e <= hi for e in a.lower_span())}
+    return {arc for arc in tri.arcs if any(lo <= e <= hi for end, e in arc if end == "L")}
 
 
 def test_worked_example_pass_by_pass():
@@ -38,14 +38,14 @@ def test_worked_example_classification_and_shape():
     tri = out.triangulation
     # anchor vertex (0,0): two peripheral arcs plus a fan of three bridging arcs
     star = tri.lower_star(0)
-    assert [(a.a.index, a.b.index) for a in star if a.is_peripheral()] == [(-3, 0), (-2, 0)]
-    assert sorted(a.upper_index() for a in star if a.is_bridging()) == [-2, -1, 0]
+    assert [(i, j) for (_, i), (end, j) in star if end == "L"] == [(-3, 0), (-2, 0)]
+    assert sorted(u for _, (end, u) in star if end == "U") == [-2, -1, 0]
     # the right tail shares the single right fountain, labeled 0
     for i in range(1, 9):
-        assert [a.upper_index() for a in tri.lower_star(i)] == [0]
+        assert [b for _, b in tri.lower_star(i)] == [("U", 0)]
     # each left-tail vertex hangs from two consecutive upper points
-    assert sorted(a.upper_index() for a in tri.lower_star(-3) if a.is_bridging()) == [-3, -2]
-    assert sorted(a.upper_index() for a in tri.lower_star(-4) if a.is_bridging()) == [-4, -3]
+    assert sorted(u for _, (end, u) in tri.lower_star(-3) if end == "U") == [-3, -2]
+    assert sorted(u for _, (end, u) in tri.lower_star(-4) if end == "U") == [-4, -3]
 
 
 def test_worked_example_round_trip_and_cleanliness():
@@ -65,7 +65,7 @@ def test_constant_two_single_fountain():
     assert out.n_value == 1
     tri = out.triangulation
     assert not tri.peripheral_arcs
-    assert all(a.upper_index() == 1 for a in tri.bridging_arcs)
+    assert all(u == 1 for _, u in tri.bridging_arcs)
     assert tri.quiddity_of() == {i: 2 for i in range(-5, 6)}
 
 
@@ -74,9 +74,9 @@ def test_bumped_quiddity_gives_two_upper_points():
     assert out.n_value == 2
     assert out.m2_class.kind == "finite" and out.m2_class.size == 2
     tri = out.triangulation
-    assert sorted(a.upper_index() for a in tri.lower_star(-1)) == [1, 2]
-    assert all(a.upper_index() == 2 for a in tri.lower_star(2))
-    assert all(a.upper_index() == 1 for a in tri.lower_star(-4))
+    assert [b for _, b in tri.lower_star(-1)] == [("U", 1), ("U", 2)]
+    assert all(b == ("U", 2) for _, b in tri.lower_star(2))
+    assert all(b == ("U", 1) for _, b in tri.lower_star(-4))
     assert tri.quiddity_of() == {i: refdata.BUMPED.value_at(i) for i in range(-5, 6)}
 
 
@@ -86,7 +86,7 @@ def test_constant_three_is_bi_infinite():
     assert out.b1_terminated is False and out.b2_terminated is False
     tri = out.triangulation
     for i in range(-4, 5):
-        ups = sorted(a.upper_index() for a in tri.lower_star(i))
+        ups = sorted(u for _, (end, u) in tri.lower_star(i) if end == "U")
         assert len(ups) == 2 and ups[1] == ups[0] + 1
     assert tri.quiddity_of() == {i: 3 for i in range(-4, 5)}
 
@@ -101,7 +101,7 @@ def test_zigzag_nonterminating_empty_upper_boundary():
     assert tri.is_admissible_window()
     tri.check_pairwise_noncrossing()
     # the printed strip picture: ladder arcs around the bend
-    arcs = {(a.a.index, a.b.index) for a in tri.peripheral_arcs}
+    arcs = set(tri.peripheral_arcs)
     assert {(-2, 0), (-2, 1), (1, 3), (-2, 3), (-4, -2), (-4, 3), (-4, 5), (3, 5)} <= arcs
     # a wide window fits the pass cap: the run stops once the window's cut is final;
     # 1-free tails whose 3s the core's 1s consume are nonterminating too
@@ -225,7 +225,7 @@ def test_margin_stability_default_pipeline():
         m2 = M2_EMPTY
         if a.verdict == "terminated":
             b = step_b(a.residual, (lo, hi), lo - wide, hi + wide)
-            arcs |= set(b.bridging_arcs)
+            arcs |= {bridging(i, u) for i, u in b.bridging_arcs}
             m2 = b.m2
         ref = StripTriangulation((lo, hi), wide, m2, frozenset(arcs))
         assert _incident(tri, lo, hi) == _incident(ref, lo, hi), q
@@ -283,7 +283,7 @@ def test_nat_right_class_and_labels():
     assert out.m2_class.kind == "nat_right"
     assert out.b1_terminated is False and out.b2_terminated is True
     tri = out.triangulation
-    assert min(a.upper_index() for a in tri.bridging_arcs) == 0  # leftmost label
+    assert min(u for _, u in tri.bridging_arcs) == 0  # leftmost label
     assert tri.quiddity_of() == {i: q.value_at(i) for i in range(-4, 5)}
     assert tri.special_upper_points() == []
 
@@ -319,7 +319,7 @@ def test_peripheral_arc_iff_entry_one_on_goldens():
     for q in (refdata.LINEAR, refdata.BUMPED, refdata.MIXED_TAILS, refdata.ZIGZAG):
         tri = psi(q, (-5, 5)).triangulation
         view = FriezeView(q)
-        peripherals = {(a.a.index, a.b.index) for a in tri.peripheral_arcs}
+        peripherals = set(tri.peripheral_arcs)
         for i in range(-5, 6):
             for j in range(i + 2, 6):
                 assert (view.entry(i, j) == 1) == ((i, j) in peripherals), (q, i, j)
@@ -329,7 +329,7 @@ def test_bridging_arcs_extend_both_ways():
     # a lower point carrying a bridging arc has such neighbours on both sides
     for q in (refdata.BUMPED, refdata.MIXED_TAILS, QuiddityDescriptor.constant(3)):
         tri = psi(q, (-5, 5)).triangulation
-        carriers = sorted({a.lower_index() for a in tri.bridging_arcs})
+        carriers = sorted({i for i, _ in tri.bridging_arcs})
         lo, hi = tri.window
         for j in carriers:
             if lo <= j <= hi:
