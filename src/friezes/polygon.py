@@ -18,6 +18,7 @@ here doubles as the oracle for entries of strip triangulations.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,11 +31,24 @@ def _cyclically_adjacent(u: int, v: int, n: int) -> bool:
     return (u - v) % n in (1, n - 1)
 
 
-def chords_cross(c1: tuple[int, int], c2: tuple[int, int], n: int) -> bool:
-    """Whether two chords of the n-gon cross in the interior."""
-    a, b = sorted(c1)
-    c, d = sorted(c2)
-    return (a < c < b < d) or (c < a < d < b)
+def interleaved_pair(pairs: Iterable[tuple[int, int]]
+                     ) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Two of the pairs (a, b), (c, d), all with a < b, such that a < c < b < d.
+
+    None when no two pairs interleave, that is, when the intervals are
+    laminar: the noncrossing rule for polygon chords and for peripheral arcs
+    of the strip, where shared endpoints never cross.  One sweep in
+    (left end, -right end) order keeps the chain of intervals still open at
+    the current left end, innermost on top; O(P log P) for P pairs.
+    """
+    stack: list[tuple[int, int]] = []
+    for a, b in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
+        while stack and stack[-1][1] <= a:
+            stack.pop()
+        if stack and b > stack[-1][1]:
+            return stack[-1], (a, b)
+        stack.append((a, b))
+    return None
 
 
 @dataclass(frozen=True)
@@ -57,11 +71,9 @@ class PolygonTriangulation:
         if len(self.chords) != self.n - 3:
             raise PolygonError(
                 f"expected {self.n - 3} chords for n={self.n}, got {len(self.chords)}")
-        cs = sorted(self.chords)
-        for i, c1 in enumerate(cs):
-            for c2 in cs[i + 1:]:
-                if chords_cross(c1, c2, self.n):
-                    raise PolygonError(f"chords {c1} and {c2} cross")
+        pair = interleaved_pair(self.chords)
+        if pair:
+            raise PolygonError(f"chords {pair[0]} and {pair[1]} cross")
 
     def _is_edge(self, u: int, v: int) -> bool:
         return _cyclically_adjacent(u, v, self.n) or tuple(sorted((u, v))) in self.chords

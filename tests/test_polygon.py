@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from friezes import (PolygonError, PolygonTriangulation, all_triangulations,
                      polygon_from_quiddity, random_triangulation)
 
 import refdata
+from oracles import chords_cross
 
 
 def _heptagon() -> PolygonTriangulation:
@@ -41,6 +43,43 @@ def test_rejects_bad_chord_sets():
         PolygonTriangulation(6, frozenset({(1, 3), (2, 5), (3, 5)}))  # crossing
     with pytest.raises(PolygonError):
         PolygonTriangulation(5, frozenset({(1, 2), (2, 4)}))  # adjacent pair
+
+
+def test_chord_crossing_check_matches_pairwise_oracle():
+    """The sweep rejects exactly the chord sets in which two chords cross.
+
+    Random triangulations pass; one chord swapped for a chord crossing the
+    rest must be rejected naming two chords that cross; random sets of n - 3
+    chords are rejected iff the all-pairs oracle finds a crossing.
+    """
+    rng = random.Random(3301)
+    rejected = 0
+    for n in range(4, 13):
+        every = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)
+                 if (a, b) != (1, n)]
+        for _ in range(25):
+            chords = set(random_triangulation(n, rng).chords)
+            assert not any(chords_cross(x, y) for x in chords for y in chords)
+            dropped = rng.choice(sorted(chords))
+            rest = chords - {dropped}
+            crossing = [c for c in every
+                        if c not in chords and any(chords_cross(c, d) for d in rest)]
+            cases = [set(rng.sample(every, n - 3))]
+            if crossing:
+                cases.append(rest | {rng.choice(crossing)})
+            for chord_set in cases:
+                want = any(chords_cross(x, y) for x in chord_set for y in chord_set)
+                try:
+                    PolygonTriangulation(n, frozenset(chord_set))
+                except PolygonError as e:
+                    rejected += 1
+                    assert want, (n, chord_set)
+                    a, b, c, d = map(int, re.fullmatch(
+                        r"chords \((\d+), (\d+)\) and \((\d+), (\d+)\) cross", str(e)).groups())
+                    assert {(a, b), (c, d)} <= chord_set and chords_cross((a, b), (c, d))
+                else:
+                    assert not want, (n, chord_set)
+    assert rejected >= 100
 
 
 def test_cc_labels_heptagon_rows():

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bridging, peripheral, psi, validate)
+                     StripError, StripTriangulation, bridging, cross, peripheral,
+                     psi, validate)
 from friezes.serialize import strip_from_json, strip_to_json
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus
+from oracles import maximality_oracle, noncrossing_oracle
 
 
 def _random_descriptor(rng: random.Random) -> QuiddityDescriptor:
@@ -149,6 +152,56 @@ def test_enough_ones_tail_adjacent_to_core_one_is_invalid():
     # left tail ends ... 5, 1 and the core starts with 1: adjacent ones
     q = QuiddityDescriptor((5, 1), (1, 3), (1, 5), core_start=0)
     assert not validate(q).ok
+
+
+def _strip_error(check) -> str | None:
+    try:
+        check()
+    except StripError as e:
+        return str(e)
+    return None
+
+
+def test_strip_checks_match_pairwise_oracles():
+    """The sweep and table checks decide exactly as the all-pairs oracles.
+
+    Over corpus strips at three windows and seeded perturbations of each
+    (one arc dropped, one random peripheral or bridging arc added): the same
+    noncrossing verdict, a named crossing pair that `cross` confirms, and the
+    same maximality message (the first addable candidate).
+    """
+    rng = random.Random(4099)
+    seen = Counter()
+    for q in bijection_corpus() + enough_ones_corpus():
+        for window in ((-4, 4), (3, 9), (-8, 8)):
+            base = psi(q, window).triangulation
+            arcs = sorted(base.arcs)
+            lo, hi = window[0] - base.margin, window[1] + base.margin
+            labels = base.materialized_upper_labels()
+            strips = [base]
+            for _ in range(3):
+                changed = set(arcs)
+                draw = rng.randrange(3 if labels else 2)
+                if draw == 0:
+                    changed.discard(rng.choice(arcs))
+                elif draw == 1:
+                    i = rng.randint(lo, hi - 2)
+                    changed.add(peripheral(i, rng.randint(i + 2, hi)))
+                else:
+                    changed.add(bridging(rng.randint(lo, hi), rng.choice(labels)))
+                strips.append(StripTriangulation(base.window, base.margin, base.m2_class,
+                                                 frozenset(changed)))
+            for t in strips:
+                crossing = _strip_error(t.check_pairwise_noncrossing)
+                assert (crossing is None) == (_strip_error(lambda: noncrossing_oracle(t)) is None), t
+                if crossing:
+                    named = {str(arc): arc for arc in t.arcs}
+                    x, y = (named[s] for s in crossing.removeprefix("arcs cross: ").split(" and "))
+                    assert cross(x, y), crossing
+                missing = _strip_error(t.check_window_maximality)
+                assert missing == _strip_error(lambda: maximality_oracle(t)), t
+                seen[crossing is None, missing is None] += 1
+    assert min(seen[True, True], seen[False, True], seen[True, False]) >= 100, seen
 
 
 def test_wider_window_soak():

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 
-from friezes import StripError, StripTriangulation, bridging, cross, peripheral
+from friezes import (QuiddityDescriptor, StripError, StripTriangulation, bridging, cross,
+                     peripheral, psi)
+from friezes.serialize import strip_from_json, strip_to_json
 from friezes.strip import (LOWER, M2_BI_INFINITE, M2_EMPTY, UPPER, Arc, MarkedPoint,
                            m2_finite)
+
+from oracles import admissibility_oracle
 
 
 def test_peripheral_crossing_rules():
@@ -84,6 +90,24 @@ def test_admissibility_criterion():
     assert not lower_fan.is_admissible_window()
 
 
+def test_admissibility_matches_pairwise_oracle():
+    rng = random.Random(5081)
+    seen = set()
+    for _ in range(2000):
+        lo = rng.randint(-5, 3)
+        hi = lo + rng.randint(0, 6)
+        arcs = set()
+        for _ in range(rng.randint(0, 4)):
+            i = rng.randint(lo - 4, hi + 3)
+            arcs.add(peripheral(i, i + rng.randint(2, 9)) if rng.random() < 0.5
+                     else bridging(i, rng.randint(-3, 3)))
+        t = StripTriangulation((lo, hi), 4, M2_BI_INFINITE, frozenset(arcs))
+        want = admissibility_oracle(t)
+        assert t.is_admissible_window() == want, t
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_peripheral_over_is_endpoint_inclusive():
     t = StripTriangulation((-2, 2), 2, M2_EMPTY,
                            frozenset({peripheral(-2, 2), peripheral(-2, 0)}))
@@ -134,3 +158,20 @@ def test_rejects_upper_labels_outside_class():
         StripTriangulation((-1, 1), 2, m2_finite(2), frozenset({bridging(0, 3)}))
     with pytest.raises(StripError):
         StripTriangulation((-1, 1), 2, M2_EMPTY, frozenset({bridging(0, 1)}))
+
+
+def test_wide_window_checks_within_budget():
+    """Load and every strip check at constant 3, window +-128, in a 2 s budget."""
+    t = psi(QuiddityDescriptor.constant(3), (-128, 128)).triangulation
+    doc = strip_to_json(t)
+    start = time.perf_counter()
+    loaded = strip_from_json(doc)
+    assert loaded == t and loaded.is_admissible_window()
+    loaded.check_pairwise_noncrossing()
+    loaded.check_window_maximality()
+    inner = next(arc for arc in sorted(t.arcs) if -128 < arc.a.index < 128)
+    gapped = StripTriangulation(t.window, t.margin, t.m2_class, t.arcs - {inner})
+    with pytest.raises(StripError, match="not maximal"):
+        gapped.check_window_maximality()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"wide-window checks took {elapsed:.2f}s, budget 2s"
