@@ -197,7 +197,7 @@ def _cmd_strip(args) -> int:
                                "values": [quid[i] for i in range(lo, hi + 1)]}), end="")
     elif args.subcommand == "dehn":
         twisted = t.dehn_twist(args.n)
-        doc = serialize.dumps(serialize.strip_to_json(twisted))
+        doc = serialize.strip_dumps(twisted)
         if args.output:
             _write_text(args.output, doc)
             print(serialize.dumps({"written": args.output}), end="")
@@ -222,7 +222,7 @@ def _cmd_synthesize(args) -> int:
     window = _parse_range(args.window, "--window")
     cap = _setting(args.cap, "FRIEZE_CAP", synthesis.DEFAULT_CAP)
     outcome = synthesis.psi(q, window, cap=cap)
-    doc = serialize.dumps(serialize.strip_to_json(outcome.triangulation))
+    doc = serialize.strip_dumps(outcome.triangulation)
     if args.output:
         _write_text(args.output, doc)
     if args.svg:

@@ -55,8 +55,7 @@ def render_strip_svg(t: StripTriangulation, scale: float = 40.0) -> str:
     """
     lo, hi = t.window
     pad = scale
-    # (i, boundary of the other end, its index), in the arcs' sorted order
-    arcs = [(i, end, j) for (_, i), (end, j) in sorted(t.arcs)
+    arcs = [(i, end, j) for i, end, j in t.arc_triples
             if i <= hi + 2 and (j if end == LOWER else i) >= lo - 2]
     lowers = sorted({i for i, _, _ in arcs} | {j for _, end, j in arcs if end == LOWER}
                     | set(range(lo, hi + 1)))

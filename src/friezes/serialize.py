@@ -13,8 +13,13 @@ Formats (all plain JSON objects):
 
 The upper index class is a string: "empty", "finite:N", "nat_right",
 "nat_left" or "bi_infinite".  Emission is deterministic: arcs and table rows
-are sorted, keys are fixed.  Parsing validates structure and the type
-invariants and raises SchemaError with the offending field.
+are sorted, keys are fixed, and `dumps` writes canonical JSON (indent=2,
+sorted keys, trailing newline).  A strip file is that canonical JSON with
+its arcs in lower-index order, a peripheral arc before a bridging one at the
+same foot; `strip_dumps` writes exactly those bytes from templates, without
+the pure-Python encoder that indent=2 forces on `json.dumps`.  Parsing
+validates structure and the type invariants and raises SchemaError with the
+offending field.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Any
 
 from .polygon import FriezePattern, PolygonError, PolygonTriangulation
 from .quiddity import QuiddityDescriptor, QuiddityError
-from .strip import Arc, M2Class, MarkedPoint, StripError, StripTriangulation
+from .strip import LOWER, Arc, M2Class, MarkedPoint, StripError, StripTriangulation
 
 
 class SchemaError(ValueError):
@@ -114,8 +119,21 @@ def strip_to_json(t: StripTriangulation) -> dict:
         "window": list(t.window),
         "margin": t.margin,
         "m2_class": m2_to_str(t.m2_class),
-        "arcs": [{"a": list(a), "b": list(b)} for a, b in sorted(t.arcs)],
+        "arcs": [{"a": [LOWER, i], "b": [end, j]} for i, end, j in t.arc_triples],
     }
+
+
+_STRIP_ARC = ('\n    {\n      "a": [\n        "L",\n        %d\n      ],'
+              '\n      "b": [\n        "%s",\n        %d\n      ]\n    }')
+_STRIP_DOC = ('{\n  "arcs": [%s],\n  "m2_class": "%s",\n  "margin": %d,'
+              '\n  "window": [\n    %d,\n    %d\n  ]\n}\n')
+
+
+def strip_dumps(t: StripTriangulation) -> str:
+    """The bytes of dumps(strip_to_json(t)), one template fill per arc."""
+    arcs = ",".join([_STRIP_ARC % arc for arc in t.arc_triples])
+    arcs = arcs and arcs + "\n  "  # no arcs print as []
+    return _STRIP_DOC % (arcs, m2_to_str(t.m2_class), t.margin, *t.window)
 
 
 def strip_from_json(d: Any) -> StripTriangulation:

@@ -13,7 +13,7 @@ endpoint first: (("L", i), ("L", j)) with i < j, or (("L", i), ("U", u)).
 Arc and MarkedPoint name the fields but add no behaviour, so arcs hash,
 compare and sort as tuples.  A StripTriangulation checks the arc rules once,
 when it is built, and offers its arcs as sorted int pairs: peripheral_arcs
-(i, j) and bridging_arcs (i, u).
+(i, j) and bridging_arcs (i, u), and both merged as arc_triples (i, end, j).
 
 A full triangulation is infinite, so a StripTriangulation materializes only
 the arcs relevant to a finite window of lower indices plus a margin, and
@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import merge
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -179,6 +180,16 @@ class StripTriangulation:
     def bridging_arcs(self) -> tuple[tuple[int, int], ...]:
         """The bridging arcs as sorted (lower index, upper label) pairs."""
         return tuple(sorted((i, u) for (_, i), (end, u) in self.arcs if end == UPPER))
+
+    @cached_property
+    def arc_triples(self) -> tuple[tuple[int, str, int], ...]:
+        """Every arc as (lower index, boundary of the other end, its index).
+
+        In the order of sorted(arcs): by lower index, a peripheral arc before
+        a bridging one at the same foot, then by the other end.
+        """
+        return tuple(merge(((i, LOWER, j) for i, j in self.peripheral_arcs),
+                           ((i, UPPER, u) for i, u in self.bridging_arcs)))
 
     @cached_property
     def _lower_degree(self) -> Counter[int]:

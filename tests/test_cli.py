@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from friezes.cli import main
-from friezes.serialize import dumps, quiddity_to_json, strip_from_json
+from friezes.serialize import dumps, quiddity_to_json, strip_from_json, strip_to_json
 
 import refdata
 
@@ -126,6 +126,33 @@ def test_strip_dehn_twist_cli(qfile, tmp_path, capsys):
     twisted = strip_from_json(json.loads(capsys.readouterr().out))
     original = strip_from_json(json.loads(tri_path.read_text()))
     assert original.dehn_equivalent(twisted) == 2
+
+
+def test_synthesize_document_matches_golden(qfile, tmp_path, capsys):
+    golden = (GOLDEN / "mixed_tails_strip.json").read_bytes()
+    out = tmp_path / "tri.json"
+    q = qfile(refdata.MIXED_TAILS)
+    assert main(["synthesize", "--window=-6..6", "-o", str(out), q]) == 0
+    assert out.read_bytes() == golden
+    capsys.readouterr()
+    assert main(["synthesize", "--window=-6..6", q]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
+def test_strip_dehn_document_bytes(qfile, tmp_path, capsys):
+    tri_path, out = tmp_path / "t3.json", tmp_path / "twisted.json"
+    q3 = qfile(refdata.LINEAR, "c3.json")
+    Path(q3).write_text(dumps({"left_period": [3], "core": [],
+                               "right_period": [3], "core_start": 0}))
+    assert main(["synthesize", "--window=-4..4", "-o", str(tri_path), q3]) == 0
+    twisted = strip_from_json(json.loads(tri_path.read_text())).dehn_twist(2)
+    want = dumps(strip_to_json(twisted))
+    capsys.readouterr()
+    assert main(["strip", "dehn", "--n", "2", str(tri_path)]) == 0
+    assert capsys.readouterr().out.encode() == want.encode()
+    assert main(["strip", "dehn", "--n", "2", "-o", str(out), str(tri_path)]) == 0
+    assert _json_out(capsys) == {"written": str(out)}
+    assert out.read_bytes() == want.encode()
 
 
 def test_roundtrip_command(qfile, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
                      StripError, StripTriangulation, bridging, cross, peripheral,
                      psi, validate)
-from friezes.serialize import strip_from_json, strip_to_json
+from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus
@@ -139,6 +140,50 @@ def test_strip_json_round_trip_bi_infinite_and_nat_right():
     for q in (QuiddityDescriptor.constant(3), QuiddityDescriptor((2,), (), (3,), 0)):
         tri = psi(q, (-4, 4)).triangulation
         assert strip_from_json(strip_to_json(tri)) == tri
+
+
+def _assert_strip_dumps_canonical(t: StripTriangulation) -> None:
+    doc = strip_to_json(t)
+    assert doc["arcs"] == [{"a": list(a), "b": list(b)} for a, b in sorted(t.arcs)]
+    text = strip_dumps(t)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n", t
+    assert strip_from_json(json.loads(text)) == t
+
+
+def test_strip_dumps_matches_generic_encoder():
+    """The template formatter writes the generic encoder's bytes and parses back.
+
+    Corpus strips at windows near the core and 10^3 away from it (real far
+    windows where phase A answers there, and translated copies for every
+    descriptor), plus hand-built strips: no arcs, one bridging arc, and
+    indices near -10^9.
+    """
+    kinds, negative_labels = set(), 0
+    for q in bijection_corpus() + enough_ones_corpus():
+        near = psi(q, (-4, 4))
+        strips = [near.triangulation, psi(q, (-16, 16)).triangulation]
+        strips += [psi(q.shift(n), (-4 + n, 4 + n)).triangulation for n in (-1000, 1000)]
+        if near.m2_class.kind != "empty":  # far empty-class windows exhaust the pass cap
+            strips += [psi(q, w).triangulation for w in ((996, 1004), (-1004, -996))]
+        for t in strips:
+            _assert_strip_dumps_canonical(t)
+            kinds.add((t.m2_class.kind, bool(t.arcs)))
+            negative_labels += any(u < 0 for _, u in t.bridging_arcs)
+    assert {kind for kind, _ in kinds} == {
+        "empty", "finite", "nat_left", "nat_right", "bi_infinite"}, kinds
+    assert ("empty", True) in kinds and negative_labels
+
+    far = -10**9
+    hand_built = [
+        StripTriangulation((0, 3), 0, M2Class("empty"), frozenset()),
+        StripTriangulation((-2, 2), 1, M2Class("bi_infinite"),
+                           frozenset({bridging(0, 5)})),
+        StripTriangulation((far, far + 4), 2, M2Class("bi_infinite"), frozenset({
+            peripheral(far - 1, far + 1), peripheral(far + 1, far + 3),
+            bridging(far + 1, far), bridging(far + 3, far), bridging(far + 3, far + 1)})),
+    ]
+    for t in hand_built:
+        _assert_strip_dumps_canonical(t)
 
 
 def test_dehn_equivalent_rejects_class_mismatch():
