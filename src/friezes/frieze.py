@@ -7,18 +7,20 @@ quiddity sequence a_i = t(i-1, i+1) via the three-term recurrence
 
     t(p, q+1) = a_q * t(p, q) - t(p, q-1).
 
-FriezeView evaluates entries of the frieze of a given quiddity descriptor on
-demand, memoizing computed values.  The remaining operations are the row
-identities: the Ptolemy relation, reconstruction of any entry from two rows,
-the continuant (tridiagonal determinant) form, and the row-pair determinant
-coefficients whose value does not depend on the evaluation position.
+FriezeView evaluates entries on demand by quiddity.continue_row, the one
+implementation of that recurrence, and memoizes each row it walks as a list.
+The remaining operations are the row identities: the Ptolemy relation,
+reconstruction of any entry from two rows, the continuant (tridiagonal
+determinant) form, and the row-pair determinant coefficients whose value
+does not depend on the evaluation position.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .quiddity import QuiddityDescriptor
+from .quiddity import QuiddityDescriptor, continue_row
 
 
 class FriezeError(ValueError):
@@ -28,37 +30,26 @@ class FriezeError(ValueError):
 class FriezeView:
     """Memoized evaluator of the infinite frieze over a quiddity descriptor.
 
-    Logically immutable: the cache is a pure memo (same key, same value), so
-    concurrent readers at worst recompute an entry.  Entries are exact Python
-    integers; they grow without bound with the band width.
+    Row i is memoized as the list [t(i, i), t(i, i+1), ...] walked so far.  A
+    longer row is a new list stored with one assignment, never extended in
+    place, so concurrent readers at worst recompute an entry.  Entries are
+    exact Python integers; they grow without bound with the band width.
     """
 
     def __init__(self, quiddity: QuiddityDescriptor):
         self.quiddity = quiddity
-        self._memo: dict[tuple[int, int], int] = {}
+        self._rows: dict[int, list[int]] = {}
 
     def entry(self, i: int, j: int) -> int:
         """t(i, j) for any integers i, j (antisymmetric below the diagonal)."""
-        if i == j:
-            return 0
         if i > j:
             return -self.entry(j, i)
-        key = (i, j)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        # walk the row forward from the last cached column, if any
-        prev, cur = 0, 1  # t(i, i), t(i, i+1)
-        col = i + 1
-        while (i, col + 1) in memo and col < j:
-            prev, cur = cur, memo[(i, col + 1)]
-            col += 1
-        a = self.quiddity.value_at
-        while col < j:
-            prev, cur = cur, a(col) * cur - prev
-            col += 1
-            memo[(i, col)] = cur
-        return cur
+        row = self._rows.get(i, [0, 1])
+        n = len(row)
+        if j - i >= n:
+            values = map(self.quiddity.value_at, range(i + n - 1, j))
+            row = self._rows[i] = [*row, *continue_row(values, row[-2], row[-1])]
+        return row[j - i]
 
     def row(self, i: int, lo: int, hi: int) -> list[int]:
         """[t(i, lo), ..., t(i, hi)]."""
@@ -68,15 +59,13 @@ class FriezeView:
         """The tridiagonal determinant in a_{p+1}, ..., a_{q-1}; equals t(p, q).
 
         Requires q >= p + 2.  Off-diagonal entries of the matrix are 1, so the
-        determinant satisfies D_k = a_k * D_{k-1} - D_{k-2}.
+        determinant satisfies D_k = a_k * D_{k-1} - D_{k-2}: row p of the
+        frieze, walked without keeping it.
         """
         if q < p + 2:
             raise FriezeError(f"continuant needs q >= p + 2, got p={p}, q={q}")
-        a = self.quiddity.value_at
-        d_prev, d = 1, a(p + 1)
-        for k in range(p + 2, q):
-            d_prev, d = d, a(k) * d - d_prev
-        return d
+        values = map(self.quiddity.value_at, range(p + 1, q))
+        return deque(continue_row(values, 0, 1), maxlen=1)[0]
 
     def ptolemy_holds(self, i: int, j: int, p: int, q: int) -> bool:
         """t(i,p) t(j,q) == t(i,j) t(p,q) + t(i,q) t(j,p)."""
@@ -86,14 +75,14 @@ class FriezeView:
     def reconstruct_entry(self, i: int, j: int, p: int, q: int) -> int:
         """Recover t(p, q) from rows i and j: (t(i,p)t(j,q) - t(i,q)t(j,p)) / t(i,j).
 
-        The division is exact for a genuine frieze; a remainder means the
-        entries did not come from one and raises FriezeError.
+        Raises FriezeError when t(i, j) = 0 (as for i == j), and when the
+        division is not exact: the entries did not come from a genuine frieze.
         """
-        if i == j:
-            raise FriezeError("rows i and j must differ (t(i, j) = 0 otherwise)")
         t = self.entry
-        num = t(i, p) * t(j, q) - t(i, q) * t(j, p)
         den = t(i, j)
+        if den == 0:
+            raise FriezeError(f"t({i}, {j}) = 0: rows {i}, {j} cannot give t({p}, {q})")
+        num = t(i, p) * t(j, q) - t(i, q) * t(j, p)
         quo, rem = divmod(num, den)
         if rem:
             raise FriezeError(
@@ -162,11 +151,11 @@ def has_enough_ones(t: FriezeView, window: tuple[int, int],
 
     A pair (i, j) is covered when t(i', j') = 1 for some i' <= i <= j <= j'.
     Each window pair is searched out to the given depth; full coverage gives
-    "yes".  When some pair stays uncovered, the strip synthesis of the
-    quiddity is consulted: a nonempty upper boundary certifies "no" (the
-    witness is a pair straddled by a bridging arc, which no peripheral arc,
-    hence no 1-entry, can dominate), an empty one upgrades to "yes", and an
-    inconclusive run yields "unknown".
+    "yes".  Pairs left uncovered are re-checked, exactly, on the strip
+    synthesis of the quiddity: its peripheral arcs are the 1-entries, and
+    every arc over a window pair is materialized.  "no" carries the first
+    window pair under no peripheral arc; an inconclusive synthesis yields
+    "unknown".
     """
     lo, hi = window
     if lo > hi:
@@ -189,13 +178,10 @@ def has_enough_ones(t: FriezeView, window: tuple[int, int],
     from . import synthesis  # local import: synthesis builds on this module's types
 
     try:
-        outcome = synthesis.psi(t.quiddity, window)
+        tri = synthesis.psi(t.quiddity, window).triangulation
     except synthesis.InconclusiveError:
         return EnoughOnes("unknown")
-    if outcome.m2_class.kind == "empty":
-        return EnoughOnes("yes")
-    bridged = sorted({i for i, _ in outcome.triangulation.bridging_arcs})
-    if bridged:
-        p = bridged[len(bridged) // 2]
-        return EnoughOnes("no", (p - 1, p + 1))
-    return EnoughOnes("no", uncovered[0])
+    for i, j in uncovered:
+        if not tri.has_peripheral_over(i, j):
+            return EnoughOnes("no", (i, j))
+    return EnoughOnes("yes")

@@ -15,7 +15,9 @@ tiles rightward so that its first element sits just after the core.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from operator import length_hint
 from typing import ClassVar
 
 
@@ -113,6 +115,17 @@ class QuiddityDescriptor:
         return v in self.left_period or v in self.core or v in self.right_period
 
 
+def continue_row(values: Iterable[int], prev: int, cur: int) -> Iterator[int]:
+    """Yield t(p, q+1), t(p, q+2), ... from prev = t(p, q-1) and cur = t(p, q).
+
+    One entry per value a_q, a_{q+1}, ... in values, by the frieze recurrence
+    t(p, q+1) = a_q * t(p, q) - t(p, q-1); a row starts t(p, p) = 0, t(p, p+1) = 1.
+    """
+    for a in values:
+        prev, cur = cur, a * cur - prev
+        yield cur
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a depth-bounded positivity check.
@@ -140,9 +153,9 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
 
     Rows are scanned over one full period of each tail plus the core; by
     periodicity this covers every band position of the bi-infinite frieze.
-    Each row t(i, i + d) runs through the recurrence with two entries held;
-    once a nonpositive entry turns up at band d, later rows are only scanned
-    below band d, so the report is the first in band-major order.
+    Each row t(i, i + d) runs through continue_row and stops at its first
+    nonpositive entry; once one turns up at band d, later rows are only
+    scanned below band d, so the report is the first in band-major order.
     """
     if depth < 2:
         raise QuiddityError("validation depth must be >= 2")
@@ -153,10 +166,10 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
     witness = None
     top = depth
     for r in range(row_hi - row_lo + 1):
-        prev, cur = 0, 1
-        for d in range(2, top + 1):
-            prev, cur = cur, vals[r + d - 1] * cur - prev
+        values = iter(vals[r + 1:r + top])  # a_{i+1} .. a_{i+top-1}, i = row_lo + r
+        for cur in continue_row(values, 0, 1):
             if cur <= 0:
+                d = top - length_hint(values)  # one value consumed per entry
                 witness, top = (row_lo + r, row_lo + r + d, cur), d - 1
                 break
     if witness is not None:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths under test: the determinant oracle
 runs fraction-free Gaussian elimination on the full matrix rather than any
-three-term recurrence, the unimodular checker reads entries pairwise, and
-the strip and chord checkers test every pair with the crossing rule itself.
+three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
+and raises a whole tail period to a power, the unimodular checker reads
+entries pairwise, and the strip and chord checkers test every pair with the
+crossing rule itself.
 """
 
 from __future__ import annotations
@@ -39,6 +41,65 @@ def tridiagonal_matrix(diag: list[int]) -> list[list[int]]:
     n = len(diag)
     return [[diag[i] if i == j else 1 if abs(i - j) == 1 else 0
              for j in range(n)] for i in range(n)]
+
+
+Matrix = tuple[tuple[int, int], tuple[int, int]]
+IDENTITY: Matrix = ((1, 0), (0, 1))
+
+
+def mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def mat_pow(m: Matrix, e: int) -> Matrix:
+    out = IDENTITY
+    while e:
+        if e & 1:
+            out = mat_mul(out, m)
+        m = mat_mul(m, m)
+        e >>= 1
+    return out
+
+
+def transfer(values) -> Matrix:
+    """M(a_n) ... M(a_1) for values a_1, ..., a_n, with M(a) = [[a, -1], [1, 0]]."""
+    out = IDENTITY
+    for a in values:
+        out = mat_mul(((a, -1), (1, 0)), out)
+    return out
+
+
+def _tail_transfer(period: tuple[int, ...], phase: int, count: int) -> Matrix:
+    """Transfer matrix of `count` tail values starting at period[phase]."""
+    turned = period[phase:] + period[:phase]
+    whole, rest = divmod(count, len(period))
+    return mat_mul(transfer(turned[:rest]), mat_pow(transfer(turned), whole))
+
+
+def transfer_entry(q, p: int, r: int) -> int:
+    """t(p, r) as the top-left entry of M(a_{r-1}) ... M(a_{p+1}).
+
+    Reads the descriptor's fields directly; whole tail periods are one
+    matrix power, so the cost is logarithmic in the distance from the core.
+    """
+    if p > r:
+        return -transfer_entry(q, r, p)
+    if p == r:
+        return 0
+    lo, hi = p + 1, r - 1  # the values a_lo .. a_hi enter the product
+    start, end = q.core_start, q.core_start + len(q.core)  # core is a_start .. a_{end-1}
+    left = right = IDENTITY
+    if lo < start:
+        left = _tail_transfer(q.left_period, (lo - start) % len(q.left_period),
+                              min(hi + 1, start) - lo)
+    if hi >= end:
+        first = max(lo, end)
+        right = _tail_transfer(q.right_period, (first - end) % len(q.right_period),
+                               hi + 1 - first)
+    middle = transfer(q.core[max(lo - start, 0):max(hi + 1 - start, 0)])
+    return mat_mul(right, mat_mul(middle, left))[0][0]
 
 
 def unimodular_ok(entry, lo: int, hi: int) -> bool:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from friezes import (FriezeError, FriezeView, entry_from_fg,
+from friezes import (FriezeError, FriezeView, QuiddityDescriptor, entry_from_fg,
                      has_enough_ones, quiddity_from_f)
 
 import refdata
@@ -72,6 +73,17 @@ def test_continuant_matches_entry():
                 assert view.continuant(p, p + d) == view.entry(p, p + d)
 
 
+def test_continuant_keeps_no_row():
+    view = FriezeView(QuiddityDescriptor.constant(3))
+    tracemalloc.start()
+    try:
+        view.continuant(0, 2 * 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # the row up to t(0, 2*10^4) would take about 40 MB
+
+
 def test_continuant_precondition():
     with pytest.raises(FriezeError):
         FriezeView(refdata.LINEAR).continuant(0, 1)
@@ -123,6 +135,13 @@ def test_reconstruct_entry_examples():
 def test_reconstruct_entry_rejects_equal_rows():
     with pytest.raises(FriezeError):
         FriezeView(refdata.LINEAR).reconstruct_entry(3, 3, 0, 1)
+
+
+def test_reconstruct_entry_rejects_rows_with_zero_entry():
+    view = FriezeView(QuiddityDescriptor.constant(1))
+    assert view.entry(0, 3) == 0
+    with pytest.raises(FriezeError):
+        view.reconstruct_entry(0, 3, 1, 2)
 
 
 def test_row_pair_coefficients_independent_of_position():
@@ -177,6 +196,23 @@ def test_has_enough_ones_tristate():
                    for s in range(i - 20, i + 1)
                    for e in range(max(j, s + 2), j + 21))
     assert has_enough_ones(FriezeView(refdata.MIXED_TAILS), (-3, 3), depth=10).status == "no"
+
+
+def test_has_enough_ones_sees_ones_beyond_search_depth():
+    # t(0, 42) = 1 covers every pair of both windows, 20 or more columns
+    # farther out than the depth-16 search reaches
+    q = QuiddityDescriptor((3,), (43, 1) + (2,) * 40 + (4,), (3,))
+    view = FriezeView(q)
+    assert view.entry(0, 42) == 1
+    assert has_enough_ones(view, (20, 22), depth=16).status == "yes"
+    assert has_enough_ones(view, (38, 40), depth=16).status == "yes"
+    # a window reaching past t(0, 42) keeps a genuine witness inside it
+    verdict = has_enough_ones(view, (40, 46), depth=16)
+    assert verdict.status == "no"
+    i, j = verdict.witness
+    assert 40 <= i <= j <= 46
+    assert not any(view.entry(s, e) == 1
+                   for s in range(i - 60, i + 1) for e in range(max(j, s + 2), j + 61))
 
 
 def test_memo_consistency():

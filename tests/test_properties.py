@@ -15,7 +15,8 @@ from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus
-from oracles import maximality_oracle, noncrossing_oracle
+from oracles import (det_bareiss, maximality_oracle, noncrossing_oracle,
+                     transfer_entry, tridiagonal_matrix)
 
 
 def _random_descriptor(rng: random.Random) -> QuiddityDescriptor:
@@ -64,6 +65,43 @@ def test_validate_agrees_with_brute_force_scan():
             # band-major minimality: no violation in any smaller band
             assert j - i <= info[0]
     assert seen_invalid >= 10  # the sample really exercised both verdicts
+
+
+def test_entry_and_continuant_match_transfer_matrix_oracle():
+    rng = random.Random(8803)
+    for _ in range(60):
+        q = _random_descriptor(rng)
+        view = FriezeView(q)  # shared, so later calls extend memoized rows
+        for p in (rng.randint(-40, 40), rng.randint(-10**6, 10**6)):
+            for dist in (rng.randint(61, 1999), 0, 1, 2, rng.randint(3, 60), 2000):
+                want = transfer_entry(q, p, p + dist)
+                assert view.entry(p, p + dist) == want, (q, p, dist)
+                assert view.entry(p + dist, p) == -want
+                if dist >= 2:
+                    assert FriezeView(q).continuant(p, p + dist) == want
+
+
+def test_validate_matches_determinant_oracle():
+    rng = random.Random(4409)
+    seen_invalid = 0
+    for _ in range(80):
+        q = _random_descriptor(rng)
+        start, end = q.core_start, q.core_start + len(q.core)
+        # every tail phase of every band up to 10 occurs among these rows
+        rows = range(start - 10 - 2 * len(q.left_period), end + 2 * len(q.right_period))
+        least = {d: min(det_bareiss(tridiagonal_matrix(q.values(i + 1, i + d - 1)))
+                        for i in rows) for d in range(2, 11)}
+        for depth in range(2, 11):
+            report = validate(q, depth)
+            bad = [d for d in range(2, depth + 1) if least[d] <= 0]
+            assert report.ok == (not bad), (q, depth)
+            if bad:
+                seen_invalid += 1
+                i, j, value = report.witness
+                assert j - i == bad[0]  # no smaller band is nonpositive
+                assert value == det_bareiss(tridiagonal_matrix(q.values(i + 1, j - 1)))
+                assert value <= 0
+    assert seen_invalid >= 100  # of 720 verdicts; both kinds occur
 
 
 def test_validate_witness_entry_matches_frieze():
