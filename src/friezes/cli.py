@@ -2,8 +2,10 @@
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
-pass cap or the phase-B walk limit was hit), 3 I/O or schema error.  Failures print one JSON object
-{"error": {"kind", "message"}} so callers can parse them.
+pass cap or the phase-B walk limit was hit), 3 I/O or schema error, 4
+internal error (an exception the program does not expect, which is a bug).
+Failures print one JSON object {"error": {"kind", "message"}} so callers
+can parse them.
 
 Defaults for the validation depth and the pass cap may also come from the
 environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import counting, serialize, synthesis
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _env_int(name: str) -> int | None:
@@ -307,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("inconclusive", str(e), EXIT_INCONCLUSIVE)
     except (StripError, ValueError) as e:
         return _fail("invalid", str(e), EXIT_INVALID)
+    except Exception as e:  # a bug: the traceback goes to stderr, the JSON error to stdout
+        traceback.print_exc()
+        return _fail("internal", f"{type(e).__name__}: {e}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

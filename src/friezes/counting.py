@@ -11,7 +11,9 @@ frieze entry, giving a fully independent cross-check of the recurrence.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .polygon import PolygonTriangulation
 from .strip import StripTriangulation, StripError
@@ -31,6 +33,14 @@ class PolygonCut:
     kind: str                   # "peripheral" or "bridging"
 
 
+def _peripheral_chords(t: StripTriangulation, lo: int, hi: int,
+                       label: dict[int, int]) -> set[tuple[int, int]]:
+    """The peripheral arcs (x, y) with lo <= x and y <= hi, relabelled."""
+    arcs = t.peripheral_arcs
+    inside = arcs[bisect_left(arcs, (lo,)):bisect_left(arcs, (hi,))]
+    return {(label[x], label[y]) for x, y in inside if y <= hi}
+
+
 def cut_polygon(t: StripTriangulation, i: int, j: int,
                 route: str = "auto") -> PolygonCut:
     """Cut out a triangulated polygon containing the stars of lower points i..j.
@@ -39,51 +49,42 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
     back to the nearest bridging arcs at some p <= i-1 and q >= j+1.  The
     cut arcs become polygon sides; everything strictly inside is inherited.
     route forces one of the two cut kinds ("peripheral" or "bridging");
-    any valid cut yields the same counts.
+    any valid cut yields the same counts.  The cut arcs and the arcs inside
+    them are found by bisecting the sorted arc views: no Python loop runs
+    over arcs outside the polygon.
     """
     if i > j:
         raise StripError("need i <= j")
     if route not in ("auto", "peripheral", "bridging"):
         raise StripError(f"unknown cut route {route!r}")
-    over = [(x, y) for x, y in t.peripheral_arcs if x <= i - 1 and y >= j + 1]
-    if route == "bridging":
-        over = []
-    if over:
-        a0 = max(x for x, _ in over)
-        b0 = min(y for x, y in over if x == a0)
+    over = None if route == "bridging" else t.tightest_peripheral_over(i - 1, j + 1)
+    if over is not None:
+        a0, b0 = over
+        n = b0 - a0 + 1
         lower_map = {k: k - a0 + 1 for k in range(a0, b0 + 1)}
-        chords = set()
-        for x, y in t.peripheral_arcs:
-            if a0 <= x and y <= b0 and (x, y) != (a0, b0):
-                chords.add((lower_map[x], lower_map[y]))
-        poly = PolygonTriangulation(b0 - a0 + 1, frozenset(chords))
+        chords = _peripheral_chords(t, a0, b0, lower_map) - {(1, n)}  # the cut arc is a side
+        poly = PolygonTriangulation(n, frozenset(chords))
         return PolygonCut(poly, lower_map, {}, "peripheral")
 
     if route == "peripheral":
         raise CutError(f"no peripheral arc over ({i - 1}, {j + 1})")
-    carriers = sorted({k for k, _ in t.bridging_arcs})
-    left = [p for p in carriers if p <= i - 1]
-    right = [q for q in carriers if q >= j + 1]
-    if not left or not right:
+    bridging_arcs = t.bridging_arcs
+    left = bisect_right(bridging_arcs, i - 1, key=itemgetter(0))  # end of feet <= i-1
+    right = bisect_left(bridging_arcs, j + 1, key=itemgetter(0))  # start of feet >= j+1
+    if left == 0 or right == len(bridging_arcs):
         raise CutError(
             f"no peripheral arc over ({i - 1}, {j + 1}) and no flanking bridging "
             "arcs in the materialized region")
-    p, q = left[-1], right[0]
-    u = max(w for k, w in t.bridging_arcs if k == p)
-    v = min(w for k, w in t.bridging_arcs if k == q)
+    (p, u), (q, v) = bridging_arcs[left - 1], bridging_arcs[right]
     if u > v:
         raise StripError("flanking bridging arcs cross; triangulation is corrupt")
     n_low = q - p + 1
     lower_map = {k: k - p + 1 for k in range(p, q + 1)}
     upper_map = {w: n_low + (v - w) + 1 for w in range(u, v + 1)}
     n = n_low + (v - u + 1)
-    chords = set()
-    for x, y in t.peripheral_arcs:
-        if p <= x and y <= q:
-            chords.add((lower_map[x], lower_map[y]))
-    for k, w in t.bridging_arcs:
-        if p <= k <= q and u <= w <= v and (k, w) not in ((p, u), (q, v)):
-            chords.add(tuple(sorted((lower_map[k], upper_map[w]))))
+    chords = _peripheral_chords(t, p, q, lower_map)
+    chords |= {(lower_map[k], upper_map[w])  # feet strictly between p and q
+               for k, w in bridging_arcs[left:right] if u <= w <= v}
     if len(chords) != n - 3:
         raise CutError(
             f"cut region has {len(chords)} chords but needs {n - 3}; "

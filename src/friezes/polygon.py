@@ -13,14 +13,22 @@ faces.  Two counting procedures recover the associated rank-n frieze pattern:
 
 Both computations agree on every vertex pair; the finite polygon machinery
 here doubles as the oracle for entries of strip triangulations.
+
+Faces are read off the sorted neighbour lists of the vertices, without
+recursion.  CC labels spread from a queue of newly labelled vertices,
+settling each face once.  BCI is a dynamic program over the chords, each
+closing the sub-polygon under it, so its cost is near-linear in n and does
+not grow with the count.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 
 
 class PolygonError(ValueError):
@@ -75,38 +83,33 @@ class PolygonTriangulation:
         if pair:
             raise PolygonError(f"chords {pair[0]} and {pair[1]} cross")
 
-    def _is_edge(self, u: int, v: int) -> bool:
-        return _cyclically_adjacent(u, v, self.n) or tuple(sorted((u, v))) in self.chords
+    @cached_property
+    def _neighbours(self) -> list[list[int]]:
+        """Sorted neighbours of each vertex 1..n along sides and chords (index 0 unused)."""
+        out: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.chords:
+            out[u].append(v)
+            out[v].append(u)
+        for v in range(1, self.n + 1):
+            out[v] += (v % self.n + 1, (v - 2) % self.n + 1)
+            out[v].sort()
+        return out
 
     @cached_property
     def _faces(self) -> tuple[tuple[int, int, int], ...]:
+        # A face's other two vertices are consecutive among the neighbours
+        # above its least vertex v (the polygon is convex), so walking v upward
+        # yields each face once, in sorted order.
         out: list[tuple[int, int, int]] = []
-
-        def split(ids: list[int]):
-            if len(ids) < 3:
-                return
-            if len(ids) == 3:
-                out.append(tuple(sorted(ids)))
-                return
-            a, b = ids[0], ids[1]
-            for k in range(2, len(ids)):
-                c = ids[k]
-                if self._is_edge(a, c) and self._is_edge(b, c):
-                    out.append(tuple(sorted((a, b, c))))
-                    split(ids[1:k + 1])
-                    split([ids[0]] + ids[k:])
-                    return
-            raise PolygonError("no triangle on a boundary side; chord set is not maximal")
-
-        split(list(range(1, self.n + 1)))
-        return tuple(sorted(out))
+        for v in range(1, self.n + 1):
+            nbrs = self._neighbours[v]
+            upper = nbrs[bisect_right(nbrs, v):]
+            out += ((v, w, x) for w, x in zip(upper, upper[1:]))
+        return tuple(out)
 
     def faces(self) -> list[tuple[int, int, int]]:
-        """The n - 2 triangular faces, each as a sorted vertex triple."""
-        fs = list(self._faces)
-        if len(fs) != self.n - 2:
-            raise PolygonError("face extraction did not yield n - 2 triangles")
-        return fs
+        """The n - 2 triangular faces, each as a sorted vertex triple, in sorted order."""
+        return list(self._faces)
 
     def quiddity(self) -> list[int]:
         """Triangle count at each vertex 1..n; always sums to 3n - 6."""
@@ -117,24 +120,26 @@ class PolygonTriangulation:
         return counts[1:]
 
     def cc_labels(self, a: int) -> dict[int, int]:
-        """CC counting from source vertex a; returns the full labeling."""
+        """CC counting from source vertex a; returns the full labeling.
+
+        Every newly labelled vertex v is queued once.  Its faces join v to
+        two neighbours consecutive in cyclic order after v; a face that now
+        has exactly two labels gives its third vertex their sum, so each face
+        is settled once.
+        """
         if not 1 <= a <= self.n:
             raise PolygonError(f"vertex {a} out of range")
-        labels = {a: 0}
-        for v in range(1, self.n + 1):
-            if v != a and self._is_edge(a, v):
-                labels[v] = 1
-        faces = self.faces()
-        while len(labels) < self.n:
-            progress = False
-            for f in faces:
-                known = [v for v in f if v in labels]
-                if len(known) == 2:
-                    (x, y), (missing,) = known, [v for v in f if v not in labels]
-                    labels[missing] = labels[x] + labels[y]
-                    progress = True
-            if not progress:
-                raise PolygonError("label propagation stalled")  # impossible if valid
+        queue = list(self._neighbours[a])
+        labels = {a: 0, **dict.fromkeys(queue, 1)}
+        for v in queue:  # appended to while it is read
+            nbrs = self._neighbours[v]
+            k = bisect_right(nbrs, v)
+            ring = nbrs[k:] + nbrs[:k]
+            for w, x in zip(ring, ring[1:]):
+                if (w in labels) != (x in labels):
+                    new, known = (x, w) if w in labels else (w, x)
+                    labels[new] = labels[v] + labels[known]
+                    queue.append(new)
         return labels
 
     def cc(self, a: int, b: int) -> int:
@@ -158,7 +163,17 @@ class PolygonTriangulation:
 
         walk = [A, P_1, ..., P_r, B]; consecutive entries must be adjacent on
         the polygon boundary.  Counts ordered r-tuples of pairwise distinct
-        faces with the i-th face incident to P_i, by direct backtracking.
+        faces with the i-th face incident to P_i.
+
+        A vertex met k times among the P_i takes k distinct faces in k!
+        orders, so the count is a sum over disjoint face sets times those
+        factorials.  A dynamic program over chords sums it: the table of a
+        chord (a, c), a < c, counts the ways to serve every vertex strictly
+        between a and c from the faces of the sub-polygon a, a+1, ..., c
+        (which holds all their faces), keyed by the faces given to a and to
+        c.  The face (a, b, c) joins the tables of (a, b) and (b, c) and
+        settles b.  Faces go narrowest first; the cost is O(n log n) for a
+        boundary walk, whatever the count.
         """
         if not walk:
             raise PolygonError("empty walk")
@@ -173,22 +188,31 @@ class PolygonTriangulation:
         interior = walk[1:-1]
         if not interior:
             return 1
-        faces = self.faces()
-        incident = [[k for k, f in enumerate(faces) if p in f] for p in interior]
-        used = [False] * len(faces)
-
-        def count_from(pos: int) -> int:
-            if pos == len(interior):
-                return 1
-            total = 0
-            for k in incident[pos]:
-                if not used[k]:
-                    used[k] = True
-                    total += count_from(pos + 1)
-                    used[k] = False
-            return total
-
-        return count_from(0)
+        need = [0] * (self.n + 1)
+        for v in interior:
+            need[v] += 1
+        idle = {(0, 0): 1}  # a side, or a chord with no walk vertex under it
+        tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        for a, b, c in sorted(self._faces, key=lambda face: face[2] - face[0]):
+            left, right = tables.pop((a, b), idle), tables.pop((b, c), idle)
+            if left is right is idle and not (need[a] or need[b] or need[c]):
+                continue
+            out: dict[tuple[int, int], int] = {}
+            for (at_a, at_b), ways_left in left.items():
+                for (more_at_b, at_c), ways_right in right.items():
+                    ways = ways_left * ways_right
+                    short = need[b] - at_b - more_at_b  # only this face can still go to b
+                    if short == 1:
+                        out[at_a, at_c] = out.get((at_a, at_c), 0) + ways
+                    elif short == 0:
+                        out[at_a, at_c] = out.get((at_a, at_c), 0) + ways
+                        if at_a < need[a]:
+                            out[at_a + 1, at_c] = out.get((at_a + 1, at_c), 0) + ways
+                        if at_c < need[c]:
+                            out[at_a, at_c + 1] = out.get((at_a, at_c + 1), 0) + ways
+            tables[a, c] = out
+        total = tables.get((1, self.n), idle).get((need[1], need[self.n]), 0)
+        return total * prod(factorial(k) for k in need)
 
     def frieze_pattern(self) -> "FriezePattern":
         """The rank-n frieze pattern whose fundamental region is the CC table."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .polygon import interleaved_pair
@@ -233,11 +234,27 @@ class StripTriangulation:
                 raise StripError(
                     f"arcs cross: {peripheral(i, j)} and {bridging(*bridging_arcs[k])}")
 
-    def has_peripheral_over(self, m: int, n: int) -> bool:
-        """Whether some peripheral arc (i, j) has i <= m <= n <= j (endpoints count)."""
+    def tightest_peripheral_over(self, m: int, n: int) -> tuple[int, int] | None:
+        """The peripheral arc (i, j) with i <= m <= n <= j, largest i, then least j.
+
+        None when no arc passes over (m, n) (endpoints count).  A bisect finds
+        the arcs starting at or left of m, and one C-level max says whether
+        one of them ends at or right of n; the scan back to the nearest such
+        start passes only arcs under the answer, as arcs do not cross.
+        """
         if m > n:
             raise StripError("need m <= n")
-        return any(i <= m and n <= j for i, j in self.peripheral_arcs)
+        arcs = self.peripheral_arcs
+        k = bisect_right(arcs, m, key=itemgetter(0))
+        if k == 0 or max(map(itemgetter(1), arcs[:k])) < n:
+            return None
+        while arcs[k - 1][1] < n:
+            k -= 1
+        return arcs[bisect_left(arcs, (arcs[k - 1][0], n))]
+
+    def has_peripheral_over(self, m: int, n: int) -> bool:
+        """Whether some peripheral arc (i, j) has i <= m <= n <= j (endpoints count)."""
+        return self.tightest_peripheral_over(m, n) is not None
 
     def is_admissible_window(self) -> bool:
         """Local admissibility criterion over all window pairs m < n.

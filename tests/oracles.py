@@ -5,12 +5,15 @@ runs fraction-free Gaussian elimination on the full matrix rather than any
 three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
 and raises a whole tail period to a power, the unimodular checker reads
 entries pairwise, and the strip and chord checkers test every pair with the
-crossing rule itself.
+crossing rule itself.  The polygon oracles split the polygon recursively at
+the triangle on its first side, propagate CC labels by rescanning every face,
+count BCI tuples by backtracking, and cut strips by scanning every arc.
 """
 
 from __future__ import annotations
 
-from friezes import StripError, bridging, cross, peripheral
+from friezes import PolygonTriangulation, StripError, bridging, cross, peripheral
+from friezes.counting import CutError, PolygonCut
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -150,3 +153,125 @@ def admissibility_oracle(t) -> bool:
     return all(any(i <= m and n <= j for i, j in t.peripheral_arcs)
                or (feet and feet[0] <= m and feet[-1] >= n)
                for m in range(lo, hi) for n in range(m + 1, hi + 1))
+
+
+def _is_edge(p: PolygonTriangulation, u: int, v: int) -> bool:
+    return (u - v) % p.n in (1, p.n - 1) or tuple(sorted((u, v))) in p.chords
+
+
+def faces_oracle(p: PolygonTriangulation) -> list[tuple[int, int, int]]:
+    """PolygonTriangulation.faces by recursive splitting: the side (a, b) of a
+    sub-polygon lies on one triangle, whose apex is found by testing edges."""
+    out: list[tuple[int, int, int]] = []
+
+    def split(ids: list[int]):
+        if len(ids) < 3:
+            return
+        a, b = ids[0], ids[1]
+        for k in range(2, len(ids)):
+            c = ids[k]
+            if _is_edge(p, a, c) and _is_edge(p, b, c):
+                out.append(tuple(sorted((a, b, c))))
+                split(ids[1:k + 1])
+                split([ids[0]] + ids[k:])
+                return
+        raise AssertionError("no triangle on a boundary side")
+
+    split(list(range(1, p.n + 1)))
+    return sorted(out)
+
+
+def cc_labels_oracle(p: PolygonTriangulation, a: int) -> dict[int, int]:
+    """PolygonTriangulation.cc_labels by sweeping every face until all are labelled."""
+    labels = {a: 0}
+    for v in range(1, p.n + 1):
+        if v != a and _is_edge(p, a, v):
+            labels[v] = 1
+    faces = faces_oracle(p)
+    while len(labels) < p.n:
+        progress = False
+        for f in faces:
+            known = [v for v in f if v in labels]
+            if len(known) == 2:
+                (x, y), (missing,) = known, [v for v in f if v not in labels]
+                labels[missing] = labels[x] + labels[y]
+                progress = True
+        assert progress, "label propagation stalled"
+    return labels
+
+
+def bci_count_oracle(p: PolygonTriangulation, walk: list[int]) -> int:
+    """PolygonTriangulation.bci_count on a valid walk, by backtracking over
+    every choice of distinct faces."""
+    if len(walk) == 1:
+        return 0
+    interior = walk[1:-1]
+    faces = faces_oracle(p)
+    incident = [[k for k, f in enumerate(faces) if v in f] for v in interior]
+    used = [False] * len(faces)
+
+    def count_from(pos: int) -> int:
+        if pos == len(interior):
+            return 1
+        total = 0
+        for k in incident[pos]:
+            if not used[k]:
+                used[k] = True
+                total += count_from(pos + 1)
+                used[k] = False
+        return total
+
+    return count_from(0)
+
+
+def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
+    """counting.cut_polygon by scanning every arc of the strip."""
+    if i > j:
+        raise StripError("need i <= j")
+    if route not in ("auto", "peripheral", "bridging"):
+        raise StripError(f"unknown cut route {route!r}")
+    over = [(x, y) for x, y in t.peripheral_arcs if x <= i - 1 and y >= j + 1]
+    if route == "bridging":
+        over = []
+    if over:
+        a0 = max(x for x, _ in over)
+        b0 = min(y for x, y in over if x == a0)
+        lower_map = {k: k - a0 + 1 for k in range(a0, b0 + 1)}
+        chords = set()
+        for x, y in t.peripheral_arcs:
+            if a0 <= x and y <= b0 and (x, y) != (a0, b0):
+                chords.add((lower_map[x], lower_map[y]))
+        poly = PolygonTriangulation(b0 - a0 + 1, frozenset(chords))
+        return PolygonCut(poly, lower_map, {}, "peripheral")
+
+    if route == "peripheral":
+        raise CutError(f"no peripheral arc over ({i - 1}, {j + 1})")
+    carriers = sorted({k for k, _ in t.bridging_arcs})
+    left = [p for p in carriers if p <= i - 1]
+    right = [q for q in carriers if q >= j + 1]
+    if not left or not right:
+        raise CutError(
+            f"no peripheral arc over ({i - 1}, {j + 1}) and no flanking bridging "
+            "arcs in the materialized region")
+    p, q = left[-1], right[0]
+    u = max(w for k, w in t.bridging_arcs if k == p)
+    v = min(w for k, w in t.bridging_arcs if k == q)
+    if u > v:
+        raise StripError("flanking bridging arcs cross; triangulation is corrupt")
+    n_low = q - p + 1
+    lower_map = {k: k - p + 1 for k in range(p, q + 1)}
+    upper_map = {w: n_low + (v - w) + 1 for w in range(u, v + 1)}
+    n = n_low + (v - u + 1)
+    chords = set()
+    for x, y in t.peripheral_arcs:
+        if p <= x and y <= q:
+            chords.add((lower_map[x], lower_map[y]))
+    for k, w in t.bridging_arcs:
+        if p <= k <= q and u <= w <= v and (k, w) not in ((p, u), (q, v)):
+            chords.add(tuple(sorted((lower_map[k], upper_map[w]))))
+    if len(chords) != n - 3:
+        raise CutError(
+            f"cut region has {len(chords)} chords but needs {n - 3}; "
+            "the strip does not materialize this cut completely")
+    poly = PolygonTriangulation(n, frozenset(chords))
+    return PolygonCut(poly, lower_map, upper_map, "bridging")

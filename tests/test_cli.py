@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from friezes import QuiddityDescriptor, cli, psi
 from friezes.cli import main
-from friezes.serialize import dumps, quiddity_to_json, strip_from_json, strip_to_json
+from friezes.serialize import (dumps, quiddity_to_json, strip_dumps, strip_from_json,
+                               strip_to_json)
 
 import refdata
 
@@ -185,3 +187,23 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     monkeypatch.setenv("FRIEZE_DEPTH", "many")
     assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 3
     assert _json_out(capsys)["error"]["kind"] == "schema"
+
+
+def test_count_on_a_thousand_vertex_cut(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(strip_dumps(psi(QuiddityDescriptor.constant(2), (-600, 600)).triangulation))
+    for method in ("cc", "bci"):
+        assert main(["count", method, "--i=-500", "--j=500", str(path)]) == 0
+        assert _json_out(capsys)["value"] == 1000
+
+
+def test_unexpected_exception_is_internal_error(qfile, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_quiddity", broken)
+    assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {"kind": "internal",
+                                                  "message": "RuntimeError: boom"}}
+    assert "Traceback" in captured.err

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
 from friezes import FriezeView, QuiddityDescriptor, bci_entry, cc_entry, cut_polygon, psi
 from friezes.counting import CutError
-from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging
+from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging, peripheral
 
 import refdata
+from corpus import bijection_corpus, enough_ones_corpus
+from oracles import cut_polygon_oracle
 
 
 def test_cut_through_single_fountain():
@@ -125,3 +130,63 @@ def test_band_entries_are_continuants_of_polygon_quiddity():
         for j in range(i + 2, i + 6):
             vals = [quid[(k - 1) % 7] for k in range(i + 1, j)]
             assert fp.entry(i, j) == continuant(vals), (i, j)
+
+
+def test_entries_across_a_thousand_vertex_cut():
+    # a 1001-point fan of bridging arcs; face extraction used to recurse once
+    # per vertex and overflow the interpreter stack here
+    tri = psi(QuiddityDescriptor.constant(2), (-600, 600)).triangulation
+    assert cut_polygon(tri, -500, 500).polygon.n >= 1003
+    assert cc_entry(tri, -500, 500) == 1000
+    assert bci_entry(tri, -500, 500) == 1000
+
+
+@pytest.mark.parametrize("q, window, i, j, want", [
+    # Fibonacci F_60: tuple-by-tuple counting would visit 1.5e12 tuples
+    (QuiddityDescriptor.constant(3), (-40, 40), 0, 30, 1548008755920),
+    # zigzag nests its peripheral arcs around the core: the count is 2, but
+    # partial tuples, and sets of used faces along the walk, grow exponentially
+    (refdata.ZIGZAG, (-64, 64), -32, 32, 2),
+])
+def test_bci_entry_cost_grows_neither_with_the_entry_nor_with_nesting(q, window, i, j, want):
+    tri = psi(q, window).triangulation
+    start = time.perf_counter()
+    value = bci_entry(tri, i, j)
+    elapsed = time.perf_counter() - start
+    assert value == want == FriezeView(q).entry(i, j) == cc_entry(tri, i, j)
+    assert elapsed < 0.1, elapsed
+
+
+def _translated(t: StripTriangulation, d: int) -> StripTriangulation:
+    arcs = {peripheral(i + d, j + d) for i, j in t.peripheral_arcs}
+    arcs |= {bridging(i + d, u) for i, u in t.bridging_arcs}
+    lo, hi = t.window
+    return StripTriangulation((lo + d, hi + d), t.margin, t.m2_class, frozenset(arcs))
+
+
+def _cut_or_error(cut, t, i, j, route):
+    try:
+        c = cut(t, i, j, route)
+    except Exception as e:  # the cut and its oracle must fail alike
+        return type(e), str(e)
+    return c.polygon, c.lower_map, c.upper_map, c.kind
+
+
+def test_cut_polygon_matches_scanning_oracle():
+    """Every route, on corpus strips moved by up to 10^3, cuts exactly as a
+    scan over every arc does, or fails with the same error."""
+    rng = random.Random(4417)
+    kinds = set()
+    for q in bijection_corpus() + enough_ones_corpus():
+        base = psi(q, (-8, 8)).triangulation
+        for d in (0, rng.randint(-1000, 1000)):
+            t = _translated(base, d)
+            lo, hi = t.window
+            for _ in range(60):
+                i = rng.randint(lo - 3, hi + 3)
+                j = i + rng.randint(0, 12)
+                for route in ("auto", "peripheral", "bridging"):
+                    got = _cut_or_error(cut_polygon, t, i, j, route)
+                    assert got == _cut_or_error(cut_polygon_oracle, t, i, j, route), (q, d, i, j, route)
+                    kinds.add(got[-1] if len(got) == 4 else got[0])
+    assert kinds == {"peripheral", "bridging", CutError}

@@ -12,7 +12,7 @@ from friezes import (PolygonError, PolygonTriangulation, all_triangulations,
                      polygon_from_quiddity, random_triangulation)
 
 import refdata
-from oracles import chords_cross
+from oracles import bci_count_oracle, cc_labels_oracle, chords_cross, faces_oracle
 
 
 def _heptagon() -> PolygonTriangulation:
@@ -130,6 +130,36 @@ def test_cc_equals_bci_both_walks_small_n():
                         continue
                     for direction in (1, -1):
                         assert p.bci_count(p.boundary_walk(a, b, direction)) == labels[b]
+
+
+def test_faces_cc_and_bci_match_oracles_exhaustively():
+    """Every triangulation with n <= 9 and every boundary walk (a, b, direction)."""
+    for n in range(3, 10):
+        for p in all_triangulations(n):
+            assert p.faces() == faces_oracle(p)
+            for a in range(1, n + 1):
+                assert p.cc_labels(a) == cc_labels_oracle(p, a)
+                for b in range(1, n + 1):
+                    for direction in (1, -1):
+                        walk = p.boundary_walk(a, b, direction)
+                        assert p.bci_count(walk) == bci_count_oracle(p, walk), (p.chords, walk)
+
+
+def test_bci_matches_backtracking_oracle_on_random_polygons():
+    """Boundary walks up to n = 14, and walks that turn back and revisit
+    vertices (a vertex met k times takes k distinct faces)."""
+    rng = random.Random(1974)
+    for _ in range(150):
+        p = random_triangulation(rng.randint(4, 14), rng)
+        walks = [p.boundary_walk(*rng.sample(range(1, p.n + 1), 2), rng.choice((1, -1)))
+                 for _ in range(8)]
+        for _ in range(4):
+            walk = [rng.randint(1, p.n)]
+            for _ in range(rng.randint(1, 10)):
+                walk.append((walk[-1] - 1 + rng.choice((1, -1))) % p.n + 1)
+            walks.append(walk)
+        for walk in walks:
+            assert p.bci_count(walk) == bci_count_oracle(p, walk), (p.chords, walk)
 
 
 def test_frieze_pattern_matches_band_window():

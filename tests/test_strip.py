@@ -14,6 +14,7 @@ from friezes.serialize import strip_from_json, strip_to_json
 from friezes.strip import (LOWER, M2_BI_INFINITE, M2_EMPTY, UPPER, Arc, MarkedPoint,
                            m2_finite)
 
+from corpus import bijection_corpus, enough_ones_corpus
 from oracles import admissibility_oracle
 
 
@@ -114,6 +115,27 @@ def test_peripheral_over_is_endpoint_inclusive():
     assert t.has_peripheral_over(-2, 2)
     assert t.has_peripheral_over(-1, 0)
     assert not t.has_peripheral_over(2, 3)
+
+
+def test_tightest_peripheral_over_matches_scan():
+    """Largest left end, then least right end, among the arcs over (m, n), on
+    corpus strips and on random arc sets that may cross."""
+    rng = random.Random(818)
+    strips = [psi(q, (-8, 8)).triangulation
+              for q in bijection_corpus()[:20] + enough_ones_corpus()]
+    for _ in range(100):
+        arcs = {peripheral(i, i + rng.randint(2, 12)) for i in rng.choices(range(-14, 12), k=8)}
+        strips.append(StripTriangulation((-8, 8), 6, M2_EMPTY, frozenset(arcs)))
+    for t in strips:
+        arcs = t.peripheral_arcs
+        for m in range(-12, 13):
+            for n in range(m, m + 10):
+                over = [(i, j) for i, j in arcs if i <= m and n <= j]
+                want = max(over, key=lambda a: (a[0], -a[1])) if over else None
+                assert t.tightest_peripheral_over(m, n) == want, (arcs, m, n)
+                assert t.has_peripheral_over(m, n) == bool(over)
+    with pytest.raises(StripError):
+        t.tightest_peripheral_over(1, 0)
 
 
 def test_dehn_twist_moves_upper_endpoints_only():
