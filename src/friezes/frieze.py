@@ -7,20 +7,25 @@ quiddity sequence a_i = t(i-1, i+1) via the three-term recurrence
 
     t(p, q+1) = a_q * t(p, q) - t(p, q-1).
 
-FriezeView evaluates entries on demand by quiddity.continue_row, the one
-implementation of that recurrence, and memoizes each row it walks as a list.
-The remaining operations are the row identities: the Ptolemy relation,
-reconstruction of any entry from two rows, the continuant (tridiagonal
-determinant) form, and the row-pair determinant coefficients whose value
-does not depend on the evaluation position.
+The recurrence itself lives in quiddity: continue_row walks a row one entry
+at a time, and transfer multiplies out its matrix form, the product of the
+matrices [[a_k, -1], [1, 0]], with whole tail periods raised to a power.
+FriezeView walks and memoizes each row out to band ROW_BAND and answers
+entries farther from the diagonal by one transfer product, which it does
+not store, so its memory stays bounded.  The remaining operations are the
+row identities: the Ptolemy relation, reconstruction of any entry from two
+rows, the continuant (tridiagonal determinant) form, and the row-pair
+determinant coefficients whose value does not depend on the evaluation
+position.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .quiddity import QuiddityDescriptor, continue_row
+from .quiddity import QuiddityDescriptor, continue_row, transfer
+
+ROW_BAND = 256  # widest band j - i that FriezeView.entry walks and memoizes
 
 
 class FriezeError(ValueError):
@@ -30,10 +35,11 @@ class FriezeError(ValueError):
 class FriezeView:
     """Memoized evaluator of the infinite frieze over a quiddity descriptor.
 
-    Row i is memoized as the list [t(i, i), t(i, i+1), ...] walked so far.  A
-    longer row is a new list stored with one assignment, never extended in
-    place, so concurrent readers at worst recompute an entry.  Entries are
-    exact Python integers; they grow without bound with the band width.
+    Row i is memoized as the list [t(i, i), t(i, i+1), ...] walked so far,
+    at most out to t(i, i + ROW_BAND).  A longer row is a new list stored
+    with one assignment, never extended in place, so concurrent readers at
+    worst recompute an entry.  Entries are exact Python integers; they grow
+    without bound with the band width.
     """
 
     def __init__(self, quiddity: QuiddityDescriptor):
@@ -46,10 +52,13 @@ class FriezeView:
             return -self.entry(j, i)
         row = self._rows.get(i, [0, 1])
         n = len(row)
-        if j - i >= n:
-            values = map(self.quiddity.value_at, range(i + n - 1, j))
-            row = self._rows[i] = [*row, *continue_row(values, row[-2], row[-1])]
-        return row[j - i]
+        if j - i < n:
+            return row[j - i]
+        if j - i > ROW_BAND:
+            return transfer(self.quiddity, i + 1, j - 1)[0]
+        values = self.quiddity.values(i + n - 1, j - 1)
+        row = self._rows[i] = [*row, *continue_row(values, row[-2], row[-1])]
+        return row[-1]
 
     def row(self, i: int, lo: int, hi: int) -> list[int]:
         """[t(i, lo), ..., t(i, hi)]."""
@@ -59,13 +68,12 @@ class FriezeView:
         """The tridiagonal determinant in a_{p+1}, ..., a_{q-1}; equals t(p, q).
 
         Requires q >= p + 2.  Off-diagonal entries of the matrix are 1, so the
-        determinant satisfies D_k = a_k * D_{k-1} - D_{k-2}: row p of the
-        frieze, walked without keeping it.
+        determinant satisfies D_k = a_k * D_{k-1} - D_{k-2}: the top-left
+        entry of the transfer product, which keeps no row.
         """
         if q < p + 2:
             raise FriezeError(f"continuant needs q >= p + 2, got p={p}, q={q}")
-        values = map(self.quiddity.value_at, range(p + 1, q))
-        return deque(continue_row(values, 0, 1), maxlen=1)[0]
+        return transfer(self.quiddity, p + 1, q - 1)[0]
 
     def ptolemy_holds(self, i: int, j: int, p: int, q: int) -> bool:
         """t(i,p) t(j,q) == t(i,j) t(p,q) + t(i,q) t(j,p)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from operator import length_hint
+from itertools import cycle, islice
 from typing import ClassVar
 
 
@@ -73,8 +73,29 @@ class QuiddityDescriptor:
         return right[(i - start - len(core)) % len(right)]
 
     def values(self, lo: int, hi: int) -> list[int]:
-        """Values at indices lo..hi inclusive."""
-        return [self.value_at(i) for i in range(lo, hi + 1)]
+        """Values at indices lo..hi inclusive; empty when lo > hi."""
+        (lp, ln), core, (rp, rn) = self._pieces(lo, hi)
+        out = [*islice(cycle(self.left_period), lp, lp + ln)] if ln else []
+        out += core
+        if rn:
+            out += islice(cycle(self.right_period), rp, rp + rn)
+        return out
+
+    def _pieces(self, lo: int, hi: int):
+        """lo..hi split as (phase, count) in the left tail, the core values, and
+        (phase, count) in the right tail; a tail piece starts at
+        period[phase], and its count is 0 where lo..hi misses that tail."""
+        start = self.core_start
+        end = start + len(self.core)
+        left = right = (0, 0)
+        if lo > hi:
+            return left, (), right
+        if lo < start:
+            left = (lo - start) % len(self.left_period), min(hi + 1, start) - lo
+        if hi >= end:
+            first = max(lo, end)
+            right = (first - end) % len(self.right_period), hi + 1 - first
+        return left, self.core[max(lo - start, 0):max(hi + 1 - start, 0)], right
 
     def shift(self, n: int) -> "QuiddityDescriptor":
         """Translate by n: shift(q, n).value_at(i) == q.value_at(i - n)."""
@@ -126,6 +147,55 @@ def continue_row(values: Iterable[int], prev: int, cur: int) -> Iterator[int]:
         yield cur
 
 
+Matrix = tuple[int, int, int, int]  # ((m[0], m[1]), (m[2], m[3])), row-major
+IDENTITY: Matrix = (1, 0, 0, 1)
+
+
+def _walk(m: Matrix, values: Iterable[int]) -> Matrix:
+    """M(a_n) ... M(a_1) m for values a_1, ..., a_n."""
+    w, x, y, z = m
+    for a in values:
+        w, x, y, z = a * w - y, a * x - z, w, x
+    return w, x, y, z
+
+
+def _mul(m: Matrix, n: Matrix) -> Matrix:
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _tail(m: Matrix, period: tuple[int, ...], phase: int, count: int) -> Matrix:
+    """m left-multiplied by the transfer of count tail values from period[phase]."""
+    turned = period[phase:] + period[:phase]
+    whole, rest = divmod(count, len(period))
+    if whole:
+        p = _walk(IDENTITY, turned)
+        while True:  # m = p^whole m by squaring; powers of p commute
+            if whole & 1:
+                m = _mul(p, m)
+            whole >>= 1
+            if not whole:
+                break
+            p = _mul(p, p)
+    return _walk(m, turned[:rest])
+
+
+def transfer(q: QuiddityDescriptor, lo: int, hi: int) -> Matrix:
+    """M(a_hi) ... M(a_lo) with M(a) = [[a, -1], [1, 0]]; IDENTITY when lo > hi.
+
+    The frieze recurrence in matrix form: the product maps the column
+    (t(p, lo), t(p, lo - 1)) to (t(p, hi + 1), t(p, hi)), so t(p, q) is
+    transfer(q, p + 1, q - 1)[0].  The core values are multiplied out and
+    whole tail periods are raised to a power by squaring, so the cost grows
+    with the logarithm of the distance, not with the distance.
+    """
+    (lp, ln), core, (rp, rn) = q._pieces(lo, hi)
+    m = _tail(IDENTITY, q.left_period, lp, ln) if ln else IDENTITY
+    m = _walk(m, core)
+    return _tail(m, q.right_period, rp, rn) if rn else m
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a depth-bounded positivity check.
@@ -153,25 +223,31 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
 
     Rows are scanned over one full period of each tail plus the core; by
     periodicity this covers every band position of the bi-infinite frieze.
-    Each row t(i, i + d) runs through continue_row and stops at its first
-    nonpositive entry; once one turns up at band d, later rows are only
-    scanned below band d, so the report is the first in band-major order.
+    The scan is band by band, so the first nonpositive entry found is the
+    first in band-major order.  At band d the rows i <= core_start - d read
+    only left-tail values and repeat with its period L, so only the lowest L
+    rows are kept: a row joins the others, with its representative's two
+    latest entries, at the band where it first reads a core value.
     """
     if depth < 2:
         raise QuiddityError("validation depth must be >= 2")
-    core_end = q.core_start + len(q.core) - 1
-    row_lo = q.core_start - depth + 1 - len(q.left_period)
-    row_hi = core_end + len(q.right_period) + 1
+    L = len(q.left_period)
+    row_lo = q.core_start - depth + 1 - L
+    row_hi = q.core_start + len(q.core) + len(q.right_period)
+    n = row_hi - row_lo + 1
     vals = q.values(row_lo, row_hi + depth - 1)  # a_k at vals[k - row_lo]
-    witness = None
-    top = depth
-    for r in range(row_hi - row_lo + 1):
-        values = iter(vals[r + 1:r + top])  # a_{i+1} .. a_{i+top-1}, i = row_lo + r
-        for cur in continue_row(values, 0, 1):
-            if cur <= 0:
-                d = top - length_hint(values)  # one value consumed per entry
-                witness, top = (row_lo + r, row_lo + r + d, cur), d - 1
-                break
-    if witness is not None:
-        return ValidationReport("invalid", depth, witness)
+    # cur[k], prev[k]: t(i, i + d), t(i, i + d - 1) for the k-th kept row i,
+    # which is row_lo + k for k < L, else row_lo + s + k - L
+    s = depth - 1 + L  # offset of the lowest row past the repeated stretch (core_start at band 1)
+    prev, cur = [0] * (L + n - s), [1] * (L + n - s)
+    for d in range(2, depth + 1):
+        s -= 1
+        prev.insert(L, prev[s % L])
+        cur.insert(L, cur[s % L])
+        a = vals[d - 1:L + d - 1] + vals[s + d - 1:n + d - 1]  # a_{i+d-1} per kept row
+        prev, cur = cur, [x * c - p for x, c, p in zip(a, cur, prev)]
+        if min(cur) <= 0:
+            k = next(k for k, v in enumerate(cur) if v <= 0)
+            i = row_lo + (k if k < L else s + k - L)
+            return ValidationReport("invalid", depth, (i, i + d, cur[k]))
     return ValidationReport("valid_to_depth", depth)

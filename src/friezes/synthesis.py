@@ -454,8 +454,12 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int], cap: int = DEFAULT_CAP,
     lo, hi = window
     a = run_step_a(q, lo - 2, hi + 2, cap)
     if a.verdict == "cap_reached":
+        if a.detected_at is None:
+            raise InconclusiveError(
+                f"phase A hit the {cap}-pass cap without terminating or recurring")
         raise InconclusiveError(
-            f"phase A hit the {cap}-pass cap without terminating or recurring")
+            f"phase A hit the {cap}-pass cap before consuming the window; "
+            f"recurrence was seen at pass {a.detected_at}")
     r_lo, r_hi = _cut_region(a, lo, hi)
     margin = max(lo - r_lo, r_hi - hi)
     trace = _reread(q, a.trace, r_lo, r_hi)

@@ -5,14 +5,17 @@ runs fraction-free Gaussian elimination on the full matrix rather than any
 three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
 and raises a whole tail period to a power, the unimodular checker reads
 entries pairwise, and the strip and chord checkers test every pair with the
-crossing rule itself.  The polygon oracles split the polygon recursively at
-the triangle on its first side, propagate CC labels by rescanning every face,
-count BCI tuples by backtracking, and cut strips by scanning every arc.
+crossing rule itself.  The validation oracle walks every row of the scan
+range on its own, reading each value through value_at.  The polygon oracles
+split the polygon recursively at the triangle on its first side, propagate CC
+labels by rescanning every face, count BCI tuples by backtracking, and cut
+strips by scanning every arc.
 """
 
 from __future__ import annotations
 
-from friezes import PolygonTriangulation, StripError, bridging, cross, peripheral
+from friezes import (PolygonTriangulation, StripError, ValidationReport, bridging,
+                     cross, peripheral)
 from friezes.counting import CutError, PolygonCut
 
 
@@ -103,6 +106,29 @@ def transfer_entry(q, p: int, r: int) -> int:
                                hi + 1 - first)
     middle = transfer(q.core[max(lo - start, 0):max(hi + 1 - start, 0)])
     return mat_mul(right, mat_mul(middle, left))[0][0]
+
+
+def validate_rows(q, depth: int) -> ValidationReport:
+    """Row-major depth-bounded validation, the reference for quiddity.validate.
+
+    Walks each row i of core_start - depth + 1 - L .. core_end + R + 1 out to
+    band `depth` and stops it at its first nonpositive entry; once one turns
+    up at band d, later rows are walked only below band d, so the witness is
+    the first in band-major order (increasing band, then increasing i).
+    """
+    row_lo = q.core_start - depth + 1 - len(q.left_period)
+    row_hi = q.core_start + len(q.core) + len(q.right_period)
+    witness, top = None, depth
+    for i in range(row_lo, row_hi + 1):
+        prev, cur = 0, 1
+        for d in range(2, top + 1):
+            prev, cur = cur, q.value_at(i + d - 1) * cur - prev
+            if cur <= 0:
+                witness, top = (i, i + d, cur), d - 1
+                break
+    if witness is not None:
+        return ValidationReport("invalid", depth, witness)
+    return ValidationReport("valid_to_depth", depth)
 
 
 def unimodular_ok(entry, lo: int, hi: int) -> bool:

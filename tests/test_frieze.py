@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from friezes import (FriezeError, FriezeView, QuiddityDescriptor, entry_from_fg,
                      has_enough_ones, quiddity_from_f)
+from friezes.frieze import ROW_BAND
 
 import refdata
-from oracles import det_bareiss, tridiagonal_matrix, unimodular_ok
+from corpus import bijection_corpus
+from oracles import det_bareiss, transfer_entry, tridiagonal_matrix, unimodular_ok
 
 GRIDS = [(refdata.LINEAR, refdata.LINEAR_GRID),
          (refdata.BUMPED, refdata.BUMPED_GRID),
@@ -73,15 +77,49 @@ def test_continuant_matches_entry():
                 assert view.continuant(p, p + d) == view.entry(p, p + d)
 
 
-def test_continuant_keeps_no_row():
-    view = FriezeView(QuiddityDescriptor.constant(3))
+def _peak_traced_bytes(fn) -> int:
     tracemalloc.start()
     try:
-        view.continuant(0, 2 * 10**4)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**6  # the row up to t(0, 2*10^4) would take about 40 MB
+
+
+def test_continuant_keeps_no_row():
+    # the row up to t(0, 2*10^4) would take about 40 MB
+    for method in ("continuant", "entry"):
+        view = FriezeView(QuiddityDescriptor.constant(3))
+        assert _peak_traced_bytes(lambda: getattr(view, method)(0, 2 * 10**4)) < 10**6
+
+
+def test_far_entry_is_fast_and_small():
+    # t(0, 10^5) = F_{2 * 10^5}, about 139 000 bits; walking the row took 1.3 s
+    q = QuiddityDescriptor.constant(3)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        FriezeView(q).entry(0, 10**5)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.07
+    assert _peak_traced_bytes(lambda: FriezeView(q).entry(0, 10**5)) < 10**6
+
+
+def test_far_entries_match_transfer_matrix_oracle():
+    rng = random.Random(1361)
+    for q in bijection_corpus():
+        view = FriezeView(q)
+        for p in (q.core_start + rng.randint(-50, 50), rng.randint(-10**6, 10**6)):
+            far = round(math.exp(rng.uniform(math.log(200), math.log(10**5))))
+            dists = [ROW_BAND, ROW_BAND + 1, far]
+            if q.left_period == q.right_period == (2,):
+                dists.append(10**5)  # entries grow linearly: cheap at any distance
+            for dist in dists:
+                want = transfer_entry(q, p, p + dist)
+                assert view.entry(p, p + dist) == want, (q, p, dist)
+                assert view.entry(p + dist, p) == -want
+                assert view.continuant(p, p + dist) == want
+        assert all(len(row) <= ROW_BAND + 1 for row in view._rows.values())
 
 
 def test_continuant_precondition():

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from friezes import QuiddityDescriptor, QuiddityError, validate
+from friezes import QuiddityDescriptor, QuiddityError, Residual, validate
+from friezes.quiddity import IDENTITY, transfer
 
 import refdata
+from oracles import transfer as transfer_oracle, validate_rows
 
 
 def test_constant_descriptor_value_at():
@@ -120,3 +122,56 @@ def test_long_two_run_before_a_one_is_caught():
     # a lone 1 cannot belong to any infinite frieze
     q = QuiddityDescriptor((2,), (1, 6), (2,), core_start=0)
     assert not validate(q).ok
+
+
+def _random_word(rng: random.Random, cls, core_start: int):
+    low = cls.MIN_VALUE
+    tail = lambda: tuple(rng.randint(low, 6) for _ in range(rng.randint(1, 4)))
+    core = tuple(rng.randint(low, 6) for _ in range(rng.randint(0, 6)))
+    return cls(tail(), core, tail(), core_start)
+
+
+def test_values_match_value_at():
+    rng = random.Random(5113)
+    for cls in (QuiddityDescriptor, Residual):
+        for _ in range(300):
+            start = rng.choice((0, rng.randint(-30, 30), -10**9, 10**9))
+            q = _random_word(rng, cls, start)
+            end = start + len(q.core)
+            for lo, hi in ((start - rng.randint(1, 60), start - 1),    # left tail
+                           (start - rng.randint(10, 60), start - rng.randint(1, 9)),
+                           (end, end + rng.randint(0, 60)),              # right tail
+                           (end + rng.randint(1, 9), end + rng.randint(10, 60)),
+                           (start - rng.randint(0, 20), end + rng.randint(0, 20)),
+                           (start + 1, end - 2),                         # inside the core
+                           (rng.randint(-3, 3), rng.randint(-3, 3) + 40)):  # near 0
+                assert q.values(lo, hi) == [q.value_at(i) for i in range(lo, hi + 1)], \
+                    (q, lo, hi)
+            for lo in (start - 5, start, end, end + 7, rng.randint(-10**9, 10**9)):
+                assert q.values(lo, lo - rng.randint(1, 50)) == []  # empty ranges
+
+
+def test_transfer_matches_matrix_product_oracle():
+    rng = random.Random(6029)
+    for cls in (QuiddityDescriptor, Residual):
+        for _ in range(200):
+            start = rng.choice((rng.randint(-10, 10), -10**9, 10**9))
+            q = _random_word(rng, cls, start)
+            lo = start + rng.randint(-40, 40)
+            for hi in (lo + rng.randint(0, 80), lo, lo - 1, lo - rng.randint(2, 9)):
+                (a, b), (c, d) = transfer_oracle(q.value_at(i) for i in range(lo, hi + 1))
+                assert transfer(q, lo, hi) == (a, b, c, d), (q, lo, hi)
+    assert transfer(refdata.LINEAR, 5, 4) == IDENTITY
+
+
+def test_validate_matches_row_major_oracle():
+    rng = random.Random(7717)
+    invalid = 0
+    for k in range(400):
+        start = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**9, 10**9)))
+        q = _random_word(rng, QuiddityDescriptor, start)
+        depth = 256 if k % 100 == 0 else rng.choice((2, 3, rng.randint(2, 64), rng.randint(2, 64)))
+        report = validate(q, depth)
+        assert report == validate_rows(q, depth), (q, depth)
+        invalid += not report.ok
+    assert 50 <= invalid <= 350  # both verdicts, and witnesses, were compared

@@ -119,6 +119,18 @@ def test_zigzag_collapsed_recurrence_detected():
     assert result.detected_at is not None and result.detected_at <= 6
 
 
+def test_cap_message_names_the_recurrence_pass():
+    # zigzag recurs at pass 3, but 1000 passes do not consume a window 10^3 out
+    with pytest.raises(InconclusiveError,
+                       match=r"1000-pass cap before consuming the window; "
+                             r"recurrence was seen at pass 3$"):
+        psi(refdata.ZIGZAG, (992, 1008))
+    # two passes come before the recurrence, so none is named
+    with pytest.raises(InconclusiveError,
+                       match=r"2-pass cap without terminating or recurring$"):
+        psi(refdata.ZIGZAG, (992, 1008), cap=2)
+
+
 def test_step_a_pass_simultaneous_update():
     res = _normalize(Residual.from_descriptor(refdata.ZIGZAG))
     after, double = step_a_pass(res)
