@@ -2,10 +2,9 @@
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
-pass cap or the phase-B walk limit was hit), 3 I/O or schema error, 4
-internal error (an exception the program does not expect, which is a bug).
-Failures print one JSON object {"error": {"kind", "message"}} so callers
-can parse them.
+pass cap was hit), 3 I/O or schema error, 4 internal error (an exception
+the program does not expect, which is a bug).  Failures print one JSON
+object {"error": {"kind", "message"}} so callers can parse them.
 
 Defaults for the validation depth and the pass cap may also come from the
 environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the

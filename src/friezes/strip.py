@@ -106,21 +106,14 @@ class M2Class:
         if self.size is not None and self.size < 1:
             raise StripError("finite class size must be >= 1")
 
-    def label_range(self) -> tuple[int | None, int | None]:
-        """(smallest label or None, largest label or None) of the class."""
-        return {
-            "empty": (None, None),
-            "finite": (1, self.size),
-            "nat_right": (0, None),
-            "nat_left": (None, 0),
-            "bi_infinite": (None, None),
-        }[self.kind]
-
     def contains_label(self, u: int) -> bool:
-        lo, hi = self.label_range()
-        if self.kind == "empty":
-            return False
-        return (lo is None or u >= lo) and (hi is None or u <= hi)
+        if self.kind == "finite":
+            return 1 <= u <= self.size
+        if self.kind == "nat_right":
+            return u >= 0
+        if self.kind == "nat_left":
+            return u <= 0
+        return self.kind == "bi_infinite"
 
 
 M2_EMPTY = M2Class("empty")
@@ -272,22 +265,23 @@ class StripTriangulation:
         return bool(feet) and feet[0][0] <= lo and feet[-1][0] >= hi
 
     def materialized_upper_labels(self) -> list[int]:
-        """All upper labels implied by the class within the materialized span."""
-        used = sorted({u for _, u in self.bridging_arcs})
-        cls_lo, cls_hi = self.m2_class.label_range()
-        if self.m2_class.kind == "empty":
-            return []
-        if self.m2_class.kind == "finite":
-            return list(range(1, self.m2_class.size + 1))
-        lo = cls_lo if cls_lo is not None else (used[0] if used else 0)
-        hi = cls_hi if cls_hi is not None else (used[-1] if used else 0)
-        if used:
-            lo = min(lo, used[0])
-            hi = max(hi, used[-1])
-        return list(range(lo, hi + 1))
+        """The upper labels from the least to the greatest one a bridging arc uses.
+
+        [] when no bridging arc is materialized.  The class bounds do not
+        widen the range: a label outside it could be reached only from lower
+        points at or beyond the outermost materialized feet, so the strip
+        cannot decide whether such a point is special.
+        """
+        labels = [u for _, u in self.bridging_arcs]
+        return list(range(min(labels), max(labels) + 1)) if labels else []
 
     def special_upper_points(self) -> list[MarkedPoint]:
-        """Materialized upper points incident to no arc at all."""
+        """Upper points between materialized labels that no arc reaches.
+
+        Only labels inside materialized_upper_labels are judged: the strip
+        holds the window's cut, so a point beyond its outermost bridging arcs
+        is left undecided rather than reported.
+        """
         used = {u for _, u in self.bridging_arcs}
         return [MarkedPoint(UPPER, u) for u in self.materialized_upper_labels()
                 if u not in used]

@@ -13,12 +13,15 @@ a fully consumed position):
   it may also run forever, in which case the peripheral arcs alone already
   triangulate the strip with an empty upper boundary.
 * Phase B distributes upper marked points.  The leftover values are 0 or
-  >= 2; each value v >= 2 position still needs v - 1 bridging arcs.  A fan
-  of points is planted at an anchor position of value > 2, then one
-  fountain routine grows it rightward and leftward alike: stepping from one
-  value > 2 position to the next shares one upper point, positions of value
-  exactly 2 hook onto the current extreme point, and a side with no further
-  value > 2 positions ends in a single fountain point serving its whole tail.
+  >= 2; each value v >= 2 position still needs v - 1 bridging arcs, to
+  consecutive upper points of which it shares the first with the previous
+  nonzero position.  So every label is a prefix sum of the excesses
+  max(v - 2, 0), counted from the closed end of a half line, from the
+  leftmost point of a finite class, or from an anchor position of value
+  > 2 on a bi-infinite boundary; a side with no further value > 2 position
+  ends in a single fountain point serving its whole tail.  Excess sums over
+  whole tail periods are one period's excess times their number, so only
+  the window's cut is visited.
 
 The shape of the upper index set is read off from which phases terminate.
 Residuals stay eventually periodic throughout, so passes are computed as
@@ -38,7 +41,6 @@ from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     peripheral)
 
 DEFAULT_CAP = 1000
-WALK_CAP = 10 * DEFAULT_CAP  # positions phase B may walk past its range
 
 
 class InconclusiveError(RuntimeError):
@@ -59,6 +61,26 @@ class Residual(QuiddityDescriptor):
     @classmethod
     def from_descriptor(cls, q: QuiddityDescriptor) -> "Residual":
         return cls(**vars(q))
+
+    def excess(self, lo: int, hi: int) -> int:
+        """Sum of max(v - 2, 0) over indices lo..hi; 0 when lo > hi.
+
+        Whole tail periods count as one period's excess times their number,
+        so the cost does not grow with hi - lo.
+        """
+        (lp, ln), core, (rp, rn) = self._pieces(lo, hi)
+        return (_tail_excess(self.left_period, lp, ln) + _excess(core)
+                + _tail_excess(self.right_period, rp, rn))
+
+
+def _excess(values) -> int:
+    return sum(v - 2 for v in values if v > 2)
+
+
+def _tail_excess(period: tuple[int, ...], phase: int, count: int) -> int:
+    """Excess of count tail values from period[phase] on."""
+    whole, rest = divmod(count, len(period))
+    return whole * _excess(period) + _excess((period[phase:] + period[:phase])[:rest])
 
 
 def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -278,103 +300,59 @@ class StepBResult:
 
 def _pick_anchor(res: Residual, mid: int) -> int | None:
     f_lo, f_hi = res.footprint()
-    right = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+    # a tail with no value > 2 holds no anchor: each scan starts past it
+    start = mid if any(v > 2 for v in res.left_period) else max(mid, f_lo)
+    right = res.scan(start - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
     if right is not None:
         return right
-    return res.scan(mid, -1, min(mid, f_lo) - len(res.left_period), above=2)
+    start = mid if any(v > 2 for v in res.right_period) else min(mid, f_hi + 1)
+    return res.scan(start, -1, min(mid, f_lo) - len(res.left_period), above=2)
 
 
 def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
            anchor: int | None = None) -> StepBResult:
     """Plant upper marked points and bridging arcs on a terminated residual.
 
+    A position of value v >= 2 takes the v - 1 consecutive labels from the
+    one after the previous nonzero position on, sharing the first.  So the
+    label after position i is first + P(i) - P(at - 1) for the prefix sum P
+    of the excesses max(v - 2, 0), where (first, at) fixes the class's
+    labeling: (1, f_lo) finite, (0, f_lo) nat_right, (0, f_hi + 1) nat_left
+    and (1, anchor) bi_infinite, for the footprint f_lo..f_hi.  The starting
+    label is one excess sum over whole tail periods, and fans are recorded
+    at lower indices in [mat_lo, mat_hi] only, so the cost does not grow
+    with the distance from the core or the anchor.
+
     The anchor defaults to the value > 2 position nearest the window
     midpoint (preferring the right); it is the one free choice of the
     construction and amounts, on a bi-infinite upper boundary, to fixing the
-    twist class representative.  Fans are recorded at lower indices in
-    [mat_lo, mat_hi] and on to the end of each terminating side; walked fans
-    elsewhere still take their upper points.  InconclusiveError is raised
-    when that end or the anchor is over WALK_CAP positions outside the range.
+    twist class representative.
     """
     if res.has_value(1):
         raise QuiddityError("phase B requires a residual with no 1s")
-    right_inf = any(v > 2 for v in res.right_period)
-    left_inf = any(v > 2 for v in res.left_period)
-    b1_term, b2_term = not right_inf, not left_inf
+    b1_term = not any(v > 2 for v in res.right_period)
+    b2_term = not any(v > 2 for v in res.left_period)
     f_lo, f_hi = res.footprint()
-    if b1_term and b2_term:
-        n_value = 1 + sum(v - 2 for v in res.values(f_lo, f_hi) if v > 2)
-        # one period of each tail is all {0, 2}, hence so is the rest
-    else:
-        n_value = None
+    n_value = 1 + res.excess(f_lo, f_hi) if b1_term and b2_term else None
+    if not any(res.values(f_lo, f_hi)):
+        raise QuiddityError("residual vanished entirely; a valid frieze cannot reach this state")
 
     lo, hi = window
-    mid = (lo + hi) // 2
     if anchor is None:
-        anchor = _pick_anchor(res, mid)
+        anchor = _pick_anchor(res, (lo + hi) // 2)
     elif res.value_at(anchor) <= 2:
         raise QuiddityError(f"anchor {anchor} does not have residual value > 2")
 
-    arcs: list[tuple[int, int]] = []  # (lower index, upper temp position)
-
-    if anchor is None:
-        # every position is 0 or 2: a single upper point serves them all
-        twos = [i for i in range(mat_lo, mat_hi + 1) if res.value_at(i) == 2]
-        if not twos and not any(res.values(f_lo, f_hi)):
-            raise QuiddityError(
-                "residual vanished entirely; a valid frieze cannot reach this state")
-        arcs += [(i, 0) for i in twos]
-        m2 = m2_finite(1)
-        labels = {0: 1}
-    else:
-        stop_lo = min(mat_lo, f_lo - len(res.left_period)) if b2_term else mat_lo
-        stop_hi = max(mat_hi, f_hi + len(res.right_period)) if b1_term else mat_hi
-        if max(mat_lo - min(stop_lo, anchor), max(stop_hi, anchor) - mat_hi) > WALK_CAP:
-            raise InconclusiveError(
-                f"phase B would walk more than {WALK_CAP} positions past its range")
-        v0 = res.value_at(anchor)
-        temps = list(range(v0 - 1))
-        if stop_lo <= anchor <= stop_hi:
-            arcs += [(anchor, t) for t in temps]
-
-        def grow(step: int, edge: int, fresh_at: int, stop: int) -> None:
-            """Fountain from the anchor in direction step: each value > 2
-            position up to stop shares the extreme point edge and adds fresh
-            points from fresh_at on; value-2 positions hook onto edge."""
-            pos = anchor
-            while (nxt := res.scan(pos, step, stop, above=2)) is not None:
-                arcs.extend((i, edge) for i in range(pos + step, nxt, step)
-                            if mat_lo <= i <= mat_hi and res.value_at(i) == 2)
-                fresh = list(range(fresh_at, fresh_at + step * (res.value_at(nxt) - 2), step))
-                temps.extend(fresh)
-                if stop_lo <= nxt <= stop_hi:
-                    arcs.extend((nxt, t) for t in (edge, *fresh))
-                edge, fresh_at, pos = fresh[-1], fresh[-1] + step, nxt
-            # the tail past the last fan: only its far end is bounded by the range
-            end = mat_hi if step > 0 else mat_lo
-            arcs.extend((i, edge) for i in range(pos + step, end + step, step)
-                        if res.value_at(i) == 2)
-
-        grow(1, v0 - 2, v0 - 1, stop_hi)
-        grow(-1, 0, -1, stop_lo)
-
-        m2 = m2_class(True, b1_term, b2_term, n_value)
-        temps_sorted = sorted(set(temps))
-        if m2.kind == "finite":
-            if len(temps_sorted) != n_value:
-                raise AssertionError("upper point count disagrees with 1 + sum of excesses")
-            labels = {t: r + 1 for r, t in enumerate(temps_sorted)}
-        elif m2.kind == "nat_left":
-            top = temps_sorted[-1]
-            labels = {t: t - top for t in temps_sorted}
-        elif m2.kind == "nat_right":
-            bot = temps_sorted[0]
-            labels = {t: t - bot for t in temps_sorted}
-        else:  # bi-infinite: leftmost point of the anchor fan gets label 1
-            labels = {t: t + 1 for t in temps_sorted}
-
-    final_arcs = tuple(sorted({(i, labels[t]) for i, t in arcs}))
-    return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)
+    m2 = m2_class(True, b1_term, b2_term, n_value)
+    first, at = {"finite": (1, f_lo), "nat_right": (0, f_lo), "nat_left": (0, f_hi + 1),
+                 "bi_infinite": (1, anchor)}[m2.kind]
+    top = first + (res.excess(at, mat_lo - 1) if at <= mat_lo else -res.excess(mat_lo, at - 1))
+    arcs: list[tuple[int, int]] = []
+    for i, v in enumerate(res.values(mat_lo, mat_hi), mat_lo):
+        if v >= 2:
+            arcs += [(i, u) for u in range(top, top + v - 1)]
+            top += v - 2
+    return StepBResult(tuple(arcs), b1_term, b2_term, n_value, anchor, m2)
 
 
 def m2_class(a_terminated: bool, b1_terminated: bool | None,
@@ -444,8 +422,10 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int], cap: int = DEFAULT_CAP,
     Phase A runs once over the window plus two on each side (until that is
     consumed and spanned, if it never terminates).  The window's cut and its
     arcs are read off that run, phase B runs once over the cut, and the
-    margin is the smallest that holds it.  Raises QuiddityError on invalid
-    input and InconclusiveError when the pass cap or WALK_CAP is hit.
+    margin is the smallest that holds it.  Phase B labels the cut's fans by
+    prefix sums of excess, without walking to the core or the anchor, so it
+    answers at any distance from them.  Raises QuiddityError on invalid
+    input and InconclusiveError when phase A hits the pass cap.
     """
     report = validate(q, DEFAULT_DEPTH if validation_depth is None else validation_depth)
     if not report.ok:

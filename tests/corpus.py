@@ -52,3 +52,38 @@ def enough_ones_corpus(seed: int = 2291) -> list[QuiddityDescriptor]:
         candidates.append(QuiddityDescriptor(tail, core, tail[::-1],
                                              core_start=-(len(core) // 2)))
     return [q for q in candidates if validate(q).ok]
+
+
+# tail periods for random draws, read in either direction and any rotation;
+# the 1-bearing ones let phase A consume tail values
+RANDOM_TAILS = ((2,), (2,), (3,), (4,), (2, 3), (2, 2, 3), (3, 3, 2, 4),
+                (4, 1), (5, 1), (3, 1, 4), (6, 1, 2))
+
+
+def random_corpus(count: int = 150, seed: int = 3307) -> list[QuiddityDescriptor]:
+    """`count` distinct validated descriptors with tails from RANDOM_TAILS.
+
+    A third of the draws mirror the left tail on the right, as the zigzag
+    does; cores have length <= 6 and values <= 6.  Invalid draws are
+    discarded, so every descriptor passes the depth-64 check.
+    """
+    rng = random.Random(seed)
+
+    def tail() -> tuple[int, ...]:
+        t = rng.choice(RANDOM_TAILS)
+        k = rng.randrange(len(t))
+        t = t[k:] + t[:k]
+        return t[::-1] if rng.random() < 0.5 else t
+
+    out: list[QuiddityDescriptor] = []
+    seen = set()
+    while len(out) < count:
+        left = tail()
+        right = left[::-1] if rng.random() < 1 / 3 else tail()
+        core = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 6)))
+        q = QuiddityDescriptor(left, core, right, rng.randint(-4, 4) - len(core) // 2)
+        if q in seen or not validate(q).ok:
+            continue
+        seen.add(q)
+        out.append(q)
+    return out

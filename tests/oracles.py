@@ -9,14 +9,18 @@ crossing rule itself.  The validation oracle walks every row of the scan
 range on its own, reading each value through value_at.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
-strips by scanning every arc.
+strips by scanning every arc.  The phase-B oracle walks the fountain position
+by position from the anchor to the closed end of each terminating side and
+labels the upper points it planted by rank.
 """
 
 from __future__ import annotations
 
-from friezes import (PolygonTriangulation, StripError, ValidationReport, bridging,
-                     cross, peripheral)
+from friezes import (PolygonTriangulation, QuiddityError, StripError, ValidationReport,
+                     bridging, cross, m2_class, peripheral)
 from friezes.counting import CutError, PolygonCut
+from friezes.strip import m2_finite
+from friezes.synthesis import StepBResult
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -301,3 +305,81 @@ def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
             "the strip does not materialize this cut completely")
     poly = PolygonTriangulation(n, frozenset(chords))
     return PolygonCut(poly, lower_map, upper_map, "bridging")
+
+
+def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
+                anchor: int | None = None) -> StepBResult:
+    """synthesis.step_b by walking the fountain from the anchor.
+
+    Fans are planted position by position out to the closed end of each
+    terminating side, on temporary coordinates, and labeled once all are
+    known: by rank in a finite class, from the closed end of a half line,
+    and from the anchor fan's leftmost point on a bi-infinite boundary.  Arcs
+    are recorded at lower indices in [mat_lo, mat_hi] and on to those ends.
+    """
+    if res.has_value(1):
+        raise QuiddityError("phase B requires a residual with no 1s")
+    right_inf = any(v > 2 for v in res.right_period)
+    left_inf = any(v > 2 for v in res.left_period)
+    b1_term, b2_term = not right_inf, not left_inf
+    f_lo, f_hi = res.footprint()
+    if b1_term and b2_term:
+        n_value = 1 + sum(v - 2 for v in res.values(f_lo, f_hi) if v > 2)
+    else:
+        n_value = None
+
+    lo, hi = window
+    mid = (lo + hi) // 2
+    if anchor is None:
+        anchor = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+        if anchor is None:
+            anchor = res.scan(mid, -1, min(mid, f_lo) - len(res.left_period), above=2)
+    elif res.value_at(anchor) <= 2:
+        raise QuiddityError(f"anchor {anchor} does not have residual value > 2")
+
+    arcs: list[tuple[int, int]] = []  # (lower index, upper temp position)
+    if anchor is None:
+        # every position is 0 or 2: a single upper point serves them all
+        arcs += [(i, 0) for i in range(mat_lo, mat_hi + 1) if res.value_at(i) == 2]
+        m2 = m2_finite(1)
+        labels = {0: 1}
+    else:
+        stop_lo = min(mat_lo, f_lo - len(res.left_period)) if b2_term else mat_lo
+        stop_hi = max(mat_hi, f_hi + len(res.right_period)) if b1_term else mat_hi
+        v0 = res.value_at(anchor)
+        temps = list(range(v0 - 1))
+        if stop_lo <= anchor <= stop_hi:
+            arcs += [(anchor, t) for t in temps]
+
+        def grow(step: int, edge: int, fresh_at: int, stop: int) -> None:
+            pos = anchor
+            while (nxt := res.scan(pos, step, stop, above=2)) is not None:
+                arcs.extend((i, edge) for i in range(pos + step, nxt, step)
+                            if mat_lo <= i <= mat_hi and res.value_at(i) == 2)
+                fresh = list(range(fresh_at, fresh_at + step * (res.value_at(nxt) - 2), step))
+                temps.extend(fresh)
+                if stop_lo <= nxt <= stop_hi:
+                    arcs.extend((nxt, t) for t in (edge, *fresh))
+                edge, fresh_at, pos = fresh[-1], fresh[-1] + step, nxt
+            end = mat_hi if step > 0 else mat_lo
+            arcs.extend((i, edge) for i in range(pos + step, end + step, step)
+                        if res.value_at(i) == 2)
+
+        grow(1, v0 - 2, v0 - 1, stop_hi)
+        grow(-1, 0, -1, stop_lo)
+
+        m2 = m2_class(True, b1_term, b2_term, n_value)
+        temps_sorted = sorted(set(temps))
+        if m2.kind == "finite":
+            if len(temps_sorted) != n_value:
+                raise AssertionError("upper point count disagrees with 1 + sum of excesses")
+            labels = {t: r + 1 for r, t in enumerate(temps_sorted)}
+        elif m2.kind == "nat_left":
+            labels = {t: t - temps_sorted[-1] for t in temps_sorted}
+        elif m2.kind == "nat_right":
+            labels = {t: t - temps_sorted[0] for t in temps_sorted}
+        else:
+            labels = {t: t + 1 for t in temps_sorted}
+
+    final_arcs = tuple(sorted({(i, labels[t]) for i, t in arcs}))
+    return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)

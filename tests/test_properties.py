@@ -10,12 +10,13 @@ import pytest
 
 from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
                      StripError, StripTriangulation, bridging, cross, peripheral,
-                     psi, validate)
+                     psi, run_step_a, step_b, validate)
 from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
+from friezes.synthesis import _cut_region
 
 import refdata
-from corpus import bijection_corpus, enough_ones_corpus
-from oracles import (det_bareiss, maximality_oracle, noncrossing_oracle,
+from corpus import bijection_corpus, enough_ones_corpus, random_corpus
+from oracles import (det_bareiss, maximality_oracle, noncrossing_oracle, step_b_walk,
                      transfer_entry, tridiagonal_matrix)
 
 
@@ -395,3 +396,42 @@ def test_finite_class_counts_every_upper_point():
     assert out.n_value == 1 + (5 - 2) + (3 - 2) + (4 - 2)
     used = {u for _, u in out.triangulation.bridging_arcs}
     assert used == set(range(1, out.n_value + 1))
+
+
+def test_step_b_matches_walking_oracle():
+    """step_b's prefix sums equal the walking fountain on the window's cut.
+
+    Corpora plus random descriptors with 1-bearing tails; windows of
+    half-width 0..12 near the core or at offsets up to +-3000; the default
+    anchor and explicit anchors within 150 of the window, inside and outside
+    the cut.  The walk also records fans beyond the cut, so its arcs are
+    compared on the cut's lower indices only.
+    """
+    rng = random.Random(6151)
+    seen = Counter()
+    for q in bijection_corpus() + enough_ones_corpus() + random_corpus():
+        if run_step_a(q, -2, 2).verdict != "terminated":
+            continue  # phase B never runs
+        for _ in range(4):
+            hw = rng.randint(0, 12)
+            mid = rng.choice((rng.randint(-20, 20), rng.randint(-3000, 3000)))
+            lo, hi = mid - hw, mid + hw
+            a = run_step_a(q, lo - 2, hi + 2)
+            r_lo, r_hi = _cut_region(a, lo, hi)
+            res = a.residual
+            excess_at = [p for p, v in enumerate(res.values(lo - 150, hi + 150), lo - 150) if v > 2]
+            inside = [p for p in excess_at if r_lo <= p <= r_hi]
+            outside = [p for p in excess_at if not r_lo <= p <= r_hi]
+            anchors = [None] + [rng.choice(ps) for ps in (inside, outside) if ps]
+            for anchor in anchors:
+                got = step_b(res, (lo, hi), r_lo, r_hi, anchor)
+                want = step_b_walk(res, (lo, hi), r_lo, r_hi, anchor)
+                case = (q, lo, hi, anchor)
+                assert got.bridging_arcs == tuple(
+                    (i, u) for i, u in want.bridging_arcs if r_lo <= i <= r_hi), case
+                assert (got.m2, got.n_value, got.anchor, got.b1_terminated, got.b2_terminated) \
+                    == (want.m2, want.n_value, want.anchor, want.b1_terminated,
+                        want.b2_terminated), case
+                seen[got.m2.kind] += 1
+                seen["explicit anchor" if anchor is not None else "default anchor"] += 1
+    assert min(seen.values()) >= 50 and len(seen) == 6, seen

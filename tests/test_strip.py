@@ -64,16 +64,20 @@ def test_arc_construction_rules():
 
 
 def _fan_triangulation(n_points: int = 4) -> StripTriangulation:
-    # every lower point of the materialized range hooks onto upper point 2;
-    # the remaining upper points are special
+    # every lower point of the materialized range hooks onto upper point 2
     arcs = frozenset(bridging(i, 2) for i in range(-8, 9))
     return StripTriangulation((-3, 3), 5, m2_finite(n_points), arcs)
 
 
 def test_special_upper_points():
-    t = _fan_triangulation()
-    assert [p.index for p in t.special_upper_points()] == [1, 3, 4]
-    assert all(p.boundary == "U" for p in t.special_upper_points())
+    # labels 1, 3 and 4 lie beyond every materialized arc: lower points
+    # outside the strip may reach them, so none is judged special
+    assert _fan_triangulation().special_upper_points() == []
+    # label 2 lies between the materialized labels 1 and 3 and no arc reaches it
+    gap = StripTriangulation((-3, 3), 5, m2_finite(4),
+                             frozenset(bridging(i, 1 if i <= 0 else 3) for i in range(-8, 9)))
+    assert [p.index for p in gap.special_upper_points()] == [2]
+    assert all(p.boundary == "U" for p in gap.special_upper_points())
 
 
 def test_quiddity_of_fan():

@@ -217,12 +217,23 @@ def test_half_line_anchor_outside_the_window_cut():
         assert tri.special_upper_points() == [], anchor
 
 
-def test_phase_b_walk_limit_fails_fast():
+def test_phase_b_answers_far_from_the_core_and_the_anchor():
+    # the closed end lies 10^9 positions right of the window: labels near -10^9
     far_core = QuiddityDescriptor((3,), (4, 2, 1, 6), (2,), core_start=10**9)
-    with pytest.raises(InconclusiveError, match="walk"):
-        psi(far_core, (0, 8))
-    with pytest.raises(InconclusiveError, match="walk"):
-        psi(QuiddityDescriptor.constant(3), (-4, 4), anchor=10**9)
+    out = psi(far_core, (0, 8))
+    assert out.m2_class.kind == "nat_left"
+    tri = out.triangulation
+    assert tri.quiddity_of() == {i: 3 for i in range(0, 9)}
+    assert tri.special_upper_points() == []
+    assert len(tri.arcs) < 50
+    assert all(-10**9 - 10 < u < -10**9 + 10 for _, u in tri.bridging_arcs)
+    # the same strip as the core-side window translated by 10^9, labels shifted too
+    near = psi(far_core.shift(-10**9), (-10**9, -10**9 + 8)).triangulation
+    assert tri.bridging_arcs == tuple((i + 10**9, u) for i, u in near.bridging_arcs)
+    # an anchor 10^9 positions out is the default one twisted by -10^9
+    q = QuiddityDescriptor.constant(3)
+    base = psi(q, (-4, 4), anchor=0).triangulation
+    assert base.dehn_equivalent(psi(q, (-4, 4), anchor=10**9).triangulation) == -10**9
 
 
 def test_margin_stability_default_pipeline():
