@@ -26,6 +26,11 @@ a fully consumed position):
 The shape of the upper index set is read off from which phases terminate.
 Residuals stay eventually periodic throughout, so passes are computed as
 exact descriptor rewrites; arcs are materialized for a window and its cut.
+One sweep carries the phase-A rule: it reads the values of a range once,
+walks their nonzero positions as (previous, this, next) triples, and gives
+the rewritten values, the 1s with their arcs, and the double-decrement
+flag.  The descriptor rewrite, the window's arcs and the check of the new
+tails all run it, and it rejects 1s that are adjacent through zeros.
 Nontermination of phase A is detected by recurrence, up to translation, of
 the residual with its zeros collapsed away (zero positions are inert, and
 the gaps between survivors grow, so the uncollapsed residual never recurs).
@@ -33,7 +38,9 @@ the gaps between survivors grow, so the uncollapsed residual never recurs).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import compress, count
 
 from .quiddity import DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, validate
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
@@ -108,29 +115,14 @@ def _trim(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...],
     return left, tuple(core), right, start
 
 
-def _normalize(res: Residual) -> Residual:
-    """The residual with its fields passed through _trim."""
+def _normalize(res: QuiddityDescriptor) -> Residual:
+    """The descriptor as a Residual, with its fields passed through _trim."""
     return Residual(*_trim(res.left_period, res.core, res.right_period, res.core_start))
 
 
 def _collapsed(res: Residual) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     drop = lambda w: tuple(v for v in w if v)
     return drop(res.left_period), drop(res.core), drop(res.right_period)
-
-
-def _check_no_adjacent_ones(res: Residual) -> None:
-    """Two 1s with only zeros between would demand crossing arcs; reject.
-
-    For a genuine frieze this pattern forces a zero entry two bands up, so
-    hitting it means the input was not a valid quiddity sequence.
-    """
-    a, c, b = _collapsed(res)
-    chain = a[-1:] + c + b[:1]
-    pairs = [*zip(a, a[1:] + a[:1]), *zip(b, b[1:] + b[:1]), *zip(chain, chain[1:])]
-    if any(x == 1 and y == 1 for x, y in pairs):
-        raise QuiddityError(
-            "two residual 1s are adjacent through zeros; "
-            "the input is not the quiddity sequence of an infinite frieze")
 
 
 def _collapsed_signature(res: Residual):
@@ -140,26 +132,6 @@ def _collapsed_signature(res: Residual):
         rotations = [a[i:] + a[:i] for i in range(len(a))]
         return ("pure", min(rotations))
     return ("mixed", a, c, b)
-
-
-def _circular_pass(period: tuple[int, ...]) -> tuple[int, ...]:
-    """One pass applied to a purely periodic residual, as a cyclic word."""
-    n = len(period)
-    if not any(period):
-        return period
-    out = []
-    for idx, v in enumerate(period):
-        if v <= 1:
-            out.append(0)
-            continue
-        dec = 0
-        for step in (-1, 1):  # nearest nonzero each way; at worst v itself
-            k = idx + step
-            while not period[k % n]:
-                k += step
-            dec += period[k % n] == 1
-        out.append(v - dec)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -173,18 +145,48 @@ class PassRecord:
     double_decrement: bool
 
 
+def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list, bool]:
+    """One phase-A pass over lo..hi, given vals[k], the value at base + k.
+
+    vals must reach every nearest nonzero neighbour of a position in lo..hi
+    that has one.  Returns the values on lo..hi after the pass, each 1 there
+    with its arc (p, n) between its nearest nonzero neighbours (None on an
+    all-zero side), and whether some position lost two slots at once.  Only
+    the nonzero positions are walked, as (previous, this, next) triples.
+    """
+    nonzero = list(compress(count(base), vals))
+    ends, near = [None, *nonzero, None], [0, *compress(vals, vals), 0]
+    new = vals[lo - base:hi + 1 - base]
+    ones, double = [], False
+    k, m = bisect_left(nonzero, lo), bisect_right(nonzero, hi)
+    for p, i, n, a, v, b in zip(ends[k:m], nonzero[k:m], ends[k + 2:], near[k:m],
+                                near[k + 1:], near[k + 2:]):
+        if v == 1:
+            if 1 in (a, b):
+                # for a genuine frieze this pattern forces a zero entry two bands up
+                raise QuiddityError(
+                    "two residual 1s are adjacent through zeros; "
+                    "the input is not the quiddity sequence of an infinite frieze")
+            new[i - lo] = 0
+            ones.append((i, (p, n)))
+        elif a == 1 or b == 1:
+            new[i - lo] -= (a == 1) + (b == 1)
+            double = double or a == b == 1
+    return new, ones, double
+
+
 def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Value-1 positions and their peripheral arcs relevant to [lo, hi].
 
-    An arc reaches at most max_zero_gap beyond its 1, so scanning a padded
-    range catches every arc whose span meets [lo, hi].
+    An arc reaches at most max_zero_gap beyond its 1, so one sweep over the
+    1s within gap + 1 of [lo, hi], read with their neighbours another gap
+    out, catches every arc whose span meets [lo, hi].
     """
     gap = res.max_zero_gap()
+    base = lo - 2 * gap - 1
+    _, found, _ = _sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
     ones, arcs = [], []
-    for i in range(lo - gap - 1, hi + gap + 2):
-        if res.value_at(i) != 1:
-            continue
-        p, n = res.prev_nonzero(i), res.next_nonzero(i)
+    for i, (p, n) in found:
         if p is None or n is None:
             raise QuiddityError(
                 f"residual 1 at {i} has no nonzero neighbour; "
@@ -193,41 +195,28 @@ def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[in
             ones.append(i)
         if n >= lo and p <= hi:
             arcs.append((p, n))
-    return ones, sorted(set(arcs))
+    return ones, arcs
 
 
 def step_a_pass(res: Residual) -> tuple[Residual, bool]:
     """Apply one simultaneous pass to the residual descriptor.
 
     Returns the rewritten residual and whether any position lost two slots
-    at once (both nearest nonzero neighbours were 1s).  The rewrite works on
-    two period copies per side so that tail-core boundary effects land in
-    the new core; the outermost copies see pure tail context and become the
-    new periods.
+    at once (both nearest nonzero neighbours were 1s).  One sweep rewrites
+    two period copies per side around the core, so that tail-core boundary
+    effects land in the new core; the outermost copies see pure tail context
+    and become the new periods, as a sweep over three copies of each period
+    confirms.
     """
-    _check_no_adjacent_ones(res)
-    L, C, R = len(res.left_period), len(res.core), len(res.right_period)
-    w_lo = res.core_start - 2 * L
-    w_hi = res.core_start + C + 2 * R - 1
-    new: dict[int, int] = {}
-    double = False
-    for i in range(w_lo, w_hi + 1):
-        v = res.value_at(i)
-        if v <= 1:
-            new[i] = 0
-            continue
-        near = (res.prev_nonzero(i), res.next_nonzero(i))
-        dec = sum(j is not None and res.value_at(j) == 1 for j in near)
-        if dec == 2:
-            double = True
-        new[i] = v - dec
-    new_left = tuple(new[i] for i in range(w_lo, w_lo + L))
-    new_core = tuple(new[i] for i in range(w_lo + L, w_hi - R + 1))
-    new_right = tuple(new[i] for i in range(w_hi - R + 1, w_hi + 1))
-    if (new_left != _circular_pass(res.left_period)
-            or new_right != _circular_pass(res.right_period)):
-        raise AssertionError("tail rewrite deviated from its periodic context")
-    return _normalize(Residual(new_left, new_core, new_right, w_lo + L)), double
+    L, R = len(res.left_period), len(res.right_period)
+    w_lo, w_hi = res.core_start - 2 * L, res.core_start + len(res.core) + 2 * R - 1
+    gap = res.max_zero_gap()
+    new, _, double = _sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
+    left, core, right = new[:L], new[L:len(new) - R], new[len(new) - R:]
+    for period, got in ((res.left_period, left), (res.right_period, right)):
+        if got != _sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
+            raise AssertionError("tail rewrite deviated from its periodic context")
+    return _normalize(Residual(left, core, right, w_lo + L)), double
 
 
 @dataclass(frozen=True)
@@ -250,23 +239,19 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     """
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
-    res = q if isinstance(q, Residual) else Residual.from_descriptor(q)
-    res = _normalize(res)
-    seen = {_collapsed_signature(res): 0}
+    res = _normalize(q)
+    seen = {_collapsed_signature(res)}
     trace: list[PassRecord] = []
     arcs: list[tuple[int, int]] = []
     detected: int | None = None
     k = 0
     while True:
-        if not res.has_value(1):
-            return StepAResult("terminated", k, res, tuple(sorted(set(arcs))),
-                               tuple(trace))
-        if detected is not None and _materialization_done(res, arcs, mat_lo, mat_hi):
-            return StepAResult("nonterminating", k, res, tuple(sorted(set(arcs))),
-                               tuple(trace), detected_at=detected)
-        if k >= cap:
-            return StepAResult("cap_reached", k, res, tuple(sorted(set(arcs))),
-                               tuple(trace), detected_at=detected)
+        verdict = ("terminated" if not res.has_value(1)
+                   else "nonterminating" if detected is not None
+                   and _materialization_done(res, arcs, mat_lo, mat_hi)
+                   else "cap_reached" if k >= cap else None)
+        if verdict:
+            break
         ones, new_arcs = pass_arcs(res, mat_lo, mat_hi)
         res, double = step_a_pass(res)
         arcs += new_arcs
@@ -274,18 +259,15 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
         k += 1
         if detected is None:
             sig = _collapsed_signature(res)
-            if sig in seen:
-                detected = k
-            else:
-                seen[sig] = k
+            detected = k if sig in seen else None
+            seen.add(sig)
+    return StepAResult(verdict, k, res, tuple(sorted(set(arcs))), tuple(trace), detected)
 
 
 def _materialization_done(res: Residual, arcs: list[tuple[int, int]],
                           lo: int, hi: int) -> bool:
     # positions never revive, so a zeroed range can gain no further arc ends
-    if any(res.value_at(i) for i in range(lo, hi + 1)):
-        return False
-    return any(a <= lo and hi <= b for a, b in arcs)
+    return not any(res.values(lo, hi)) and any(a <= lo and hi <= b for a, b in arcs)
 
 
 @dataclass(frozen=True)
@@ -405,7 +387,7 @@ def _cut_region(a: StepAResult, lo: int, hi: int) -> tuple[int, int]:
 def _reread(q: QuiddityDescriptor, trace: tuple[PassRecord, ...], lo: int,
             hi: int) -> tuple[PassRecord, ...]:
     """The pass records of a run, with ones and arcs read over [lo, hi]."""
-    before = [_normalize(Residual.from_descriptor(q))]
+    before = [_normalize(q)]
     before += [rec.residual_after for rec in trace[:-1]]
     out = []
     for res, rec in zip(before, trace):

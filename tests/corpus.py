@@ -87,3 +87,8 @@ def random_corpus(count: int = 150, seed: int = 3307) -> list[QuiddityDescriptor
         seen.add(q)
         out.append(q)
     return out
+
+
+def log_offset(rng: random.Random, reach: int) -> int:
+    """A signed offset, log-uniform in magnitude up to reach."""
+    return rng.choice((-1, 1)) * round(reach ** rng.random())

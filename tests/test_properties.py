@@ -15,7 +15,7 @@ from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
 from friezes.synthesis import _cut_region
 
 import refdata
-from corpus import bijection_corpus, enough_ones_corpus, random_corpus
+from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
 from oracles import (det_bareiss, maximality_oracle, noncrossing_oracle, step_b_walk,
                      transfer_entry, tridiagonal_matrix)
 
@@ -137,14 +137,23 @@ def test_synthesis_mirror_symmetry():
 
     Peripheral arcs (i, j) become (-j, -i); the nat classes swap; upper
     labels reverse as u -> N + 1 - u (finite), u -> -u (nat), and up to a
-    Dehn twist on a bi-infinite boundary.
+    Dehn twist on a bi-infinite boundary.  The corpora take four windows
+    near the core; random descriptors take one far window each, out to
+    10^9 (100 for the empty class, whose pass cap bounds the distance).
     """
     swap = {"nat_left": "nat_right", "nat_right": "nat_left"}
     seen = set()
-    for q in bijection_corpus() + enough_ones_corpus():
+    near = ((-4, 4), (1, 9), (-43, -37), (37, 43))
+    cases = [(q, near) for q in bijection_corpus() + enough_ones_corpus()]
+    rng = random.Random(5501)
+    for q in random_corpus(90, seed=4421):
+        reach = 100 if psi(q, (-4, 4)).m2_class.kind == "empty" else 10**9
+        mid, hw = log_offset(rng, reach), rng.randint(2, 8)
+        cases.append((q, ((mid - hw, mid + hw),)))
+    for q, windows in cases:
         m = _mirror(q)
         assert [m.value_at(-i) for i in range(-9, 10)] == q.values(-9, 9)
-        for lo, hi in ((-4, 4), (1, 9), (-43, -37), (37, 43)):
+        for lo, hi in windows:
             out, ref = psi(q, (lo, hi)), psi(m, (-hi, -lo))
             t, r = out.triangulation, ref.triangulation
             assert (ref.step_a_verdict, ref.step_a_passes, r.margin) == (
@@ -323,60 +332,76 @@ def test_synthesis_stress_cases(q, window):
             assert cc_entry(tri, i, j) == want == bci_entry(tri, i, j), (i, j)
 
 
-def _array_pass(vals: list[int], lo: int) -> list[int]:
-    """Direct simultaneous pass on a materialized residual array."""
+def _array_pass(vals: list[int], lo: int):
+    """Direct simultaneous pass on a materialized residual array at lo.
+
+    Returns the new values, each 1 with the arc (p, n) between its nearest
+    nonzero neighbours (None past an array end), and the indices that lost
+    two slots at once.
+    """
     n = len(vals)
-    out = []
+    out, ones, doubles = [], [], []
     for k, v in enumerate(vals):
-        if v <= 1:
-            out.append(0)
-            continue
-        dec = 0
         j = k - 1
         while j >= 0 and vals[j] == 0:
             j -= 1
-        if j >= 0 and vals[j] == 1:
-            dec += 1
-        j = k + 1
-        while j < n and vals[j] == 0:
-            j += 1
-        if j < n and vals[j] == 1:
-            dec += 1
+        m = k + 1
+        while m < n and vals[m] == 0:
+            m += 1
+        if v == 1:
+            ones.append((lo + k, (lo + j if j >= 0 else None, lo + m if m < n else None)))
+        if v <= 1:
+            out.append(0)
+            continue
+        dec = (j >= 0 and vals[j] == 1) + (m < n and vals[m] == 1)
+        if dec == 2:
+            doubles.append(lo + k)
         out.append(v - dec)
-    return out
+    return out, ones, doubles
 
 
 def test_symbolic_pass_matches_array_pass():
-    """The descriptor rewrite agrees with brute force on a wide window.
+    """The descriptor rewrite and the window arcs agree with brute force.
 
-    The finite array is only a sound oracle while both tails keep a nonzero
-    value: once a tail dies, nearest-nonzero scans reach the array edge and
-    its truncation artifacts (such inputs are invalid quiddities anyway, and
-    the full pipeline rejects them when an orphaned 1 needs an arc).
+    Descriptors are drawn near index 0 and shifted by up to +-1000, the
+    array moving with them.  The finite array is only a sound oracle while
+    both tails keep a nonzero value: once a tail dies, nearest-nonzero scans
+    reach the array edge and its truncation artifacts (such inputs are
+    invalid quiddities anyway, and the full pipeline rejects them when an
+    orphaned 1 needs an arc).  Artifacts creep in from the array ends by a
+    few positions per pass, so only the middle of the array is compared.
     """
-    from friezes.synthesis import Residual, _collapsed, step_a_pass
+    from friezes.synthesis import Residual, _collapsed, pass_arcs, step_a_pass
 
     rng = random.Random(60901)
-    big, mid = 300, 40
-    compared = 0
-    for _ in range(60):
-        q = _random_descriptor(rng)
+    big, mid, sound = 300, 40, 150
+    compared = arcs_compared = 0
+    for draw in range(90):
+        shift = 0 if draw % 3 == 0 else rng.randint(-1000, 1000)
+        q = _random_descriptor(rng).shift(shift)
+        lo, hi = shift - mid, shift + mid
         res = Residual.from_descriptor(q)
-        vals = [res.value_at(i) for i in range(-big, big + 1)]
+        vals = res.values(shift - big, shift + big)
         for _pass in range(6):
             try:
-                res, _ = step_a_pass(res)
+                after, double = step_a_pass(res)
             except QuiddityError:
                 break  # adjacent ones; the rewrite refuses such inputs
-            vals = _array_pass(vals, -big)
+            ones, arcs = pass_arcs(res, lo, hi)
+            res = after
+            vals, want_ones, doubles = _array_pass(vals, shift - big)
+            want_ones = [(i, pn) for i, pn in want_ones if abs(i - shift) <= sound]
+            case = (q, _pass)
+            assert ones == [i for i, _ in want_ones if lo <= i <= hi], case
+            assert arcs == [(p, n) for _, (p, n) in want_ones if n >= lo and p <= hi], case
+            assert double == any(abs(i - shift) <= sound for i in doubles), case
+            arcs_compared += len(arcs)
             left, _, right = _collapsed(res)
             if not left or not right:
                 break
-            got = res.values(-mid, mid)
-            want = vals[big - mid:big + mid + 1]
-            assert got == want, (q, _pass)
+            assert res.values(lo, hi) == vals[big - mid:big + mid + 1], case
             compared += 1
-    assert compared >= 100
+    assert compared >= 100 and arcs_compared >= 400, (compared, arcs_compared)
 
 
 def test_enough_ones_iff_empty_upper_boundary():

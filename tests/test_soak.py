@@ -14,13 +14,8 @@ from collections import Counter
 
 from friezes import FriezeView, bci_entry, cc_entry, has_enough_ones, psi
 
-from corpus import bijection_corpus, enough_ones_corpus, random_corpus
+from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
 from oracles import transfer_entry
-
-
-def _offset(rng: random.Random, reach: int) -> int:
-    """A signed offset, log-uniform in magnitude up to reach."""
-    return rng.choice((-1, 1)) * round(reach ** rng.random())
 
 
 def test_far_windows_answer_and_pass_every_check():
@@ -31,7 +26,7 @@ def test_far_windows_answer_and_pass_every_check():
         reach = 100 if kind == "empty" else 10**9
         for k in range(3):
             hw = rng.randint(2, 6 if k == 0 else 12)
-            mid = _offset(rng, reach)
+            mid = log_offset(rng, reach)
             lo, hi = mid - hw, mid + hw
             case = (q, lo, hi)
             out = psi(q, (lo, hi))

@@ -8,7 +8,7 @@ from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, Quiddity
                      StripTriangulation, bci_entry, bridging, cc_entry, cut_polygon,
                      m2_class, peripheral, psi, run_step_a, step_a_pass, step_b)
 from friezes.strip import M2_EMPTY
-from friezes.synthesis import Residual, _collapsed_signature, _normalize
+from friezes.synthesis import Residual, _collapsed_signature, _normalize, pass_arcs
 
 import refdata
 
@@ -140,8 +140,17 @@ def test_step_a_pass_simultaneous_update():
 
 def test_step_a_pass_rejects_adjacent_ones():
     res = Residual((2,), (1, 1), (2,), 0)
-    with pytest.raises(QuiddityError):
+    with pytest.raises(QuiddityError, match="adjacent through zeros"):
         step_a_pass(res)
+
+
+def test_pass_arcs_rejects_a_one_without_nonzero_neighbour():
+    # the left tail is consumed, so the 1 at 0 has no arc end on its left
+    res = Residual((0,), (1, 2), (2,), 0)
+    with pytest.raises(QuiddityError, match=r"residual 1 at 0 has no nonzero neighbour"):
+        pass_arcs(res, -2, 2)
+    # the rewrite itself zeroes such a 1 like any other
+    assert step_a_pass(res)[0].values(-1, 2) == [0, 0, 1, 2]
 
 
 def test_step_a_terminates_immediately_without_ones():
