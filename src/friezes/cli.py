@@ -8,12 +8,14 @@ object {"error": {"kind", "message"}} so callers can parse them.
 
 Defaults for the validation depth and the pass cap may also come from the
 environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
-environment.
+environment.  main(argv) may be called repeatedly in one process; it builds
+its argument parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -79,6 +81,7 @@ def _parse_range(spec: str, what: str) -> tuple[int, int]:
         raise SchemaError(f"{what}: expected LO..HI, got {spec!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="friezes",

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import cycle, islice
+from itertools import compress, count, cycle, islice
+from operator import sub
 from typing import ClassVar
 
 
@@ -47,7 +48,11 @@ class QuiddityDescriptor:
         object.__setattr__(self, "right_period", tuple(self.right_period))
         if not self.left_period or not self.right_period:
             raise QuiddityError("periodic tails must be nonempty")
-        for v in (*self.left_period, *self.core, *self.right_period):
+        vals = (*self.left_period, *self.core, *self.right_period)
+        # a long word takes a C-level check; a short one, or a bad value, the loop
+        if len(vals) > 8 and set(map(type, vals)) <= {int} and min(vals) >= self.MIN_VALUE:
+            return
+        for v in vals:
             if not isinstance(v, int) or isinstance(v, bool) or v < self.MIN_VALUE:
                 raise QuiddityError(
                     f"quiddity values must be integers >= {self.MIN_VALUE}, got {v!r}")
@@ -126,11 +131,8 @@ class QuiddityDescriptor:
     def max_zero_gap(self) -> int:
         """Upper bound on the distance from any position to a nonzero one."""
         w = self.left_period * 2 + self.core + self.right_period * 2
-        best = run = 0
-        for v in w:
-            run = run + 1 if v == 0 else 0
-            best = max(best, run)
-        return best + 1
+        nonzero = [-1, *compress(count(), w), len(w)]
+        return max(map(sub, nonzero[1:], nonzero))
 
     def has_value(self, v: int) -> bool:
         return v in self.left_period or v in self.core or v in self.right_period

@@ -6,7 +6,8 @@ three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
 and raises a whole tail period to a power, the unimodular checker reads
 entries pairwise, and the strip and chord checkers test every pair with the
 crossing rule itself.  The validation oracle walks every row of the scan
-range on its own, reading each value through value_at.  The polygon oracles
+range on its own, reading each value through value_at, and the zero-gap
+oracle counts zero runs one value at a time.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
 strips by scanning every arc.  The phase-B oracle walks the fountain position
@@ -133,6 +134,16 @@ def validate_rows(q, depth: int) -> ValidationReport:
     if witness is not None:
         return ValidationReport("invalid", depth, witness)
     return ValidationReport("valid_to_depth", depth)
+
+
+def max_zero_gap_loop(res) -> int:
+    """Longest run of zeros over two copies of each tail period around the
+    core, plus 1: the reference for QuiddityDescriptor.max_zero_gap."""
+    best = run = 0
+    for v in res.left_period * 2 + res.core + res.right_period * 2:
+        run = run + 1 if v == 0 else 0
+        best = max(best, run)
+    return best + 1
 
 
 def unimodular_ok(entry, lo: int, hi: int) -> bool:

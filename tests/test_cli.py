@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from friezes import QuiddityDescriptor, cli, psi
+from friezes import FriezeView, QuiddityDescriptor, cli, psi
 from friezes.cli import main
 from friezes.serialize import (dumps, quiddity_to_json, strip_dumps, strip_from_json,
                                strip_to_json)
@@ -15,6 +19,7 @@ from friezes.serialize import (dumps, quiddity_to_json, strip_dumps, strip_from_
 import refdata
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -207,3 +212,62 @@ def test_unexpected_exception_is_internal_error(qfile, capsys, monkeypatch):
     assert json.loads(captured.out) == {"error": {"kind": "internal",
                                                   "message": "RuntimeError: boom"}}
     assert "Traceback" in captured.err
+
+
+def test_repeated_main_calls_share_a_parser_and_no_state(qfile, tmp_path, capsys, monkeypatch):
+    q, lin = qfile(refdata.MIXED_TAILS), qfile(refdata.LINEAR, "lin.json")
+    out = tmp_path / "tri.json"
+    assert main(["synthesize", "--window=-6..6", "-o", str(out), q]) == 0
+    assert _json_out(capsys)["written"] == str(out)
+    assert main(["synthesize", "--window=-6..6", q]) == 0
+    assert capsys.readouterr().out == out.read_text()  # the document, not the summary
+
+    assert main(["quiddity", "validate", "--depth", "7", lin]) == 0
+    assert _json_out(capsys)["depth"] == 7
+    monkeypatch.setenv("FRIEZE_DEPTH", "10")
+    assert main(["quiddity", "validate", lin]) == 0
+    assert _json_out(capsys)["depth"] == 10
+
+    with pytest.raises(SystemExit) as usage:
+        main(["synthesize", lin])  # --window is required
+    assert usage.value.code == 2 and "--window" in capsys.readouterr().err
+    assert main(["strip", "check", str(out)]) == 0
+    assert _json_out(capsys)["admissible_window"]
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["quiddity", "validate", lin]) == 0  # warm-up
+    built.clear()
+    for argv in (["quiddity", "validate", lin], ["strip", "check", str(out)],
+                 ["synthesize", "--window=-6..6", q],
+                 ["count", "cc", "--i", "0", "--j", "3", str(out)]):
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_one_shot_processes_match_in_process_main(qfile, tmp_path, capsys):
+    qfile(refdata.MIXED_TAILS)  # q.json in tmp_path
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "friezes", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    synth = run("synthesize", "--window=-8..8", "-o", "out.json", "q.json")
+    assert synth.returncode == 0, synth.stderr
+    check = run("strip", "check", "out.json")
+    assert check.returncode == 0, check.stderr
+    assert json.loads(check.stdout)["special_upper_points"] == []
+    count = run("count", "cc", "--i", "0", "--j", "3", "out.json")
+    assert count.returncode == 0, count.stderr
+    assert json.loads(count.stdout)["value"] == FriezeView(refdata.MIXED_TAILS).entry(0, 3)
+
+    in_process = tmp_path / "in_process.json"
+    assert main(["synthesize", "--window=-8..8", "-o", str(in_process),
+                 str(tmp_path / "q.json")]) == 0
+    assert (tmp_path / "out.json").read_bytes() == in_process.read_bytes()

@@ -10,7 +10,7 @@ from friezes import QuiddityDescriptor, QuiddityError, Residual, validate
 from friezes.quiddity import IDENTITY, transfer
 
 import refdata
-from oracles import transfer as transfer_oracle, validate_rows
+from oracles import max_zero_gap_loop, transfer as transfer_oracle, validate_rows
 
 
 def test_constant_descriptor_value_at():
@@ -73,6 +73,43 @@ def test_rejects_nonpositive_values_and_empty_tails():
         QuiddityDescriptor((), (1,), (2,))
     with pytest.raises(QuiddityError):
         QuiddityDescriptor((2,), (-3,), (2,))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", -3])
+def test_rejects_values_that_are_not_plain_ints(bad):
+    want = f"quiddity values must be integers >= 1, got {bad!r}"
+    long_core = (2,) * 9 + (bad,) + (3, 4)  # long enough for the C-level check
+    for left, core in (((2,), (bad,)), ((2,), long_core), ((bad, 2), (1,) * 12)):
+        with pytest.raises(QuiddityError) as err:
+            QuiddityDescriptor(left, core, (2,))
+        assert str(err.value) == want
+    with pytest.raises(QuiddityError) as err:
+        Residual((0,), long_core, (0,))
+    assert str(err.value) == want.replace(">= 1", ">= 0")
+
+
+def test_residual_accepts_zero():
+    for core in ((0,), (0,) * 12, (1, 0, 2) * 5):
+        assert Residual((0,), core, (0, 3)).core == core
+
+
+def test_max_zero_gap_matches_loop_oracle():
+    rng = random.Random(8123)
+
+    def word(n, zeros):
+        return tuple(0 if rng.random() < zeros else rng.randint(1, 5) for _ in range(n))
+
+    for k in range(600):
+        zeros = rng.choice((0.0, 0.5, 0.9, 1.0))  # 0.9 and 1.0: zero-heavy tails
+        left, right = word(rng.randint(1, 5), zeros), word(rng.randint(1, 5), zeros)
+        core = word(rng.randint(0, 12), 1.0 if k % 3 == 0 else zeros)  # all-zero cores
+        if k % 3 == 1:  # zero runs wrap from one tail copy into the next, and into the core
+            left, core, right = (0, *left, 0), (0, *core, 0), (0, *right, 0)
+        res = Residual(left, core, right, rng.randint(-10**6, 10**6))
+        assert res.max_zero_gap() == max_zero_gap_loop(res), res
+    assert Residual((0,), (0, 0, 0), (0,)).max_zero_gap() == 8
+    assert Residual((0, 2, 0), (), (0, 3, 0)).max_zero_gap() == 3
+    assert Residual((1,), (), (1,)).max_zero_gap() == 1
 
 
 def test_validate_constant_two_to_depth_fifty():
