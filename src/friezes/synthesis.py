@@ -30,7 +30,13 @@ One sweep carries the phase-A rule: it reads the values of a range once,
 walks their nonzero positions as (previous, this, next) triples, and gives
 the rewritten values, the 1s with their arcs, and the double-decrement
 flag.  The descriptor rewrite, the window's arcs and the check of the new
-tails all run it, and it rejects 1s that are adjacent through zeros.
+tails all run it.  It rejects three patterns that no frieze reaches
+(Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through zeros,
+as the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is 0,
+the one decrement that would zero a position without an arc; and a 1 with
+an all-zero side, which has no end for its arc.  These rules decide
+validity: a run that trips none builds a strip whose triangle counts are
+q, so psi needs no separate positivity check.
 Nontermination of phase A is detected by recurrence, up to translation, of
 the residual with its zeros collapsed away (zero positions are inert, and
 the gaps between survivors grow, so the uncollapsed residual never recurs).
@@ -40,9 +46,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import compress, count, cycle
+from operator import ne
 
-from .quiddity import DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, validate
+from .quiddity import QuiddityDescriptor, QuiddityError, validate
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, bridging, m2_finite,
                     peripheral)
@@ -98,21 +105,27 @@ def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
+def _agreement(word: tuple[int, ...], period: tuple[int, ...]) -> int:
+    """Length of the longest prefix of word that continues period cycled from its start."""
+    return next(compress(count(), map(ne, word, cycle(period))), len(word)) if period else 0
+
+
+def _rotate(period: tuple[int, ...], k: int) -> tuple[int, ...]:
+    k %= len(period) or 1
+    return period[k:] + period[:k]
+
+
 def _trim(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...],
           start: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """Primitive tails, and a core trimmed of values that continue them.
 
     A tail may be empty (an all-zero period once collapsed); it trims nothing.
+    Both trim lengths are found first, so the core is sliced once.
     """
-    left, right, core = _primitive(left), _primitive(right), list(core)
-    while core and left and core[0] == left[0]:
-        core.pop(0)
-        start += 1
-        left = left[1:] + left[:1]
-    while core and right and core[-1] == right[-1]:
-        core.pop()
-        right = right[-1:] + right[:-1]
-    return left, tuple(core), right, start
+    left, right = _primitive(left), _primitive(right)
+    k = _agreement(core, left)
+    j = _agreement(core[k:][::-1], right[::-1])
+    return _rotate(left, k), core[k:len(core) - j], _rotate(right, -j), start + k
 
 
 def _normalize(res: QuiddityDescriptor) -> Residual:
@@ -150,9 +163,11 @@ def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], lis
 
     vals must reach every nearest nonzero neighbour of a position in lo..hi
     that has one.  Returns the values on lo..hi after the pass, each 1 there
-    with its arc (p, n) between its nearest nonzero neighbours (None on an
-    all-zero side), and whether some position lost two slots at once.  Only
-    the nonzero positions are walked, as (previous, this, next) triples.
+    with its arc (p, n) between its nearest nonzero neighbours, and whether
+    some position lost two slots at once.  Only the nonzero positions are
+    walked, as (previous, this, next) triples.  Raises QuiddityError for a 1
+    next to another 1 or with an all-zero side, and for a 2 between two 1s,
+    the one decrement that would zero a position without an arc.
     """
     nonzero = list(compress(count(base), vals))
     ends, near = [None, *nonzero, None], [0, *compress(vals, vals), 0]
@@ -167,9 +182,18 @@ def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], lis
                 raise QuiddityError(
                     "two residual 1s are adjacent through zeros; "
                     "the input is not the quiddity sequence of an infinite frieze")
+            if p is None or n is None:
+                raise QuiddityError(
+                    f"residual 1 at {i} has no nonzero neighbour; "
+                    "input is not a valid quiddity sequence")
             new[i - lo] = 0
             ones.append((i, (p, n)))
         elif a == 1 or b == 1:
+            if a == b == 1 and v == 2:
+                # as the continuant K(1, 2, 1) is 0, no frieze has this pattern
+                raise QuiddityError(
+                    f"residual 2 at {i} lies between two 1s; "
+                    "the input is not the quiddity sequence of an infinite frieze")
             new[i - lo] -= (a == 1) + (b == 1)
             double = double or a == b == 1
     return new, ones, double
@@ -187,10 +211,6 @@ def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[in
     _, found, _ = _sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
     ones, arcs = [], []
     for i, (p, n) in found:
-        if p is None or n is None:
-            raise QuiddityError(
-                f"residual 1 at {i} has no nonzero neighbour; "
-                "input is not a valid quiddity sequence")
         if lo <= i <= hi:
             ones.append(i)
         if n >= lo and p <= hi:
@@ -396,25 +416,36 @@ def _reread(q: QuiddityDescriptor, trace: tuple[PassRecord, ...], lo: int,
     return tuple(out)
 
 
-def psi(q: QuiddityDescriptor, window: tuple[int, int], cap: int = DEFAULT_CAP,
-        anchor: int | None = None,
-        validation_depth: int | None = None) -> SynthesisOutcome:
-    """Full synthesis pipeline for a validated quiddity descriptor.
+def psi(q: QuiddityDescriptor, window: tuple[int, int],
+        cap: int = DEFAULT_CAP, anchor: int | None = None) -> SynthesisOutcome:
+    """Full synthesis pipeline for a quiddity descriptor.
 
     Phase A runs once over the window plus two on each side (until that is
     consumed and spanned, if it never terminates).  The window's cut and its
     arcs are read off that run, phase B runs once over the cut, and the
     margin is the smallest that holds it.  Phase B labels the cut's fans by
     prefix sums of excess, without walking to the core or the anchor, so it
-    answers at any distance from them.  Raises QuiddityError on invalid
-    input and InconclusiveError when phase A hits the pass cap.
+    answers at any distance from them.
+
+    Validity is decided by the construction itself: a run that finishes
+    without tripping a pass rule is a strip triangulation whose triangle
+    counts are q, so q is the quiddity sequence of an infinite frieze, and
+    a valid q trips no rule.  Raises QuiddityError on invalid input (naming
+    a nonpositive entry when validate finds one at its default depth),
+    InconclusiveError when phase A hits the pass cap (on an invalid q too,
+    if the cap comes before the pass whose rule refuses it), and StripError
+    for a window with lo > hi.
     """
-    report = validate(q, DEFAULT_DEPTH if validation_depth is None else validation_depth)
-    if not report.ok:
-        raise QuiddityError(
-            f"not a valid quiddity sequence: t{report.witness[:2]} = {report.witness[2]}")
     lo, hi = window
-    a = run_step_a(q, lo - 2, hi + 2, cap)
+    try:
+        a = run_step_a(q, lo - 2, hi + 2, cap)
+    except QuiddityError as err:
+        report = validate(q)
+        if report.ok:
+            raise
+        raise QuiddityError(
+            f"not a valid quiddity sequence: t{report.witness[:2]} = {report.witness[2]}"
+        ) from err
     if a.verdict == "cap_reached":
         if a.detected_at is None:
             raise InconclusiveError(

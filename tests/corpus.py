@@ -60,33 +60,72 @@ RANDOM_TAILS = ((2,), (2,), (3,), (4,), (2, 3), (2, 2, 3), (3, 3, 2, 4),
                 (4, 1), (5, 1), (3, 1, 4), (6, 1, 2))
 
 
-def random_corpus(count: int = 150, seed: int = 3307) -> list[QuiddityDescriptor]:
-    """`count` distinct validated descriptors with tails from RANDOM_TAILS.
-
-    A third of the draws mirror the left tail on the right, as the zigzag
-    does; cores have length <= 6 and values <= 6.  Invalid draws are
-    discarded, so every descriptor passes the depth-64 check.
-    """
-    rng = random.Random(seed)
-
+def random_descriptor(rng: random.Random, tails=RANDOM_TAILS,
+                      max_core: int = 6) -> QuiddityDescriptor:
+    """One unvalidated draw: tails from `tails`, read in either direction and
+    any rotation, the right one mirroring the left a third of the time, as
+    the zigzag does; cores of length <= max_core with values <= 6."""
     def tail() -> tuple[int, ...]:
-        t = rng.choice(RANDOM_TAILS)
+        t = rng.choice(tails)
         k = rng.randrange(len(t))
         t = t[k:] + t[:k]
         return t[::-1] if rng.random() < 0.5 else t
 
+    left = tail()
+    right = left[::-1] if rng.random() < 1 / 3 else tail()
+    core = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, max_core)))
+    return QuiddityDescriptor(left, core, right, rng.randint(-4, 4) - len(core) // 2)
+
+
+def random_corpus(count: int = 150, seed: int = 3307) -> list[QuiddityDescriptor]:
+    """`count` distinct validated random_descriptor draws.
+
+    Invalid draws are discarded, so every descriptor passes the depth-64
+    check.
+    """
+    rng = random.Random(seed)
     out: list[QuiddityDescriptor] = []
     seen = set()
     while len(out) < count:
-        left = tail()
-        right = left[::-1] if rng.random() < 1 / 3 else tail()
-        core = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 6)))
-        q = QuiddityDescriptor(left, core, right, rng.randint(-4, 4) - len(core) // 2)
+        q = random_descriptor(rng)
         if q in seen or not validate(q).ok:
             continue
         seen.add(q)
         out.append(q)
     return out
+
+
+def polygon_word(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Quiddity of a random triangulated n-gon (n >= 3), randomly rotated.
+
+    Built by ear insertion (Conway-Coxeter): from the triangle (1, 1, 1),
+    each step glues a triangle onto a side, adding 1 to its two ends and
+    inserting a new vertex of value 1 between them.  The continuant of any
+    n - 1 cyclically consecutive values is 0, so the word puts a zero at
+    band n, repeated with period n or as a core, and is never a valid
+    infinite quiddity.
+    """
+    w = [1, 1, 1]
+    while len(w) < n:
+        i = rng.randrange(len(w))
+        w[i] += 1
+        w[(i + 1) % len(w)] += 1
+        w.insert(i + 1, 1)
+    k = rng.randrange(n)
+    return tuple(w[k:] + w[:k])
+
+
+def fan_word(n: int) -> tuple[int, ...]:
+    """Quiddity of the n-gon triangulated by the fan from one vertex."""
+    return (n - 2, 1) + (2,) * (n - 3) + (1,)
+
+
+# a triangulated 68-gon: inside constant 3 tails its first zero is
+# t(-3, 62), at band 65, just past validate's default depth
+W68 = tuple(int(v) for v in """
+    3 1 4 2 2 1 5 1 8 1 3 3 2 2 2 2 1 8 2 2 1 6 1 2 9 1 4 1 2 6 1 3 1 8
+    1 3 1 4 2 1 5 1 5 1 4 1 2 12 1 6 1 2 3 2 3 1 2 5 4 2 1 5 2 1 6 1 2 4
+    """.split())
 
 
 def log_offset(rng: random.Random, reach: int) -> int:

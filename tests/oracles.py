@@ -21,7 +21,7 @@ from friezes import (PolygonTriangulation, QuiddityError, StripError, Validation
                      bridging, cross, m2_class, peripheral)
 from friezes.counting import CutError, PolygonCut
 from friezes.strip import m2_finite
-from friezes.synthesis import StepBResult
+from friezes.synthesis import StepBResult, _primitive
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -144,6 +144,19 @@ def max_zero_gap_loop(res) -> int:
         run = run + 1 if v == 0 else 0
         best = max(best, run)
     return best + 1
+
+
+def trim_loop(left, core, right, start):
+    """synthesis._trim as a value-by-value loop: primitive tails, core trimmed."""
+    left, right, core = _primitive(left), _primitive(right), list(core)
+    while core and left and core[0] == left[0]:
+        core.pop(0)
+        start += 1
+        left = left[1:] + left[:1]
+    while core and right and core[-1] == right[-1]:
+        core.pop()
+        right = right[-1:] + right[:-1]
+    return left, tuple(core), right, start
 
 
 def unimodular_ok(entry, lo: int, hi: int) -> bool:

@@ -1,0 +1,99 @@
+"""Error contract: psi answers exactly the valid descriptors, and fails cleanly.
+
+psi decides validity with its own pass rules, so its verdict is compared
+with validate at a depth past every witness in the draw: the band n of a
+triangulated n-gon's zero, and 64 for the random words, whose witnesses
+reach band 16 at most over 6000 draws of this shape (checked at depth 300).
+An answer must have the window's quiddity; a refusal must be a
+QuiddityError.  A few draws go through the CLI, which must exit with a
+documented code, never 4 (internal error).
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from friezes import (InconclusiveError, QuiddityDescriptor, QuiddityError, StripError, cli,
+                     psi, validate)
+from friezes.serialize import dumps, quiddity_to_json
+
+from corpus import RANDOM_TAILS, polygon_word, random_descriptor
+
+TAILS = RANDOM_TAILS + ((1, 3), (2, 1, 4), (1, 4, 2, 3))
+RANDOM_DEPTH = 64
+
+
+def _check(q: QuiddityDescriptor, window: tuple[int, int], depth: int) -> bool:
+    """psi's verdict on q matches validate(q, depth); True when psi answered."""
+    lo, hi = window
+    try:
+        tri = psi(q, window).triangulation
+    except QuiddityError:
+        answered = False
+    else:
+        answered = True
+        assert tri.quiddity_of() == dict(enumerate(q.values(lo, hi), lo)), (q, window)
+    assert answered == validate(q, depth).ok, (q, window)
+    return answered
+
+
+def _polygon_draws(rng: random.Random):
+    """(descriptor, depth) for ear-inserted n-gon words, periodic and as cores."""
+    for n in range(4, 141, 2):
+        w = polygon_word(rng, n + rng.randrange(4))
+        yield QuiddityDescriptor.periodic(w), len(w)
+        left, right = rng.choice((2, 3)), rng.choice((2, 3))
+        yield QuiddityDescriptor((left,), w, (right,), -rng.randrange(len(w))), len(w)
+
+
+def test_polygon_words_are_always_refused():
+    rng = random.Random(8111)
+    for q, depth in _polygon_draws(rng):
+        mid = q.core_start + rng.randrange(-20, len(q.core) + 20)
+        assert not _check(q, (mid - 8, mid + 8), depth)
+
+
+def test_random_words_answer_iff_valid():
+    rng = random.Random(8123)
+    verdicts = [_check(random_descriptor(rng, TAILS, 10), (-8, 8), RANDOM_DEPTH)
+                for _ in range(1000)]
+    # both sides of the contract are exercised
+    assert 300 < sum(verdicts) < 700
+
+
+def test_cli_exits_with_a_documented_code(tmp_path, capsys):
+    rng = random.Random(8147)
+    draws = [q for q, _ in _polygon_draws(rng)][::24]
+    draws += [random_descriptor(rng, TAILS, 10) for _ in range(8)]
+    f = tmp_path / "q.json"
+    for q in draws:
+        f.write_text(dumps(quiddity_to_json(q)))
+        code = cli.main(["synthesize", "--window=-8..8", str(f)])
+        out = capsys.readouterr().out
+        assert code in (0, 1), (q, out)
+        if code == 1:
+            assert json.loads(out)["error"]["kind"] == "invalid", (q, out)
+
+
+@pytest.mark.parametrize("shift", [0, 10**18, -10**18])
+def test_extremes_raise_documented_errors(shift):
+    rng = random.Random(8161)
+    q = QuiddityDescriptor((5, 1), (2, 3), (1, 5), shift)
+    adjacent_ones = QuiddityDescriptor((2,), (1, 1), (2,), shift)  # refused by the first pass
+    polygon = QuiddityDescriptor.periodic(polygon_word(rng, 12)).shift(shift)
+    with pytest.raises(StripError, match="lo must be <= hi"):
+        psi(q, (shift + 1, shift - 1))
+    assert psi(q, (shift, shift)).triangulation.quiddity_of() == {shift: 2}
+    for cap in (1, 2, 3):
+        with pytest.raises(InconclusiveError):
+            psi(q, (shift + 500, shift + 508), cap=cap)
+        with pytest.raises(QuiddityError, match="not a valid quiddity sequence"):
+            psi(adjacent_ones, (shift - 8, shift + 8), cap=cap)
+        # the cap may come before the pass whose rule refuses the word
+        with pytest.raises((QuiddityError, InconclusiveError)):
+            psi(polygon, (shift - 8, shift + 8), cap=cap)
+    with pytest.raises(QuiddityError):
+        psi(polygon, (shift - 8, shift + 8))

@@ -367,8 +367,8 @@ def test_symbolic_pass_matches_array_pass():
     array moving with them.  The finite array is only a sound oracle while
     both tails keep a nonzero value: once a tail dies, nearest-nonzero scans
     reach the array edge and its truncation artifacts (such inputs are
-    invalid quiddities anyway, and the full pipeline rejects them when an
-    orphaned 1 needs an arc).  Artifacts creep in from the array ends by a
+    invalid quiddities anyway, and the rewrite rejects them once a 1 has an
+    all-zero side).  Artifacts creep in from the array ends by a
     few positions per pass, so only the middle of the array is compared.
     """
     from friezes.synthesis import Residual, _collapsed, pass_arcs, step_a_pass
@@ -386,7 +386,7 @@ def test_symbolic_pass_matches_array_pass():
             try:
                 after, double = step_a_pass(res)
             except QuiddityError:
-                break  # adjacent ones; the rewrite refuses such inputs
+                break  # a pass rule refuses the input
             ones, arcs = pass_arcs(res, lo, hi)
             res = after
             vals, want_ones, doubles = _array_pass(vals, shift - big)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bci_entry, bridging, cc_entry, cut_polygon,
-                     m2_class, peripheral, psi, run_step_a, step_a_pass, step_b)
+                     StripTriangulation, bci_entry, bridging, cc_entry, cli, cut_polygon,
+                     m2_class, peripheral, psi, run_step_a, step_a_pass, step_b, validate)
+from friezes.serialize import dumps, quiddity_to_json
 from friezes.strip import M2_EMPTY
-from friezes.synthesis import Residual, _collapsed_signature, _normalize, pass_arcs
+from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim, pass_arcs
 
 import refdata
+from corpus import W68, fan_word, polygon_word
+from oracles import trim_loop
 
 # MIXED_TAILS reflected: nat_right, with its closed end on the left
 MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
@@ -149,8 +155,16 @@ def test_pass_arcs_rejects_a_one_without_nonzero_neighbour():
     res = Residual((0,), (1, 2), (2,), 0)
     with pytest.raises(QuiddityError, match=r"residual 1 at 0 has no nonzero neighbour"):
         pass_arcs(res, -2, 2)
-    # the rewrite itself zeroes such a 1 like any other
-    assert step_a_pass(res)[0].values(-1, 2) == [0, 0, 1, 2]
+    # the rewrite refuses it too, rather than zeroing it without an arc
+    with pytest.raises(QuiddityError, match=r"residual 1 at 0 has no nonzero neighbour"):
+        step_a_pass(res)
+
+
+def test_step_a_pass_rejects_a_two_between_ones():
+    # K(1, 2, 1) = 0: the 2 would drop to 0 without an arc
+    res = Residual((3,), (1, 2, 1), (3,), 0)
+    with pytest.raises(QuiddityError, match=r"residual 2 at 1 lies between two 1s"):
+        step_a_pass(res)
 
 
 def test_step_a_terminates_immediately_without_ones():
@@ -182,6 +196,25 @@ def test_m2_class_lookup_table():
         m2_class(True, False, True, 4)
 
 
+def test_trim_matches_the_value_by_value_loop():
+    rng = random.Random(5119)
+    word = lambda n: tuple(rng.randint(0, 2) for _ in range(n))
+    for _ in range(3000):
+        # empty, repeated (not primitive) and zero-bearing tails; cores that
+        # continue a tail for a while on either side, or all the way
+        left, right = word(rng.randint(0, 3)) * rng.randint(1, 3), word(rng.randint(0, 3))
+        core = word(rng.randint(0, 6))
+        if left and rng.random() < 0.6:
+            k = rng.randrange(len(left))
+            core = ((left[k:] + left[:k]) * 5)[:rng.randint(0, 12)] + core
+        if right and rng.random() < 0.6:
+            core += (right * 5)[:rng.randint(0, 12)]
+        args = (left, core, right, rng.randint(-5, 5))
+        assert _trim(*args) == trim_loop(*args), args
+    # a core that continues its left tail for 40000 values
+    assert _trim((3,), (3,) * 40000 + (1, 2, 4), (3, 3), 0) == ((3,), (1, 2, 4), (3,), 40000)
+
+
 def test_collapsed_signature_ignores_shift_and_zeros():
     a = Residual((3, 0), (1, 0, 0, 2), (0, 3), 0)
     b = Residual((3, 0), (1, 0, 0, 0, 0, 2), (0, 3), -7)
@@ -191,11 +224,29 @@ def test_collapsed_signature_ignores_shift_and_zeros():
 
 
 def test_psi_rejects_invalid_quiddity():
-    with pytest.raises(QuiddityError):
+    # a witness within validate's default depth is named in the message
+    with pytest.raises(QuiddityError, match=r"not a valid quiddity sequence: t\(-1, 2\) = 0"):
         psi(QuiddityDescriptor((2,), (1, 1), (2,), 0), (-3, 3))
-    for depth in (0, 1):  # too shallow to check anything, not a request for the default
-        with pytest.raises(QuiddityError):
-            psi(refdata.LINEAR, (-3, 3), validation_depth=depth)
+    rng = random.Random(4099)
+    for n in (4, 5, 9, 30, 66, 90):
+        w = polygon_word(rng, n)
+        for q in (QuiddityDescriptor.periodic(w), QuiddityDescriptor((2,), w, (3,), -n // 2)):
+            with pytest.raises(QuiddityError):
+                psi(q, (-8, 8))
+
+
+@pytest.mark.parametrize("q", [QuiddityDescriptor.periodic(fan_word(70)),
+                               QuiddityDescriptor((3,), W68, (3,), 0)],
+                         ids=["fan70", "w68"])
+def test_polygon_words_past_the_default_depth_are_rejected(q, tmp_path, capsys):
+    # both pass validate at its default depth; the pass rules catch them
+    assert validate(q).ok
+    with pytest.raises(QuiddityError, match="between two 1s"):
+        psi(q, (-8, 8))
+    f = tmp_path / "q.json"
+    f.write_text(dumps(quiddity_to_json(q)))
+    assert cli.main(["synthesize", "--window=-8..8", str(f)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "invalid"
 
 
 def test_dehn_invariance_of_quiddity():
