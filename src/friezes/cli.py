@@ -35,21 +35,14 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
+def _setting(flag: int | None, env: str, default: int | None) -> int | None:
+    raw = os.environ.get(env)
+    if flag is not None or raw is None:
+        return flag if flag is not None else default
     try:
         return int(raw)
     except ValueError:
-        raise SchemaError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _setting(flag: int | None, env: str, default: int | None) -> int | None:
-    if flag is not None:
-        return flag
-    env_val = _env_int(env)
-    return env_val if env_val is not None else default
+        raise SchemaError(f"environment variable {env} must be an integer, got {raw!r}")
 
 
 def _fail(kind: str, message: str, code: int) -> int:

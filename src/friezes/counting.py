@@ -95,12 +95,8 @@ def cut_polygon(t: StripTriangulation, i: int, j: int,
 
 def cc_entry(t: StripTriangulation, i: int, j: int) -> int:
     """t(i, j) by label propagation inside a polygon cut (i <= j)."""
-    if i > j:
-        raise StripError("need i <= j")
-    if i == j:
-        return 0
-    if j == i + 1:
-        return 1
+    if i <= j <= i + 1:
+        return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
     cut = cut_polygon(t, i, j)
     labels = cut.polygon.cc_labels(cut.lower_map[i])
     return labels[cut.lower_map[j]]
@@ -108,12 +104,8 @@ def cc_entry(t: StripTriangulation, i: int, j: int) -> int:
 
 def bci_entry(t: StripTriangulation, i: int, j: int) -> int:
     """t(i, j) by counting triangle tuples along the lower walk i, i+1, ..., j."""
-    if i > j:
-        raise StripError("need i <= j")
-    if i == j:
-        return 0
-    if j == i + 1:
-        return 1
+    if i <= j <= i + 1:
+        return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
     cut = cut_polygon(t, i, j)
     walk = [cut.lower_map[k] for k in range(i, j + 1)]
     return cut.polygon.bci_count(walk)

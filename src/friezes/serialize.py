@@ -7,8 +7,8 @@ Formats (all plain JSON objects):
 * polygon:   {"n": n, "chords": [[u, v], ...]}
 * strip:     {"window": [lo, hi], "margin": m, "m2_class": "...",
               "arcs": [{"a": ["L", i], "b": ["U", u]}, ...]}
-             (each arc is the library's arc tuple, lower endpoint as "a";
-             parsing also accepts the endpoints in the other order)
+             (one per peripheral (i, j) or bridging (i, u) pair, lower end as
+             "a"; parsing accepts either end first, and a repeated arc once)
 * frieze pattern: {"n": n, "fundamental": [[a, b, value], ...]}
 
 The upper index class is a string: "empty", "finite:N", "nat_right",
@@ -29,7 +29,7 @@ from typing import Any
 
 from .polygon import FriezePattern, PolygonError, PolygonTriangulation
 from .quiddity import QuiddityDescriptor, QuiddityError
-from .strip import LOWER, Arc, M2Class, MarkedPoint, StripError, StripTriangulation
+from .strip import LOWER, UPPER, Arc, M2Class, MarkedPoint, StripError, StripTriangulation
 
 
 class SchemaError(ValueError):
@@ -107,11 +107,10 @@ def m2_from_str(s: Any) -> M2Class:
         raise SchemaError(f"m2_class: {e}") from e
 
 
-def _point_from_json(x: Any) -> MarkedPoint:
-    if (not isinstance(x, list) or len(x) != 2 or not isinstance(x[0], str)
-            or not isinstance(x[1], int) or isinstance(x[1], bool)):
+def _point_from_json(x: Any) -> list:
+    if type(x) is not list or len(x) != 2 or type(x[0]) is not str or type(x[1]) is not int:
         raise SchemaError(f"marked point: expected ['L'|'U', index], got {x!r}")
-    return MarkedPoint(x[0], x[1])
+    return x
 
 
 def strip_to_json(t: StripTriangulation) -> dict:
@@ -147,13 +146,18 @@ def strip_from_json(d: Any) -> StripTriangulation:
     raw = _require(d, "arcs", "strip")
     if not isinstance(raw, list):
         raise SchemaError("strip.arcs: expected a list")
-    arcs = set()
-    for entry in raw:
-        a = _point_from_json(_require(entry, "a", "strip.arcs[]"))
-        b = _point_from_json(_require(entry, "b", "strip.arcs[]"))
-        arcs.add(Arc(min(a, b), max(a, b)))  # a document may list either end first
+    window, pairs = (window[0], window[1]), {LOWER: [], UPPER: []}
     try:
-        t = StripTriangulation((window[0], window[1]), margin, m2, frozenset(arcs))
+        for entry in raw:
+            a = _point_from_json(_require(entry, "a", "strip.arcs[]"))
+            b = _point_from_json(_require(entry, "b", "strip.arcs[]"))
+            if b < a:  # a document may list either end first
+                a, b = b, a
+            if a[0] != LOWER or b[0] not in pairs:  # the constructor names the broken rule
+                StripTriangulation(window, margin, m2, [Arc(MarkedPoint(*a), MarkedPoint(*b))])
+            pairs[b[0]].append((a[1], b[1]))
+        t = StripTriangulation.from_pairs(  # sorted, and an arc listed twice kept once
+            window, margin, m2, *(dict.fromkeys(sorted(p)) for p in pairs.values()))
         t.check_pairwise_noncrossing()
     except StripError as e:
         raise SchemaError(f"strip: {e}") from e

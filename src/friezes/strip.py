@@ -8,12 +8,13 @@ upper-upper arcs never occur in the triangulations produced here.  A
 triangulation is a maximal pairwise noncrossing arc collection; it is
 admissible when every lower point meets only finitely many arcs.
 
-An arc is a plain tuple of two (boundary, index) marked points, lower
-endpoint first: (("L", i), ("L", j)) with i < j, or (("L", i), ("U", u)).
-Arc and MarkedPoint name the fields but add no behaviour, so arcs hash,
-compare and sort as tuples.  A StripTriangulation checks the arc rules once,
-when it is built, and offers its arcs as sorted int pairs: peripheral_arcs
-(i, j) and bridging_arcs (i, u), and both merged as arc_triples (i, end, j).
+A StripTriangulation stores its arcs as sorted int pairs, peripheral_arcs
+(i, j) with i < j and bridging_arcs (i, u), checks them once when it is
+built, and merges both as arc_triples (i, end, j).  An Arc is the tuple of
+two (boundary, index) marked points, lower endpoint first: (("L", i),
+("L", j)) or (("L", i), ("U", u)); Arc and MarkedPoint name the fields but
+add no behaviour.  Arcs are the constructor's input, the `arcs` view and
+what error messages name.
 
 A full triangulation is infinite, so a StripTriangulation materializes only
 the arcs relevant to a finite window of lower indices plus a margin, and
@@ -28,9 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
-from itertools import accumulate
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import accumulate, chain, starmap
+from operator import itemgetter, lt, sub
+from typing import Iterable, NamedTuple
 
 from .polygon import interleaved_pair
 
@@ -48,12 +49,7 @@ class MarkedPoint(NamedTuple):
 
 
 class Arc(NamedTuple):
-    """An arc between two marked points, the lower (or smaller) endpoint first.
-
-    Plain tuples: ((L, i), (L, j)) with i < j for a peripheral arc and
-    ((L, i), (U, u)) for a bridging one, compared and hashed as tuples.  The
-    arc rules are checked where arcs enter a StripTriangulation.
-    """
+    """An arc between two marked points, the lower (or smaller) endpoint first."""
 
     a: MarkedPoint
     b: MarkedPoint
@@ -126,54 +122,78 @@ def m2_finite(n: int) -> M2Class:
     return M2Class("finite", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StripTriangulation:
     """Windowed materialization of a strip triangulation.
 
-    `arcs` holds arcs of the underlying triangulation, each either
-    ((L, i), (L, j)) with j - i >= 2 or ((L, i), (U, u)) with u in the upper
-    class; the constructor rejects any other.  Producers guarantee
-    complete stars at the window's lower points and a complete window cut:
-    the polygon counting.cut_polygon cuts out around lower points lo-1..hi+1,
-    within [lo - margin, hi + margin].  Queries about points outside the
-    window may be answered from partial data and raise StripError where that
-    would be unsound.
+    The arcs are two sorted tuples of distinct int pairs: `peripheral_arcs`
+    (i, j) with j - i >= 2 and `bridging_arcs` (i, u) with u in the upper
+    class.  `from_pairs` takes those pairs, the constructor Arc tuples, and
+    both run one check.  `arcs` gives the Arc tuples back, built on first use.
+    Producers guarantee complete stars at the window's lower points and a
+    complete window cut: the polygon counting.cut_polygon cuts out around
+    lower points lo-1..hi+1, within [lo - margin, hi + margin].  Queries
+    about points outside the window may be answered from partial data and
+    raise StripError where that would be unsound.
     """
 
     window: tuple[int, int]
     margin: int
     m2_class: M2Class
-    arcs: frozenset[Arc]
+    peripheral_arcs: tuple[tuple[int, int], ...]
+    bridging_arcs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        lo, hi = self.window
+    def __init__(self, window: tuple[int, int], margin: int, m2_class: M2Class,
+                 arcs: Iterable[Arc]):
+        pairs: dict[str, list[tuple[int, int]]] = {LOWER: [], UPPER: []}
+        for arc in arcs:
+            (a_end, i), (b_end, j) = arc
+            if a_end != LOWER or b_end not in pairs:
+                if not {a_end, b_end} <= {LOWER, UPPER}:
+                    raise StripError(f"boundary must be {LOWER!r} or {UPPER!r}: {arc}")
+                if a_end == UPPER == b_end:
+                    raise StripError("upper-upper arcs do not occur here")
+                raise StripError(f"arc endpoints must be sorted, lower first: {arc}")
+            pairs[b_end].append((i, j))
+        self._store(window, margin, m2_class, tuple(sorted(pairs[LOWER])),
+                    tuple(sorted(pairs[UPPER])))
+
+    @classmethod
+    def from_pairs(cls, window: tuple[int, int], margin: int, m2_class: M2Class,
+                   peripheral_arcs: Iterable[tuple[int, int]],
+                   bridging_arcs: Iterable[tuple[int, int]]) -> "StripTriangulation":
+        """A strip from its pairs, each sequence sorted and without repeats."""
+        t = cls.__new__(cls)
+        t._store(window, margin, m2_class, tuple(peripheral_arcs), tuple(bridging_arcs))
+        return t
+
+    def _store(self, window, margin, m2_class, per, bri) -> None:
+        """Check every strip rule, then set the fields."""
+        lo, hi = window
         if lo > hi:
             raise StripError("window lo must be <= hi")
-        if self.margin < 0:
+        if margin < 0:
             raise StripError("margin must be >= 0")
-        for arc in self.arcs:
-            a, b = arc
-            (a_end, i), (b_end, j) = a, b
-            if not {a_end, b_end} <= {LOWER, UPPER}:
-                raise StripError(f"boundary must be {LOWER!r} or {UPPER!r}: {arc}")
-            if a_end == UPPER == b_end:
-                raise StripError("upper-upper arcs do not occur here")
-            if a > b:
+        if per and min(map(sub, map(itemgetter(1), per), map(itemgetter(0), per))) < 2:
+            i, j = next((i, j) for i, j in per if j - i < 2)
+            if i > j:
+                arc = Arc(MarkedPoint(LOWER, i), MarkedPoint(LOWER, j))
                 raise StripError(f"arc endpoints must be sorted, lower first: {arc}")
-            if b_end == LOWER and j - i < 2:
-                raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
-            if b_end == UPPER and not self.m2_class.contains_label(j):
-                raise StripError(f"bridging arc to upper {j} outside class {self.m2_class}")
+            raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
+        if not (all(map(lt, per, per[1:])) and all(map(lt, bri, bri[1:]))):
+            raise StripError("arcs must be sorted and hold no pair twice")
+        labels = list(map(itemgetter(1), bri))  # each class is an interval of labels
+        for u in (min(labels), max(labels)) if labels else ():
+            if not m2_class.contains_label(u):
+                raise StripError(f"bridging arc to upper {u} outside class {m2_class}")
+        vars(self).update(window=window, margin=margin, m2_class=m2_class,
+                          peripheral_arcs=per, bridging_arcs=bri)
 
     @cached_property
-    def peripheral_arcs(self) -> tuple[tuple[int, int], ...]:
-        """The peripheral arcs as sorted lower index pairs (i, j), i < j."""
-        return tuple(sorted((i, j) for (_, i), (end, j) in self.arcs if end == LOWER))
-
-    @cached_property
-    def bridging_arcs(self) -> tuple[tuple[int, int], ...]:
-        """The bridging arcs as sorted (lower index, upper label) pairs."""
-        return tuple(sorted((i, u) for (_, i), (end, u) in self.arcs if end == UPPER))
+    def arcs(self) -> frozenset[Arc]:
+        """Every arc as an Arc tuple."""
+        return frozenset([*starmap(peripheral, self.peripheral_arcs),
+                          *starmap(bridging, self.bridging_arcs)])
 
     @cached_property
     def arc_triples(self) -> tuple[tuple[int, str, int], ...]:
@@ -185,12 +205,10 @@ class StripTriangulation:
         return tuple(merge(((i, LOWER, j) for i, j in self.peripheral_arcs),
                            ((i, UPPER, u) for i, u in self.bridging_arcs)))
 
-    @cached_property
-    def _lower_degree(self) -> Counter[int]:
-        return Counter(i for arc in self.arcs for end, i in arc if end == LOWER)
-
     def lower_star(self, i: int) -> list[Arc]:
-        return sorted(arc for arc in self.arcs if (LOWER, i) in arc)
+        """The arcs at lower point i, as Arc tuples in sorted order."""
+        return ([peripheral(h, j) for h, j in self.peripheral_arcs if i in (h, j)]
+                + [bridging(i, u) for h, u in self.bridging_arcs if h == i])
 
     def quiddity_of(self, window: tuple[int, int] | None = None) -> dict[int, int]:
         """Triangle count at each lower point of the window: 1 + arc degree.
@@ -202,7 +220,7 @@ class StripTriangulation:
         if lo < self.window[0] or hi > self.window[1]:
             raise StripError(
                 f"stars outside window {self.window} may be truncated by the margin")
-        deg = self._lower_degree
+        deg = Counter(chain(*zip(*self.peripheral_arcs), (i for i, _ in self.bridging_arcs)))
         return {i: 1 + deg[i] for i in range(lo, hi + 1)}
 
     def check_pairwise_noncrossing(self) -> None:
@@ -357,9 +375,8 @@ class StripTriangulation:
         """
         if self.m2_class.kind != "bi_infinite":
             raise StripError("Dehn twist needs a bi-infinite upper boundary")
-        new_arcs = frozenset(peripheral(i, j) for i, j in self.peripheral_arcs)
-        new_arcs |= {bridging(i, u + n) for i, u in self.bridging_arcs}
-        return StripTriangulation(self.window, self.margin, self.m2_class, new_arcs)
+        return self.from_pairs(self.window, self.margin, self.m2_class, self.peripheral_arcs,
+                               [(i, u + n) for i, u in self.bridging_arcs])
 
     def dehn_equivalent(self, other: "StripTriangulation") -> int | None:
         """The twist power n with other = D^n(self) on the window, if any.
@@ -374,17 +391,13 @@ class StripTriangulation:
             raise StripError("windows differ")
         lo, hi = self.window
 
-        def window_arcs(t: StripTriangulation) -> tuple[set, set]:
-            return ({(i, j) for i, j in t.peripheral_arcs if j >= lo and i <= hi},
-                    {(i, u) for i, u in t.bridging_arcs if lo <= i <= hi})
+        def window_arcs(t: StripTriangulation) -> tuple[list, list]:
+            return ([(i, j) for i, j in t.peripheral_arcs if j >= lo and i <= hi],
+                    [(i, u) for i, u in t.bridging_arcs if lo <= i <= hi])
 
         (per1, bri1), (per2, bri2) = window_arcs(self), window_arcs(other)
-        if per1 != per2:
-            return None
-        if not bri1 and not bri2:
-            return 0
-        if {i for i, _ in bri1} != {i for i, _ in bri2}:
-            return None
-        # both sides share the leftmost carrier; compare its lowest upper ends
-        n = min(bri2)[1] - min(bri1)[1]
-        return n if {(i, u + n) for i, u in bri1} == bri2 else None
+        if per1 != per2 or not (bri1 and bri2):
+            return 0 if per1 == per2 and bri1 == bri2 else None
+        # both sides must share the leftmost carrier; compare its lowest upper ends
+        n = bri2[0][1] - bri1[0][1]
+        return n if [(i, u + n) for i, u in bri1] == bri2 else None

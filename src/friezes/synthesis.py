@@ -46,13 +46,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, count, cycle
+from itertools import chain, compress, count, cycle
 from operator import ne
 
 from .quiddity import QuiddityDescriptor, QuiddityError, validate
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
-                    M2_NAT_RIGHT, StripTriangulation, bridging, m2_finite,
-                    peripheral)
+                    M2_NAT_RIGHT, StripTriangulation, m2_finite)
 
 DEFAULT_CAP = 1000
 
@@ -456,13 +455,12 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     r_lo, r_hi = _cut_region(a, lo, hi)
     margin = max(lo - r_lo, r_hi - hi)
     trace = _reread(q, a.trace, r_lo, r_hi)
-    arcs = {peripheral(i, j) for rec in trace for i, j in rec.arcs}
+    arcs = sorted(chain.from_iterable(rec.arcs for rec in trace))
     if a.verdict == "nonterminating":
-        tri = StripTriangulation(window, margin, M2_EMPTY, frozenset(arcs))
+        tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, arcs, ())
         return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
                                 trace, None, None, None, None)
     b = step_b(a.residual, window, r_lo, r_hi, anchor)
-    arcs |= {bridging(i, u) for i, u in b.bridging_arcs}
-    tri = StripTriangulation(window, margin, b.m2, frozenset(arcs))
+    tri = StripTriangulation.from_pairs(window, margin, b.m2, arcs, b.bridging_arcs)
     return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, trace,
                             b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)

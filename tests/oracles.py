@@ -12,7 +12,8 @@ split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
 strips by scanning every arc.  The phase-B oracle walks the fountain position
 by position from the anchor to the closed end of each terminating side and
-labels the upper points it planted by rank.
+labels the upper points it planted by rank.  The strip rules oracle checks
+a strip's arcs one Arc tuple at a time, each label against its class.
 """
 
 from __future__ import annotations
@@ -174,6 +175,32 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     a, b = sorted(c1)
     c, d = sorted(c2)
     return (a < c < b < d) or (c < a < d < b)
+
+
+def strip_rules_oracle(window: tuple[int, int], margin: int, m2, arcs) -> None:
+    """The StripTriangulation checks arc by arc, as the constructor once ran them.
+
+    Each arc is a pair of (boundary, index) points, read in the order given;
+    an upper label is tested against the class one label at a time.
+    """
+    lo, hi = window
+    if lo > hi:
+        raise StripError("window lo must be <= hi")
+    if margin < 0:
+        raise StripError("margin must be >= 0")
+    for arc in arcs:
+        a, b = arc
+        (a_end, i), (b_end, j) = a, b
+        if not {a_end, b_end} <= {"L", "U"}:
+            raise StripError(f"boundary must be 'L' or 'U': {arc}")
+        if a_end == "U" == b_end:
+            raise StripError("upper-upper arcs do not occur here")
+        if a > b:
+            raise StripError(f"arc endpoints must be sorted, lower first: {arc}")
+        if b_end == "L" and j - i < 2:
+            raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
+        if b_end == "U" and not m2.contains_label(j):
+            raise StripError(f"bridging arc to upper {j} outside class {m2}")
 
 
 def noncrossing_oracle(t) -> None:

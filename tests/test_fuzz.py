@@ -6,7 +6,8 @@ triangulated n-gon's zero, and 64 for the random words, whose witnesses
 reach band 16 at most over 6000 draws of this shape (checked at depth 300).
 An answer must have the window's quiddity; a refusal must be a
 QuiddityError.  A few draws go through the CLI, which must exit with a
-documented code, never 4 (internal error).
+documented code, never 4 (internal error).  Two extreme cores (one value
+10^4, and 3000 values) must give strips that pass every strip check.
 """
 
 from __future__ import annotations
@@ -97,3 +98,25 @@ def test_extremes_raise_documented_errors(shift):
             psi(polygon, (shift - 8, shift + 8), cap=cap)
     with pytest.raises(QuiddityError):
         psi(polygon, (shift - 8, shift + 8))
+
+
+def _long_core(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n values from 2..5 with a 1 at every seventh place, both its neighbours at least 4."""
+    core = [rng.randint(2, 5) for _ in range(n)]
+    for k in range(1, n - 1, 7):
+        core[k - 1], core[k], core[k + 1] = max(core[k - 1], 4), 1, max(core[k + 1], 4)
+    return tuple(core)
+
+
+@pytest.mark.parametrize("q", [
+    QuiddityDescriptor((2,), (10**4,), (2,), 0),
+    QuiddityDescriptor((2,), _long_core(random.Random(8179), 3000), (3,), -1500),
+], ids=["core_value_1e4", "core_of_3000"])
+def test_extreme_cores_give_checked_strips(q):
+    """One huge core value, or a core of thousands of values, in a +-8 window."""
+    lo, hi = window = (-8, 8)
+    tri = psi(q, window).triangulation
+    assert tri.quiddity_of() == dict(enumerate(q.values(lo, hi), lo))
+    tri.check_pairwise_noncrossing()
+    tri.check_window_maximality()
+    assert tri.is_admissible_window()

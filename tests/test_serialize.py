@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -94,10 +95,28 @@ def test_strip_schema_rejects_bad_points():
                  (["L", "1"], ["L", 3])):  # non-integer index
         with pytest.raises(SchemaError):
             strip_from_json(doc(a, b))
-    # either end of a bridging arc may come first in a document
+    point = re.escape("marked point: expected ['L'|'U', index], got ")
+    with pytest.raises(SchemaError, match=point + re.escape("['L', True]")):
+        strip_from_json(doc(["L", True], ["L", 3]))  # a bool is not an index
+    with pytest.raises(SchemaError, match=point + re.escape("['L', 1, 3]")):
+        strip_from_json(doc(["L", 1, 3], ["L", 3]))
+    entries = {"expected a JSON object, got list": [["L", 0], ["L", 2]],
+               "missing field 'b'": {"a": ["L", 0]}}
+    for message, entry in entries.items():
+        with pytest.raises(SchemaError, match=re.escape(f"strip.arcs[]: {message}")):
+            strip_from_json({**doc(None, None), "arcs": [entry]})
+    # either end of an arc may come first in a document
     lower_first = strip_from_json(doc(["L", 0], ["U", 5], "bi_infinite"))
     assert strip_from_json(doc(["U", 5], ["L", 0], "bi_infinite")) == lower_first
     assert strip_to_json(lower_first)["arcs"] == [{"a": ["L", 0], "b": ["U", 5]}]
+    smaller_first = strip_from_json(doc(["L", -1], ["L", 2]))
+    assert strip_from_json(doc(["L", 2], ["L", -1])) == smaller_first
+    assert smaller_first.peripheral_arcs == ((-1, 2),)
+    # an arc listed twice, in either order, is one arc
+    twice = {**doc(None, None), "arcs": [{"a": ["L", -1], "b": ["L", 2]},
+                                         {"a": ["L", 2], "b": ["L", -1]},
+                                         {"a": ["L", -1], "b": ["L", 2]}]}
+    assert strip_from_json(twice) == smaller_first
 
 
 def test_strip_json_matches_golden():

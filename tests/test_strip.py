@@ -5,17 +5,18 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from friezes import (QuiddityDescriptor, StripError, StripTriangulation, bridging, cross,
                      peripheral, psi)
 from friezes.serialize import strip_from_json, strip_to_json
-from friezes.strip import (LOWER, M2_BI_INFINITE, M2_EMPTY, UPPER, Arc, MarkedPoint,
-                           m2_finite)
+from friezes.strip import (LOWER, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT, M2_NAT_RIGHT, UPPER,
+                           Arc, MarkedPoint, m2_finite)
 
 from corpus import bijection_corpus, enough_ones_corpus
-from oracles import admissibility_oracle
+from oracles import admissibility_oracle, strip_rules_oracle
 
 
 def test_peripheral_crossing_rules():
@@ -61,6 +62,90 @@ def test_arc_construction_rules():
     arc = peripheral(4, 0)  # endpoints get sorted
     assert arc == ((LOWER, 0), (LOWER, 4)) and (arc.a.index, arc.b.index) == (0, 4)
     assert bridging(0, 3) == ((LOWER, 0), (UPPER, 3))
+
+
+def _labels_just_outside(m2) -> list[int]:
+    return {"finite": [0, (m2.size or 0) + 1], "nat_right": [-1], "nat_left": [1],
+            "empty": [-2, 0, 3], "bi_infinite": []}[m2.kind]
+
+
+def _draw_strip_input(rng: random.Random, fault: str | None):
+    """(window, margin, class, arcs) with arcs valid but for at most one fault."""
+    m2 = rng.choice([M2_EMPTY, M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT,
+                     m2_finite(rng.randint(1, 4))])
+    lo = rng.randint(-6, 4)
+    window, margin = (lo, lo + rng.randint(0, 5)), rng.randint(0, 4)
+    inside = {"finite": range(1, (m2.size or 0) + 1), "nat_right": range(0, 6),
+              "nat_left": range(-5, 1), "bi_infinite": range(-5, 6), "empty": range(0)}[m2.kind]
+    arcs = set()
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randint(lo - 4, lo + 8)
+        if inside and rng.random() < 0.5:
+            arcs.add(bridging(i, rng.choice(inside)))
+        else:
+            arcs.add(peripheral(i, i + rng.randint(2, 7)))
+    i, j = rng.randint(-8, 8), rng.randint(-8, 8)
+    if fault == "window":
+        window = (lo, lo - rng.randint(1, 3))
+    elif fault == "margin":
+        margin = -rng.randint(1, 3)
+    elif fault == "span":
+        arcs.add(peripheral(i, i + rng.randint(0, 1)))
+    elif fault == "unsorted":
+        arcs.add(Arc(MarkedPoint(LOWER, i + rng.randint(1, 5)), MarkedPoint(LOWER, i)))
+    elif fault == "upper_first":
+        arcs.add(Arc(MarkedPoint(UPPER, j), MarkedPoint(LOWER, i)))
+    elif fault == "upper_upper":
+        arcs.add(Arc(MarkedPoint(UPPER, i), MarkedPoint(UPPER, j)))
+    elif fault == "boundary":
+        ends = [rng.choice("XlM"), rng.choice((LOWER, UPPER))]
+        rng.shuffle(ends)
+        arcs.add(Arc(MarkedPoint(ends[0], i), MarkedPoint(ends[1], j)))
+    elif fault == "label":
+        arcs.add(bridging(i, rng.choice(_labels_just_outside(m2) or [0])))
+    return window, margin, m2, arcs
+
+
+def _rejection(build) -> str | None:
+    """The first three words of the StripError build raises; None if it succeeds."""
+    try:
+        build()
+    except StripError as err:
+        return " ".join(str(err).split()[:3])
+    return None
+
+
+def test_constructors_accept_exactly_what_the_arc_rules_accept():
+    """Both entry points agree with the arc-by-arc rules on seeded draws.
+
+    Every draw holds at most one fault, so the rule that rejects it is
+    unique; the constructor and from_pairs must reject with the same kind of
+    message, or accept and build the same strip.  from_pairs gets the draws
+    whose arcs are pairs: not an upper end first, upper-upper or unknown.
+    """
+    rng = random.Random(6113)
+    faults = [None, "window", "margin", "span", "unsorted", "upper_first",
+              "upper_upper", "boundary", "label"]
+    seen = Counter()
+    for _ in range(3000):
+        fault = rng.choice(faults)
+        window, margin, m2, arcs = _draw_strip_input(rng, fault)
+        want = _rejection(lambda: strip_rules_oracle(window, margin, m2, arcs))
+        assert _rejection(lambda: StripTriangulation(window, margin, m2, frozenset(arcs))) == want
+        if fault not in ("upper_first", "upper_upper", "boundary"):
+            per = sorted((a.index, b.index) for a, b in arcs if b.boundary == LOWER)
+            bri = sorted((a.index, b.index) for a, b in arcs if b.boundary == UPPER)
+            assert _rejection(lambda: StripTriangulation.from_pairs(
+                window, margin, m2, per, bri)) == want, (fault, arcs)
+            if want is None:
+                t = StripTriangulation.from_pairs(window, margin, m2, per, bri)
+                assert t == StripTriangulation(window, margin, m2, frozenset(arcs))
+                assert t.arcs == arcs
+        seen[fault, want is None] += 1
+    # each fault was refused over 100 times; only a label fault on the
+    # bi-infinite class, where no label is outside, may be accepted
+    assert all(seen[fault, fault is None] > 100 for fault in faults), seen
+    assert not any(seen[fault, True] for fault in faults[1:] if fault != "label"), seen
 
 
 def _fan_triangulation(n_points: int = 4) -> StripTriangulation:
