@@ -35,14 +35,23 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _setting(flag: int | None, env: str, default: int | None) -> int | None:
+def _setting(flag: int | None, option: str | None, env: str, default: int, least: int) -> int:
+    """The flag's value if given, else the environment's, else default; a
+    flag or variable below least is a SchemaError that names it."""
     raw = os.environ.get(env)
-    if flag is not None or raw is None:
-        return flag if flag is not None else default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"environment variable {env} must be an integer, got {raw!r}")
+    if flag is not None:
+        value, source = flag, option
+    elif raw is None:
+        return default
+    else:
+        source = f"environment variable {env}"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise SchemaError(f"{source} must be an integer, got {raw!r}")
+    if value < least:
+        raise SchemaError(f"{source} must be >= {least}, got {value}")
+    return value
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -83,9 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiddity", help="operations on quiddity descriptors")
     qs = p.add_subparsers(dest="subcommand", required=True)
-    v = qs.add_parser("validate", help="depth-bounded positivity check")
+    v = qs.add_parser("validate", help="positivity check: exact and depth-free when both "
+                      "tails make the entries grow (no enough ones), else up to --depth")
     v.add_argument("--depth", type=int, default=None,
-                   help=f"band width to verify (env FRIEZE_DEPTH, default {DEFAULT_DEPTH})")
+                   help=f"band width to verify, >= 2 (env FRIEZE_DEPTH, default {DEFAULT_DEPTH})")
     v.add_argument("file")
 
     p = sub.add_parser("frieze", help="evaluate and print infinite friezes")
@@ -146,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_quiddity(args) -> int:
-    depth = _setting(args.depth, "FRIEZE_DEPTH", DEFAULT_DEPTH)
+    depth = _setting(args.depth, "--depth", "FRIEZE_DEPTH", DEFAULT_DEPTH, 2)
     q = serialize.quiddity_from_json(_read_json(args.file))
     report = validate(q, depth)
     out = {"status": report.status, "depth": report.depth}
@@ -219,7 +229,7 @@ def _cmd_strip(args) -> int:
 def _cmd_synthesize(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     window = _parse_range(args.window, "--window")
-    cap = _setting(args.cap, "FRIEZE_CAP", synthesis.DEFAULT_CAP)
+    cap = _setting(args.cap, "--cap", "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)
     outcome = synthesis.psi(q, window, cap=cap)
     doc = serialize.strip_dumps(outcome.triangulation)
     if args.output:
@@ -249,8 +259,8 @@ def _cmd_roundtrip(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     window = _parse_range(args.window, "--window")
     lo, hi = window
-    depth = _setting(None, "FRIEZE_DEPTH", DEFAULT_DEPTH)
-    cap = _setting(None, "FRIEZE_CAP", synthesis.DEFAULT_CAP)
+    depth = _setting(None, None, "FRIEZE_DEPTH", DEFAULT_DEPTH, 2)
+    cap = _setting(None, None, "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)
     checks: list[tuple[str, bool, str]] = []
 
     report = validate(q, depth)

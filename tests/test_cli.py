@@ -194,6 +194,34 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     assert _json_out(capsys)["error"]["kind"] == "schema"
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (["quiddity", "validate", "--depth", "1"], {}, "--depth must be >= 2, got 1"),
+    (["quiddity", "validate", "--depth", "0"], {}, "--depth must be >= 2, got 0"),
+    (["quiddity", "validate", "--depth=-5"], {}, "--depth must be >= 2, got -5"),
+    (["quiddity", "validate"], {"FRIEZE_DEPTH": "1"},
+     "environment variable FRIEZE_DEPTH must be >= 2, got 1"),
+    (["roundtrip"], {"FRIEZE_DEPTH": "1"},
+     "environment variable FRIEZE_DEPTH must be >= 2, got 1"),
+    (["roundtrip"], {"FRIEZE_CAP": "0"}, "environment variable FRIEZE_CAP must be >= 1, got 0"),
+    (["synthesize", "--window=-4..4", "--cap", "0"], {}, "--cap must be >= 1, got 0"),
+    (["synthesize", "--window=-4..4"], {"FRIEZE_CAP": "-2"},
+     "environment variable FRIEZE_CAP must be >= 1, got -2"),
+])
+def test_out_of_range_setting_is_schema_error(qfile, capsys, monkeypatch, argv, env, named):
+    # a bad setting is the caller's error, not a verdict on the quiddity
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert main([*argv, qfile(QuiddityDescriptor.constant(3))]) == 3
+    assert _json_out(capsys)["error"] == {"kind": "schema", "message": named}
+
+
+def test_lowest_settings_are_accepted(qfile, capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZE_DEPTH", "2")
+    assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 0
+    assert _json_out(capsys) == {"status": "valid_to_depth", "depth": 2}
+    assert main(["synthesize", "--window=-2..2", "--cap", "1", qfile(refdata.LINEAR)]) == 0
+
+
 def test_count_on_a_thousand_vertex_cut(tmp_path, capsys):
     path = tmp_path / "fan.json"
     path.write_text(strip_dumps(psi(QuiddityDescriptor.constant(2), (-600, 600)).triangulation))

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from friezes import QuiddityDescriptor, QuiddityError, Residual, validate
+from friezes import QuiddityDescriptor, QuiddityError, Residual, ValidationReport, psi, validate
+from friezes import quiddity
 from friezes.quiddity import IDENTITY, transfer
 
 import refdata
+from corpus import (W68, bijection_corpus, enough_ones_corpus, fan_word, polygon_word,
+                    random_corpus, random_descriptor)
 from oracles import max_zero_gap_loop, transfer as transfer_oracle, validate_rows
 
 
@@ -203,7 +207,7 @@ def test_transfer_matches_matrix_product_oracle():
 
 def test_validate_matches_row_major_oracle():
     rng = random.Random(7717)
-    invalid = 0
+    invalid = deep = 0
     for k in range(400):
         start = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**9, 10**9)))
         q = _random_word(rng, QuiddityDescriptor, start)
@@ -211,4 +215,83 @@ def test_validate_matches_row_major_oracle():
         report = validate(q, depth)
         assert report == validate_rows(q, depth), (q, depth)
         invalid += not report.ok
+        if k % 50 == 0 and quiddity._grows(q):  # deep bands, where validate skips its scan
+            deep += 1
+            for depth in (256, 512):
+                assert validate(q, depth) == validate_rows(q, depth), (q, depth)
     assert 50 <= invalid <= 350  # both verdicts, and witnesses, were compared
+    assert deep >= 2
+
+
+def _certificate_draws(rng: random.Random):
+    """(descriptor, known_invalid) pairs for the growth certificate."""
+    for _ in range(60):
+        yield random_descriptor(rng), False
+    for _ in range(40):  # a zero at band n, periodic or inside constant tails
+        w = polygon_word(rng, rng.randint(3, 24))
+        yield QuiddityDescriptor.periodic(w, rng.randint(-9, 9)), True
+        left, right = rng.choice(((2,), (3,))), rng.choice(((2,), (3,)))
+        yield QuiddityDescriptor(left, w, right, rng.randint(-30, 5)), True
+    for w in (W68, fan_word(70)):
+        for tail in ((2,), (3,)):
+            yield QuiddityDescriptor(tail, w, tail, -len(w) // 2), True
+    for _ in range(20):
+        tail = lambda: tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
+        yield Residual(tail(), tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 5))),
+                       tail(), rng.randint(-9, 9)), False
+
+
+def test_growth_certificate_holds_only_on_valid_descriptors():
+    rng = random.Random(9151)
+    held = 0
+    for q, known_invalid in _certificate_draws(rng):
+        if not quiddity._grows(q):
+            continue
+        assert not known_invalid, q
+        assert validate_rows(q, 300).ok, q
+        plain = QuiddityDescriptor(q.left_period, q.core, q.right_period, q.core_start)
+        out = psi(plain, (q.core_start - 3, q.core_start + 3))
+        assert out.m2_class.kind != "empty", q  # certified friezes have no enough ones
+        held += 1
+    assert held >= 15
+
+
+def test_growth_certificate_covers_every_class_but_empty():
+    for q in (QuiddityDescriptor.constant(3), refdata.LINEAR, refdata.MIXED_TAILS,
+              refdata.BUMPED):  # the descriptors of the frieze benchmark
+        assert quiddity._grows(q), q
+    kinds = set()
+    for q in bijection_corpus() + random_corpus() + enough_ones_corpus():
+        kind = psi(q, (-4, 4)).m2_class.kind
+        assert quiddity._grows(q) == (kind != "empty"), (q, kind)
+        kinds.add(kind)
+    assert kinds == {"empty", "finite", "nat_left", "nat_right", "bi_infinite"}
+    assert not quiddity._grows(refdata.ZIGZAG)
+
+
+def _best_ms(fn, *args, repeat: int = 7) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def test_certified_validation_is_depth_free():
+    depth = 10**6
+    for q in (QuiddityDescriptor.constant(3), refdata.MIXED_TAILS):
+        # guards: the scan to band 10^6 would not finish
+        assert quiddity._grows(q) and quiddity._growth_cost(q) < depth
+        assert validate(q, depth) == ValidationReport("valid_to_depth", depth)
+        assert _best_ms(validate, q, depth) < 5
+
+
+def test_certificate_adds_little_to_the_scan(monkeypatch):
+    long_core = QuiddityDescriptor((3,), (4, 1, 4) * 300, (3,))  # too wide to try
+    cases = ((long_core, 64), (refdata.ZIGZAG, 64))  # tried, and fails
+    with_certificate = [_best_ms(validate, q, depth) for q, depth in cases]
+    monkeypatch.setattr(quiddity, "_growth_cost", lambda q: float("inf"))
+    scan_only = [_best_ms(validate, q, depth) for q, depth in cases]
+    for (q, _), ms, scan_ms in zip(cases, with_certificate, scan_only):
+        assert ms < 1.5 * scan_ms, (q, ms, scan_ms)
