@@ -25,18 +25,19 @@ a fully consumed position):
 
 The shape of the upper index set is read off from which phases terminate.
 Residuals stay eventually periodic throughout, so passes are computed as
-exact descriptor rewrites; arcs are materialized for a window and its cut.
-One sweep carries the phase-A rule: it reads the values of a range once,
-walks their nonzero positions as (previous, this, next) triples, and gives
-the rewritten values, the 1s with their arcs, and the double-decrement
-flag.  The descriptor rewrite, the window's arcs and the check of the new
-tails all run it.  It rejects three patterns that no frieze reaches
-(Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through zeros,
-as the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is 0,
-the one decrement that would zero a position without an arc; and a 1 with
-an all-zero side, which has no end for its arc.  These rules decide
-validity: a run that trips none builds a strip whose triangle counts are
-q, so psi needs no separate positivity check.
+exact descriptor rewrites.  A window's cut is read off the residuals, as
+zeroed positions never revive, and each pass's 1s and arcs are recorded
+once, over the cut.  One sweep carries the phase-A rule: it reads the
+values of a range once, walks their nonzero positions as (previous, this,
+next) triples, and gives the rewritten values, the 1s with their arcs, and
+the double-decrement flag.  The descriptor rewrite, the arcs over the cut
+and the check of the new tails all run it.  It rejects three patterns that
+no frieze reaches (Conway-Coxeter: a residual 1 is an ear): two 1s
+adjacent through zeros, as the continuant K(1, 1) is 0; a 2 between two
+1s, as K(1, 2, 1) is 0, the one decrement that would zero a position
+without an arc; and a 1 with an all-zero side, which has no end for its
+arc.  These rules decide validity: a run that trips none builds a strip
+whose triangle counts are q, so psi needs no separate positivity check.
 Nontermination of phase A is detected by recurrence, up to translation, of
 the residual with its zeros collapsed away (zero positions are inert, and
 the gaps between survivors grow, so the uncollapsed residual never recurs).
@@ -45,9 +46,10 @@ the gaps between survivors grow, so the uncollapsed residual never recurs).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
-from itertools import chain, compress, count, cycle
+from dataclasses import dataclass
+from itertools import compress, count, cycle
 from operator import ne
+from typing import NoReturn
 
 from .quiddity import QuiddityDescriptor, QuiddityError, validate
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
@@ -240,11 +242,15 @@ def step_a_pass(res: Residual) -> tuple[Residual, bool]:
 
 @dataclass(frozen=True)
 class StepAResult:
+    """A phase-A run; its 1s and arcs are recorded once per pass, over the
+    cut, which is read off the residuals and holds mat_lo..mat_hi."""
+
     verdict: str  # "terminated" | "nonterminating" | "cap_reached"
     passes: int
     residual: Residual
-    arcs: tuple[tuple[int, int], ...]
+    arcs: tuple[tuple[int, int], ...]  # sorted; every arc that meets the cut
     trace: tuple[PassRecord, ...]
+    cut: tuple[int, int]  # (r_lo, r_hi), the lower span of the cut polygon
     detected_at: int | None = None  # pass index where recurrence was seen
 
 
@@ -253,40 +259,49 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     """Iterate phase-A passes until no 1 remains, recurrence, or the cap.
 
     On recurrence of the collapsed residual the run is known nonterminating;
-    passes continue until the materialized range is fully consumed and one
-    arc spans it, so that window queries see final data.
+    passes continue until mat_lo..mat_hi is zero, so that window queries see
+    final data.  The cut is then read off the residuals: the nearest nonzero
+    positions around mat_lo + 1..mat_hi - 1 after the first pass that zeroes
+    it (found by bisect, as positions never revive), or after the last.  That
+    pass removes the range's one nonzero value, a 1 whose arc is the cut: its
+    ends stay nonzero, no earlier arc spans the 1 and no later one lies
+    inside.  So the cut is the tightest arc (p, n) with p <= mat_lo and
+    mat_hi <= n, or else the ends of the nearest bridging arcs.  This needs
+    no 0 in the range before the first pass, as for every QuiddityDescriptor;
+    a Residual with zeros there is out of scope.  Each pass's 1s and arcs are
+    recorded once, over the cut.
     """
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
     res = _normalize(q)
     seen = {_collapsed_signature(res)}
-    trace: list[PassRecord] = []
-    arcs: list[tuple[int, int]] = []
+    residuals, doubles = [res], []
     detected: int | None = None
-    k = 0
     while True:
+        k = len(doubles)
         verdict = ("terminated" if not res.has_value(1)
                    else "nonterminating" if detected is not None
-                   and _materialization_done(res, arcs, mat_lo, mat_hi)
+                   and not any(res.values(mat_lo, mat_hi))
                    else "cap_reached" if k >= cap else None)
         if verdict:
             break
-        ones, new_arcs = pass_arcs(res, mat_lo, mat_hi)
         res, double = step_a_pass(res)
-        arcs += new_arcs
-        trace.append(PassRecord(k, tuple(ones), tuple(new_arcs), res, double))
-        k += 1
+        residuals.append(res)
+        doubles.append(double)
         if detected is None:
             sig = _collapsed_signature(res)
-            detected = k if sig in seen else None
+            detected = k + 1 if sig in seen else None
             seen.add(sig)
-    return StepAResult(verdict, k, res, tuple(sorted(set(arcs))), tuple(trace), detected)
-
-
-def _materialization_done(res: Residual, arcs: list[tuple[int, int]],
-                          lo: int, hi: int) -> bool:
-    # positions never revive, so a zeroed range can gain no further arc ends
-    return not any(res.values(lo, hi)) and any(a <= lo and hi <= b for a, b in arcs)
+    zeroed = bisect_left(residuals, True,
+                         key=lambda r: not any(r.values(mat_lo + 1, mat_hi - 1)))
+    at = residuals[min(zeroed, k)]
+    cut = at.prev_nonzero(mat_lo + 1), at.next_nonzero(mat_hi - 1)
+    trace, arcs = [], []
+    for i, (before, after, double) in enumerate(zip(residuals, residuals[1:], doubles)):
+        ones, new_arcs = pass_arcs(before, *cut)
+        arcs += new_arcs
+        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), after, double))
+    return StepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
 
 
 @dataclass(frozen=True)
@@ -390,29 +405,14 @@ class SynthesisOutcome:
     anchor: int | None
 
 
-def _cut_region(a: StepAResult, lo: int, hi: int) -> tuple[int, int]:
-    """Lower span of the polygon counting.cut_polygon cuts around lo-1..hi+1.
-
-    The tightest arc over (lo - 2, hi + 2), final once recorded as no later
-    arc ends strictly inside an earlier one; failing that, the nearest
-    bridging arcs, which sit at the nearest nonzero residual positions.
-    """
-    over = [(i, j) for i, j in a.arcs if i <= lo - 2 and hi + 2 <= j]
-    if over:
-        return max(over, key=lambda arc: (arc[0], -arc[1]))
-    return a.residual.prev_nonzero(lo - 1), a.residual.next_nonzero(hi + 1)
-
-
-def _reread(q: QuiddityDescriptor, trace: tuple[PassRecord, ...], lo: int,
-            hi: int) -> tuple[PassRecord, ...]:
-    """The pass records of a run, with ones and arcs read over [lo, hi]."""
-    before = [_normalize(q)]
-    before += [rec.residual_after for rec in trace[:-1]]
-    out = []
-    for res, rec in zip(before, trace):
-        ones, arcs = pass_arcs(res, lo, hi)
-        out.append(replace(rec, ones=tuple(ones), arcs=tuple(arcs)))
-    return tuple(out)
+def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
+    """Raise a QuiddityError naming validate(q)'s witness if it finds one, else err."""
+    report = validate(q)
+    if report.ok:
+        raise err
+    raise QuiddityError(
+        f"not a valid quiddity sequence: t{report.witness[:2]} = {report.witness[2]}"
+    ) from err
 
 
 def psi(q: QuiddityDescriptor, window: tuple[int, int],
@@ -420,47 +420,41 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     """Full synthesis pipeline for a quiddity descriptor.
 
     Phase A runs once over the window plus two on each side (until that is
-    consumed and spanned, if it never terminates).  The window's cut and its
-    arcs are read off that run, phase B runs once over the cut, and the
-    margin is the smallest that holds it.  Phase B labels the cut's fans by
-    prefix sums of excess, without walking to the core or the anchor, so it
-    answers at any distance from them.
+    consumed, if it never terminates); it gives the window's cut, read off
+    its residuals, and the arcs over the cut, recorded once per pass.
+    Phase B runs once over the cut, and the margin is the smallest that
+    holds it.  Phase B labels the cut's fans by prefix sums of excess,
+    without walking to the core or the anchor, so it answers at any distance
+    from them.
 
     Validity is decided by the construction itself: a run that finishes
     without tripping a pass rule is a strip triangulation whose triangle
     counts are q, so q is the quiddity sequence of an infinite frieze, and
-    a valid q trips no rule.  Raises QuiddityError on invalid input (naming
-    a nonpositive entry when validate finds one at its default depth),
-    InconclusiveError when phase A hits the pass cap (on an invalid q too,
-    if the cap comes before the pass whose rule refuses it), and StripError
-    for a window with lo > hi.
+    a valid q trips no rule.  Raises QuiddityError on invalid input,
+    InconclusiveError when phase A hits the pass cap, and StripError for a
+    window with lo > hi.  A tripped rule, or the cap before recurrence, is
+    a QuiddityError naming a nonpositive entry when validate finds one at
+    its default depth; after recurrence q is valid.
     """
     lo, hi = window
     try:
         a = run_step_a(q, lo - 2, hi + 2, cap)
     except QuiddityError as err:
-        report = validate(q)
-        if report.ok:
-            raise
-        raise QuiddityError(
-            f"not a valid quiddity sequence: t{report.witness[:2]} = {report.witness[2]}"
-        ) from err
+        _refuse(q, err)
     if a.verdict == "cap_reached":
         if a.detected_at is None:
-            raise InconclusiveError(
-                f"phase A hit the {cap}-pass cap without terminating or recurring")
+            _refuse(q, InconclusiveError(
+                f"phase A hit the {cap}-pass cap without terminating or recurring"))
         raise InconclusiveError(
             f"phase A hit the {cap}-pass cap before consuming the window; "
             f"recurrence was seen at pass {a.detected_at}")
-    r_lo, r_hi = _cut_region(a, lo, hi)
+    r_lo, r_hi = a.cut
     margin = max(lo - r_lo, r_hi - hi)
-    trace = _reread(q, a.trace, r_lo, r_hi)
-    arcs = sorted(chain.from_iterable(rec.arcs for rec in trace))
     if a.verdict == "nonterminating":
-        tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, arcs, ())
+        tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, a.arcs, ())
         return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
-                                trace, None, None, None, None)
+                                a.trace, None, None, None, None)
     b = step_b(a.residual, window, r_lo, r_hi, anchor)
-    tri = StripTriangulation.from_pairs(window, margin, b.m2, arcs, b.bridging_arcs)
-    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, trace,
+    tri = StripTriangulation.from_pairs(window, margin, b.m2, a.arcs, b.bridging_arcs)
+    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, a.trace,
                             b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)

@@ -37,7 +37,13 @@ def bijection_corpus(count: int = 56, seed: int = 1147) -> list[QuiddityDescript
 
 
 def enough_ones_corpus(seed: int = 2291) -> list[QuiddityDescriptor]:
-    """Validated descriptors whose tails contain 1s (candidates for empty M2)."""
+    """Validated descriptors whose tails contain 1s.
+
+    Six descriptors; only two have enough ones for psi's empty upper class:
+    the zigzag (5,1),(2,3),(1,5) and (5,1),(3,2),(1,5).  Periodic (4,1) and
+    (4,1),(5,),(1,4) are finite; periodic (5,1) and (6,1),(3,),(1,6) are
+    bi_infinite.  test_synthesis pins each class.
+    """
     rng = random.Random(seed)
     candidates = [
         refdata.ZIGZAG,

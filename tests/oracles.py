@@ -13,7 +13,9 @@ labels by rescanning every face, count BCI tuples by backtracking, and cut
 strips by scanning every arc.  The phase-B oracle walks the fountain position
 by position from the anchor to the closed end of each terminating side and
 labels the upper points it planted by rank.  The strip rules oracle checks
-a strip's arcs one Arc tuple at a time, each label against its class.
+a strip's arcs one Arc tuple at a time, each label against its class.  The
+phase-A oracle stops a recurring run only once an arc it recorded spans the
+range, and the cut oracle takes the tightest recorded arc over it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from friezes import (PolygonTriangulation, QuiddityError, StripError, Validation
                      bridging, cross, m2_class, peripheral)
 from friezes.counting import CutError, PolygonCut
 from friezes.strip import m2_finite
-from friezes.synthesis import StepBResult, _primitive
+from friezes.synthesis import (DEFAULT_CAP, StepBResult, _collapsed_signature, _normalize,
+                               _primitive, pass_arcs, step_a_pass)
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -434,3 +437,43 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
 
     final_arcs = tuple(sorted({(i, labels[t]) for i, t in arcs}))
     return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)
+
+
+def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
+    """Phase A as synthesis.run_step_a runs it, with a two-clause stop rule.
+
+    Each pass records the arcs that pass_arcs finds over mat_lo..mat_hi; a
+    recurring run stops once that range is zero and a recorded arc (a, b)
+    has a <= mat_lo and mat_hi <= b.  Returns the pass count, the recorded
+    arcs and the final residual.
+    """
+    res = _normalize(q)
+    seen = {_collapsed_signature(res)}
+    arcs: list[tuple[int, int]] = []
+    detected = False
+    passes = 0
+    while res.has_value(1) and passes < cap:
+        if detected and not any(res.values(mat_lo, mat_hi)) \
+                and any(a <= mat_lo and mat_hi <= b for a, b in arcs):
+            break
+        arcs += pass_arcs(res, mat_lo, mat_hi)[1]
+        res, _ = step_a_pass(res)
+        passes += 1
+        sig = _collapsed_signature(res)
+        detected = detected or sig in seen
+        seen.add(sig)
+    return passes, arcs, res
+
+
+def cut_region(arcs, res, lo: int, hi: int) -> tuple[int, int]:
+    """Lower span of the polygon counting.cut_polygon cuts around lo-1..hi+1.
+
+    The tightest arc over (lo - 2, hi + 2), final once recorded as no later
+    arc ends strictly inside an earlier one; failing that, the nearest
+    bridging arcs, which sit at the nearest nonzero positions of the final
+    residual res.
+    """
+    over = [(i, j) for i, j in arcs if i <= lo - 2 and hi + 2 <= j]
+    if over:
+        return max(over, key=lambda arc: (arc[0], -arc[1]))
+    return res.prev_nonzero(lo - 1), res.next_nonzero(hi + 1)

@@ -12,12 +12,11 @@ from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
                      StripError, StripTriangulation, bridging, cross, peripheral,
                      psi, run_step_a, step_b, validate)
 from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
-from friezes.synthesis import _cut_region
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
-from oracles import (det_bareiss, maximality_oracle, noncrossing_oracle, step_b_walk,
-                     transfer_entry, tridiagonal_matrix)
+from oracles import (cut_region, det_bareiss, maximality_oracle, noncrossing_oracle,
+                     step_a_scanning_arcs, step_b_walk, transfer_entry, tridiagonal_matrix)
 
 
 def _random_descriptor(rng: random.Random) -> QuiddityDescriptor:
@@ -442,7 +441,7 @@ def test_step_b_matches_walking_oracle():
             mid = rng.choice((rng.randint(-20, 20), rng.randint(-3000, 3000)))
             lo, hi = mid - hw, mid + hw
             a = run_step_a(q, lo - 2, hi + 2)
-            r_lo, r_hi = _cut_region(a, lo, hi)
+            r_lo, r_hi = a.cut
             res = a.residual
             excess_at = [p for p, v in enumerate(res.values(lo - 150, hi + 150), lo - 150) if v > 2]
             inside = [p for p in excess_at if r_lo <= p <= r_hi]
@@ -460,3 +459,34 @@ def test_step_b_matches_walking_oracle():
                 seen[got.m2.kind] += 1
                 seen["explicit anchor" if anchor is not None else "default anchor"] += 1
     assert min(seen.values()) >= 50 and len(seen) == 6, seen
+
+
+def test_cut_read_off_the_residuals_matches_the_arc_scan():
+    """run_step_a's cut, read off its residuals, is the tightest arc over the
+    range that an arc-scanning run records, or else its fallback; and
+    stopping once the range is zero takes as many passes as also waiting
+    for a recorded arc to span it.
+
+    Corpora windows of half-width 0..12 near the core or at offsets up to
+    +-300, and empty-class windows of half-width 0..256 at offsets up to
+    +-300, where the stop rule decides the pass count.
+    """
+    rng = random.Random(7727)
+    empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1),
+             QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)]
+    cases = [(q, rng.randint(0, 12), rng.choice((rng.randint(-20, 20), rng.randint(-300, 300))))
+             for q in bijection_corpus() + enough_ones_corpus() + random_corpus()]
+    cases += [(rng.choice(empty), rng.choice((rng.randint(0, 16), rng.randint(0, 256))),
+               rng.randint(-300, 300)) for _ in range(12)]
+    verdicts = Counter()
+    for q, hw, mid in cases:
+        lo, hi = mid - hw, mid + hw
+        a = run_step_a(q, lo - 2, hi + 2)
+        passes, arcs, res = step_a_scanning_arcs(q, lo - 2, hi + 2)
+        case = (q, lo, hi)
+        assert a.passes == passes, case
+        if a.verdict != "cap_reached":
+            assert a.cut == cut_region(arcs, res, lo, hi), case
+            assert set(arcs) <= set(a.arcs), case
+        verdicts[a.verdict] += 1
+    assert verdicts["nonterminating"] >= 12 and verdicts["terminated"] >= 100, verdicts

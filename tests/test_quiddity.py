@@ -290,8 +290,12 @@ def test_certified_validation_is_depth_free():
 def test_certificate_adds_little_to_the_scan(monkeypatch):
     long_core = QuiddityDescriptor((3,), (4, 1, 4) * 300, (3,))  # too wide to try
     cases = ((long_core, 64), (refdata.ZIGZAG, 64))  # tried, and fails
-    with_certificate = [_best_ms(validate, q, depth) for q, depth in cases]
-    monkeypatch.setattr(quiddity, "_growth_cost", lambda q: float("inf"))
-    scan_only = [_best_ms(validate, q, depth) for q, depth in cases]
-    for (q, _), ms, scan_ms in zip(cases, with_certificate, scan_only):
-        assert ms < 1.5 * scan_ms, (q, ms, scan_ms)
+    certified, scan_only = quiddity._growth_cost, lambda q: float("inf")
+    for q, depth in cases:
+        # the two sides alternate inside each repeat, so drift in machine speed hits both
+        best = {certified: float("inf"), scan_only: float("inf")}
+        for _ in range(15):
+            for cost in best:
+                monkeypatch.setattr(quiddity, "_growth_cost", cost)
+                best[cost] = min(best[cost], _best_ms(validate, q, depth, repeat=1))
+        assert best[certified] < 1.5 * best[scan_only], (q, best)

@@ -15,7 +15,7 @@ from friezes.strip import M2_EMPTY
 from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim, pass_arcs
 
 import refdata
-from corpus import W68, fan_word, polygon_word
+from corpus import W68, enough_ones_corpus, fan_word, polygon_word
 from oracles import trim_loop
 
 # MIXED_TAILS reflected: nat_right, with its closed end on the left
@@ -117,6 +117,12 @@ def test_zigzag_nonterminating_empty_upper_boundary():
         assert wide.step_a_verdict == "nonterminating" and wide.m2_class.kind == "empty"
         lo, hi = window
         assert wide.triangulation.quiddity_of() == {i: q.value_at(i) for i in range(lo, hi + 1)}
+
+
+def test_enough_ones_corpus_classes():
+    # 1-bearing tails alone do not empty the upper class
+    kinds = [psi(q, (-3, 3)).m2_class.kind for q in enough_ones_corpus()]
+    assert kinds == ["empty", "finite", "bi_infinite", "empty", "bi_infinite", "finite"]
 
 
 def test_zigzag_collapsed_recurrence_detected():
