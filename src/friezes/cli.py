@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import traceback
@@ -51,6 +52,13 @@ def _setting(flag: int | None, option: str | None, env: str, default: int, least
             raise SchemaError(f"{source} must be an integer, got {raw!r}")
     if value < least:
         raise SchemaError(f"{source} must be >= {least}, got {value}")
+    return value
+
+
+def _scale(value: float) -> float:
+    """--scale if it is finite and > 0, else a SchemaError that names it."""
+    if not 0 < value < math.inf:  # nan fails both comparisons
+        raise SchemaError(f"--scale must be finite and > 0, got {value}")
     return value
 
 
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("file")
     pr = ps.add_parser("render", help="SVG drawing of the polygon")
     pr.add_argument("--svg", required=True, help="output file")
-    pr.add_argument("--scale", type=float, default=200.0)
+    pr.add_argument("--scale", type=float, default=200.0, help="diameter, finite and > 0")
     pr.add_argument("file")
 
     p = sub.add_parser("strip", help="strip triangulation queries")
@@ -132,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("file")
     sr = ss.add_parser("render", help="SVG drawing of the strip")
     sr.add_argument("--svg", required=True, help="output file")
-    sr.add_argument("--scale", type=float, default=40.0)
+    sr.add_argument("--scale", type=float, default=40.0, help="unit length, finite and > 0")
     sr.add_argument("file")
 
     p = sub.add_parser("synthesize", help="strip triangulation realizing a quiddity")
@@ -176,6 +184,7 @@ def _cmd_frieze(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
+    scale = _scale(args.scale) if args.subcommand == "render" else None
     p = serialize.polygon_from_json(_read_json(args.file))
     if args.subcommand == "frieze":
         print(serialize.dumps(serialize.frieze_pattern_to_json(p.frieze_pattern())),
@@ -192,12 +201,13 @@ def _cmd_polygon(args) -> int:
             raise SchemaError(f"--walk: expected comma separated integers, got {args.walk!r}")
         print(serialize.dumps({"walk": walk, "count": p.bci_count(walk)}), end="")
     else:
-        _write_text(args.svg, render_polygon_svg(p, args.scale))
+        _write_text(args.svg, render_polygon_svg(p, scale))
         print(serialize.dumps({"written": args.svg}), end="")
     return EXIT_OK
 
 
 def _cmd_strip(args) -> int:
+    scale = _scale(args.scale) if args.subcommand == "render" else None
     t = serialize.strip_from_json(_read_json(args.file))
     if args.subcommand == "phi":
         quid = t.quiddity_of()
@@ -221,7 +231,7 @@ def _cmd_strip(args) -> int:
         print(serialize.dumps(out), end="")
         return EXIT_OK if out["admissible_window"] else EXIT_INVALID
     else:
-        _write_text(args.svg, render_strip_svg(t, args.scale))
+        _write_text(args.svg, render_strip_svg(t, scale))
         print(serialize.dumps({"written": args.svg}), end="")
     return EXIT_OK
 

@@ -16,14 +16,18 @@ not store, so its memory stays bounded.  The remaining operations are the
 row identities: the Ptolemy relation, reconstruction of any entry from two
 rows, the continuant (tridiagonal determinant) form, and the row-pair
 determinant coefficients whose value does not depend on the evaluation
-position.
+position.  has_enough_ones reads the 1-entries off the strip synthesis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .quiddity import QuiddityDescriptor, continue_row, transfer
+from .synthesis import psi
 
 ROW_BAND = 256  # widest band j - i that FriezeView.entry walks and memoizes
 
@@ -147,49 +151,38 @@ def quiddity_from_f(f: dict[int, int], a_minus1: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class EnoughOnes:
-    """Tri-state answer: "yes", "no" (with a witness pair), or "unknown"."""
+    """Answer "yes", or "no" with the first window pair no 1-entry dominates."""
 
     status: str
     witness: tuple[int, int] | None = None
 
 
-def has_enough_ones(t: FriezeView, window: tuple[int, int],
-                    depth: int = 16) -> EnoughOnes:
+def has_enough_ones(t: FriezeView, window: tuple[int, int]) -> EnoughOnes:
     """Decide whether every window pair i <= j is dominated by a 1-entry.
 
     A pair (i, j) is covered when t(i', j') = 1 for some i' <= i <= j <= j'.
-    Each window pair is searched out to the given depth; full coverage gives
-    "yes".  Pairs left uncovered are re-checked, exactly, on the strip
-    synthesis of the quiddity: its peripheral arcs are the 1-entries, and
-    every arc over a window pair is materialized.  "no" carries the first
-    window pair under no peripheral arc; an inconclusive synthesis yields
-    "unknown".
+    The strip synthesis decides this.  A frieze has enough ones exactly when
+    its strip triangulation has an empty upper boundary (the source paper's
+    corollary), and the class does not depend on the window, so psi on the
+    one-point window at the core reads it: "yes" when it is empty.  Else
+    the peripheral arcs of the window's strip are its 1-entries t(i, j),
+    j >= i + 2, over window pairs, and pairs j <= i + 1 lie under
+    t(i, i+1) = 1.  One running maximum of the arc ends, bisected per row,
+    finds the first pair (i ascending, then j) under no arc: "no" carries
+    it.  O(A + W log A) for A arcs and W window points.  Raises FriezeError
+    when lo > hi, and psi's QuiddityError or InconclusiveError.
     """
     lo, hi = window
     if lo > hi:
         raise FriezeError("window lo must be <= hi")
-
-    def covered(i: int, j: int) -> bool:
-        if j <= i + 1:
-            return True  # t(i, i+1) = 1 dominates
-        for s in range(i, i - depth - 1, -1):
-            for e in range(max(j, s + 2), j + depth + 1):
-                if t.entry(s, e) == 1:
-                    return True
-        return False
-
-    uncovered = [(i, j) for i in range(lo, hi + 1)
-                 for j in range(i, hi + 1) if not covered(i, j)]
-    if not uncovered:
+    q = t.quiddity
+    if psi(q, (q.core_start, q.core_start)).m2_class.kind == "empty":
         return EnoughOnes("yes")
-
-    from . import synthesis  # local import: synthesis builds on this module's types
-
-    try:
-        tri = synthesis.psi(t.quiddity, window).triangulation
-    except synthesis.InconclusiveError:
-        return EnoughOnes("unknown")
-    for i, j in uncovered:
-        if not tri.has_peripheral_over(i, j):
+    arcs = psi(q, window).triangulation.peripheral_arcs
+    reach = list(accumulate(map(itemgetter(1), arcs), max))
+    for i in range(lo, hi - 1):
+        k = bisect_right(arcs, i, key=itemgetter(0))
+        j = i + 2 if k == 0 else max(i + 2, reach[k - 1] + 1)
+        if j <= hi:
             return EnoughOnes("no", (i, j))
     return EnoughOnes("yes")

@@ -263,10 +263,6 @@ class StripTriangulation:
             k -= 1
         return arcs[bisect_left(arcs, (arcs[k - 1][0], n))]
 
-    def has_peripheral_over(self, m: int, n: int) -> bool:
-        """Whether some peripheral arc (i, j) has i <= m <= n <= j (endpoints count)."""
-        return self.tightest_peripheral_over(m, n) is not None
-
     def is_admissible_window(self) -> bool:
         """Local admissibility criterion over all window pairs m < n.
 
@@ -277,7 +273,7 @@ class StripTriangulation:
         produce a false negative.
         """
         lo, hi = self.window
-        if lo == hi or self.has_peripheral_over(lo, hi):
+        if lo == hi or self.tightest_peripheral_over(lo, hi) is not None:
             return True
         feet = self.bridging_arcs
         return bool(feet) and feet[0][0] <= lo and feet[-1][0] >= hi

@@ -15,13 +15,16 @@ by position from the anchor to the closed end of each terminating side and
 labels the upper points it planted by rank.  The strip rules oracle checks
 a strip's arcs one Arc tuple at a time, each label against its class.  The
 phase-A oracle stops a recurring run only once an arc it recorded spans the
-range, and the cut oracle takes the tightest recorded arc over it.
+range, and the cut oracle takes the tightest recorded arc over it.  The
+enough-ones oracle searches frieze entries for 1s out to a depth and
+re-checks the pairs it leaves uncovered against every peripheral arc of the
+window's strip.
 """
 
 from __future__ import annotations
 
-from friezes import (PolygonTriangulation, QuiddityError, StripError, ValidationReport,
-                     bridging, cross, m2_class, peripheral)
+from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
+                     StripError, ValidationReport, bridging, cross, m2_class, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
 from friezes.strip import m2_finite
 from friezes.synthesis import (DEFAULT_CAP, StepBResult, _collapsed_signature, _normalize,
@@ -477,3 +480,33 @@ def cut_region(arcs, res, lo: int, hi: int) -> tuple[int, int]:
     if over:
         return max(over, key=lambda arc: (arc[0], -arc[1]))
     return res.prev_nonzero(lo - 1), res.next_nonzero(hi + 1)
+
+
+def enough_ones_two_step(q, window: tuple[int, int], depth: int = 16):
+    """(status, witness) of frieze.has_enough_ones by searching entries.
+
+    Each window pair (i, j), j >= i + 2, is covered when some t(s, e) = 1
+    with i - depth <= s <= i and j <= e <= j + depth.  Pairs left uncovered
+    are re-checked against every peripheral arc of psi's strip, which holds
+    the 1-entries over window pairs; the first pair (i, then j) under none
+    is the witness.  "unknown" when psi hits its pass cap.
+    """
+    t = FriezeView(q)
+    lo, hi = window
+
+    def covered(i: int, j: int) -> bool:
+        return any(t.entry(s, e) == 1 for s in range(i, i - depth - 1, -1)
+                   for e in range(max(j, s + 2), j + depth + 1))
+
+    uncovered = [(i, j) for i in range(lo, hi + 1)
+                 for j in range(i + 2, hi + 1) if not covered(i, j)]
+    if not uncovered:
+        return "yes", None
+    try:
+        arcs = psi(q, window).triangulation.peripheral_arcs
+    except InconclusiveError:
+        return "unknown", None
+    for m, n in uncovered:
+        if not any(i <= m and n <= j for i, j in arcs):
+            return "no", (m, n)
+    return "yes", None

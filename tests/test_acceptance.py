@@ -233,10 +233,10 @@ def test_criterion_8_enough_ones():
     def body():
         zig = psi(refdata.ZIGZAG, (-4, 4))
         assert zig.m2_class.kind == "empty"
-        assert has_enough_ones(FriezeView(refdata.ZIGZAG), (-4, 4), depth=12).status == "yes"
+        assert has_enough_ones(FriezeView(refdata.ZIGZAG), (-4, 4)).status == "yes"
         lin = psi(refdata.LINEAR, (-4, 4))
         assert lin.m2_class.kind == "finite" and lin.m2_class.size == 1
-        assert has_enough_ones(FriezeView(refdata.LINEAR), (-4, 4), depth=12).status == "no"
+        assert has_enough_ones(FriezeView(refdata.LINEAR), (-4, 4)).status == "no"
         for q in bijection_corpus() + enough_ones_corpus():
             out = psi(q, (-4, 4))
             if out.m2_class.kind == "empty":

@@ -206,6 +206,18 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     (["synthesize", "--window=-4..4", "--cap", "0"], {}, "--cap must be >= 1, got 0"),
     (["synthesize", "--window=-4..4"], {"FRIEZE_CAP": "-2"},
      "environment variable FRIEZE_CAP must be >= 1, got -2"),
+    (["polygon", "render", "--svg", "p.svg", "--scale", "0"], {},
+     "--scale must be finite and > 0, got 0.0"),
+    (["polygon", "render", "--svg", "p.svg", "--scale=-3"], {},
+     "--scale must be finite and > 0, got -3.0"),
+    (["polygon", "render", "--svg", "p.svg", "--scale", "nan"], {},
+     "--scale must be finite and > 0, got nan"),
+    (["strip", "render", "--svg", "s.svg", "--scale", "0"], {},
+     "--scale must be finite and > 0, got 0.0"),
+    (["strip", "render", "--svg", "s.svg", "--scale=-1e-3"], {},
+     "--scale must be finite and > 0, got -0.001"),
+    (["strip", "render", "--svg", "s.svg", "--scale", "inf"], {},
+     "--scale must be finite and > 0, got inf"),
 ])
 def test_out_of_range_setting_is_schema_error(qfile, capsys, monkeypatch, argv, env, named):
     # a bad setting is the caller's error, not a verdict on the quiddity

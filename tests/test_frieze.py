@@ -9,8 +9,8 @@ import tracemalloc
 
 import pytest
 
-from friezes import (FriezeError, FriezeView, QuiddityDescriptor, entry_from_fg,
-                     has_enough_ones, quiddity_from_f)
+from friezes import (FriezeError, FriezeView, QuiddityDescriptor, QuiddityError,
+                     entry_from_fg, has_enough_ones, quiddity_from_f)
 from friezes.frieze import ROW_BAND
 
 import refdata
@@ -222,30 +222,43 @@ def test_quiddity_from_f_rejects_non_divisible():
         quiddity_from_f({0: 1}, 0)  # a_{-1} below 1
 
 
-def test_has_enough_ones_tristate():
-    assert has_enough_ones(FriezeView(refdata.ZIGZAG), (-4, 4), depth=12).status == "yes"
-    verdict = has_enough_ones(FriezeView(refdata.LINEAR), (-4, 4), depth=12)
+def test_has_enough_ones_verdicts():
+    assert has_enough_ones(FriezeView(refdata.ZIGZAG), (-4, 4)).status == "yes"
+    verdict = has_enough_ones(FriezeView(refdata.LINEAR), (-4, 4))
     assert verdict.status == "no"
     i, j = verdict.witness
     assert i <= j
-    # the witness pair really is uncovered, even searching much deeper
+    # the witness pair really is uncovered: no 1-entry within 20 of it dominates it
     view = FriezeView(refdata.LINEAR)
     assert not any(view.entry(s, e) == 1
                    for s in range(i - 20, i + 1)
                    for e in range(max(j, s + 2), j + 21))
-    assert has_enough_ones(FriezeView(refdata.MIXED_TAILS), (-3, 3), depth=10).status == "no"
+    assert has_enough_ones(FriezeView(refdata.MIXED_TAILS), (-3, 3)).status == "no"
+
+
+def test_has_enough_ones_answers_far_windows_and_raises_psis_errors():
+    # the empty class answers at any offset, without synthesizing the window
+    for mid in (10**3, -10**6, 10**9):
+        assert has_enough_ones(FriezeView(refdata.ZIGZAG), (mid - 8, mid + 8)).status == "yes"
+    verdict = has_enough_ones(FriezeView(refdata.MIXED_TAILS), (10**9 - 8, 10**9 + 8))
+    assert verdict.status == "no" and 10**9 - 8 <= verdict.witness[0] <= 10**9 + 8
+    with pytest.raises(QuiddityError):
+        has_enough_ones(FriezeView(QuiddityDescriptor((2,), (1, 1), (2,))), (-4, 4))
+    with pytest.raises(FriezeError):
+        has_enough_ones(FriezeView(refdata.LINEAR), (1, 0))
 
 
 def test_has_enough_ones_sees_ones_beyond_search_depth():
     # t(0, 42) = 1 covers every pair of both windows, 20 or more columns
-    # farther out than the depth-16 search reaches
+    # farther out than a depth-16 entry search reaches; the window's strip
+    # holds the arc (0, 42), so the answer needs no search at all
     q = QuiddityDescriptor((3,), (43, 1) + (2,) * 40 + (4,), (3,))
     view = FriezeView(q)
     assert view.entry(0, 42) == 1
-    assert has_enough_ones(view, (20, 22), depth=16).status == "yes"
-    assert has_enough_ones(view, (38, 40), depth=16).status == "yes"
+    assert has_enough_ones(view, (20, 22)).status == "yes"
+    assert has_enough_ones(view, (38, 40)).status == "yes"
     # a window reaching past t(0, 42) keeps a genuine witness inside it
-    verdict = has_enough_ones(view, (40, 46), depth=16)
+    verdict = has_enough_ones(view, (40, 46))
     assert verdict.status == "no"
     i, j = verdict.witness
     assert 40 <= i <= j <= 46

@@ -4,7 +4,8 @@ psi decides validity with its own pass rules, so its verdict is compared
 with validate at a depth past every witness in the draw: the band n of a
 triangulated n-gon's zero, and 64 for the random words, whose witnesses
 reach band 16 at most over 6000 draws of this shape (checked at depth 300).
-An answer must have the window's quiddity; a refusal must be a
+An answer must have the window's quiddity and pass the strip checks
+(noncrossing, maximality, admissibility); a refusal must be a
 QuiddityError.  A few draws go through the CLI, which must exit with a
 documented code, never 4 (internal error).  Two extreme cores (one value
 10^4, and 3000 values) must give strips that pass every strip check.
@@ -28,7 +29,8 @@ RANDOM_DEPTH = 64
 
 
 def _check(q: QuiddityDescriptor, window: tuple[int, int], depth: int) -> bool:
-    """psi's verdict on q matches validate(q, depth); True when psi answered."""
+    """psi's verdict on q matches validate(q, depth), and an answer's strip
+    passes every check; True when psi answered."""
     lo, hi = window
     try:
         tri = psi(q, window).triangulation
@@ -37,6 +39,9 @@ def _check(q: QuiddityDescriptor, window: tuple[int, int], depth: int) -> bool:
     else:
         answered = True
         assert tri.quiddity_of() == dict(enumerate(q.values(lo, hi), lo)), (q, window)
+        tri.check_pairwise_noncrossing()
+        tri.check_window_maximality()
+        assert tri.is_admissible_window(), (q, window)
     assert answered == validate(q, depth).ok, (q, window)
     return answered
 

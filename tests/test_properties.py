@@ -9,14 +9,15 @@ from collections import Counter
 import pytest
 
 from friezes import (FriezeView, M2Class, QuiddityDescriptor, QuiddityError,
-                     StripError, StripTriangulation, bridging, cross, peripheral,
-                     psi, run_step_a, step_b, validate)
+                     StripError, StripTriangulation, bridging, cross, has_enough_ones,
+                     peripheral, psi, run_step_a, step_b, validate)
 from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
-from oracles import (cut_region, det_bareiss, maximality_oracle, noncrossing_oracle,
-                     step_a_scanning_arcs, step_b_walk, transfer_entry, tridiagonal_matrix)
+from oracles import (cut_region, det_bareiss, enough_ones_two_step, maximality_oracle,
+                     noncrossing_oracle, step_a_scanning_arcs, step_b_walk, transfer_entry,
+                     tridiagonal_matrix)
 
 
 def _random_descriptor(rng: random.Random) -> QuiddityDescriptor:
@@ -404,13 +405,44 @@ def test_symbolic_pass_matches_array_pass():
 
 
 def test_enough_ones_iff_empty_upper_boundary():
-    from friezes import has_enough_ones
-    sample = bijection_corpus()[:10] + enough_ones_corpus()
-    for q in sample:
-        out = psi(q, (-4, 4))
-        verdict = has_enough_ones(FriezeView(q), (-4, 4), depth=14)
-        assert verdict.status in ("yes", "no")
-        assert (verdict.status == "yes") == (out.m2_class.kind == "empty"), q
+    """Every pair of an empty-class window lies under a peripheral arc of
+    psi's strip; the windows of every other class have an uncovered pair."""
+    rng = random.Random(4409)
+    kinds = Counter()
+    for q in bijection_corpus()[:10] + enough_ones_corpus() + random_corpus(40, seed=4421):
+        for hw in (3, 6):
+            mid = q.core_start + rng.randint(-20, 20)
+            lo, hi = window = (mid - hw, mid + hw)
+            out = psi(q, window)
+            verdict = has_enough_ones(FriezeView(q), window).status
+            kind = out.m2_class.kind
+            assert (verdict == "yes") == (kind == "empty"), (q, window)
+            if kind == "empty":
+                arcs = out.triangulation.peripheral_arcs
+                assert all(any(i <= m and n <= j for i, j in arcs)
+                           for m in range(lo, hi - 1) for n in range(m + 2, hi + 1)), (q, window)
+            kinds[kind == "empty"] += 1
+    assert kinds[True] >= 4 and kinds[False] >= 40, kinds
+
+
+def test_has_enough_ones_matches_two_step_search():
+    """The synthesis-only decision agrees with the entry search plus strip
+    check it replaced, verdict and witness, near the core of the corpora,
+    random descriptors and a descriptor whose 1-entry t(0, 42) lies beyond
+    the search depth."""
+    rng = random.Random(6029)
+    beyond = QuiddityDescriptor((3,), (43, 1) + (2,) * 40 + (4,), (3,))
+    cases = [(beyond, w) for w in ((20, 22), (38, 40), (40, 46), (30, 50), (-4, 4))]
+    for q in bijection_corpus() + enough_ones_corpus() + random_corpus(60, seed=6047):
+        for hw in (2, 5):
+            mid = q.core_start + rng.randint(-10, 10)
+            cases.append((q, (mid - hw, mid + hw)))
+    verdicts = Counter()
+    for q, window in cases:
+        got = has_enough_ones(FriezeView(q), window)
+        assert (got.status, got.witness) == enough_ones_two_step(q, window), (q, window)
+        verdicts[got.status] += 1
+    assert verdicts["yes"] >= 6 and verdicts["no"] >= 100, verdicts
 
 
 def test_finite_class_counts_every_upper_point():

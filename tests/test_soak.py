@@ -2,9 +2,11 @@
 
 Every window drawn here must answer, with the class the descriptor has at
 its core, and must pass the checks a strip of the window promises.  Windows
-of non-empty classes are drawn out to 10^9 from the core; windows of the
-empty class stay within 100 of it, as phase A consumes a window one pass
-per tail period of distance and its pass cap bounds that.
+of non-empty classes are drawn out to 10^9 from the core; psi's windows of
+the empty class stay within 100 of it, as phase A consumes a window one
+pass per tail period of distance and its pass cap bounds that.  The
+enough-ones verdict needs no strip of an empty-class window, so it is drawn
+out to 10^9 for every class, and is "yes" exactly on the empty class.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from oracles import transfer_entry
 
 def test_far_windows_answer_and_pass_every_check():
     rng = random.Random(7919)
+    ones_rng = random.Random(7927)
     kinds = Counter()
     for q in bijection_corpus() + enough_ones_corpus() + random_corpus(90, seed=4421):
         kind = psi(q, (-4, 4)).m2_class.kind
@@ -40,9 +43,9 @@ def test_far_windows_answer_and_pass_every_check():
             i = rng.randint(lo, hi - 2)
             j = rng.randint(i + 2, min(i + 8, hi))
             assert cc_entry(tri, i, j) == bci_entry(tri, i, j) == transfer_entry(q, i, j), case
-            if k == 0:
-                verdict = has_enough_ones(FriezeView(q), (lo, hi), depth=8).status
-                assert (verdict == "yes") == (kind == "empty"), case
+            far = mid if kind != "empty" else log_offset(ones_rng, 10**9)
+            verdict = has_enough_ones(FriezeView(q), (far - hw, far + hw)).status
+            assert (verdict == "yes") == (kind == "empty"), (q, far, hw)
             kinds[kind] += 1
     assert set(kinds) == {"empty", "finite", "nat_left", "nat_right", "bi_infinite"}, kinds
 

@@ -201,9 +201,9 @@ def test_admissibility_matches_pairwise_oracle():
 def test_peripheral_over_is_endpoint_inclusive():
     t = StripTriangulation((-2, 2), 2, M2_EMPTY,
                            frozenset({peripheral(-2, 2), peripheral(-2, 0)}))
-    assert t.has_peripheral_over(-2, 2)
-    assert t.has_peripheral_over(-1, 0)
-    assert not t.has_peripheral_over(2, 3)
+    assert t.tightest_peripheral_over(-2, 2) == (-2, 2)
+    assert t.tightest_peripheral_over(-1, 0) == (-2, 0)
+    assert t.tightest_peripheral_over(2, 3) is None
 
 
 def test_tightest_peripheral_over_matches_scan():
@@ -222,7 +222,6 @@ def test_tightest_peripheral_over_matches_scan():
                 over = [(i, j) for i, j in arcs if i <= m and n <= j]
                 want = max(over, key=lambda a: (a[0], -a[1])) if over else None
                 assert t.tightest_peripheral_over(m, n) == want, (arcs, m, n)
-                assert t.has_peripheral_over(m, n) == bool(over)
     with pytest.raises(StripError):
         t.tightest_peripheral_over(1, 0)
 
