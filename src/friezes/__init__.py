@@ -18,8 +18,8 @@ from .quiddity import (QuiddityDescriptor, QuiddityError, ValidationReport,
                        validate)
 from .strip import (Arc, M2Class, MarkedPoint, StripError, StripTriangulation,
                     bridging, cross, peripheral)
-from .synthesis import (InconclusiveError, Residual, SynthesisOutcome,
-                        m2_class, psi, run_step_a, step_a_pass, step_b)
+from .synthesis import (InconclusiveError, Residual, SynthesisOutcome, psi,
+                        run_step_a, step_a_pass, step_b)
 
 __all__ = [
     "Arc", "EnoughOnes", "FriezeError", "FriezePattern", "FriezeView",
@@ -27,7 +27,7 @@ __all__ = [
     "PolygonTriangulation", "QuiddityDescriptor", "QuiddityError", "Residual",
     "StripError", "StripTriangulation", "SynthesisOutcome", "ValidationReport",
     "all_triangulations", "bci_entry", "bridging", "cc_entry", "cross",
-    "cut_polygon", "entry_from_fg", "has_enough_ones", "m2_class",
-    "peripheral", "polygon_from_quiddity", "psi", "quiddity_from_f",
-    "random_triangulation", "run_step_a", "step_a_pass", "step_b", "validate",
+    "cut_polygon", "entry_from_fg", "has_enough_ones", "peripheral",
+    "polygon_from_quiddity", "psi", "quiddity_from_f", "random_triangulation",
+    "run_step_a", "step_a_pass", "step_b", "validate",
 ]

@@ -2,9 +2,9 @@
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
-pass cap was hit), 3 I/O or schema error, 4 internal error (an exception
-the program does not expect, which is a bug).  Failures print one JSON
-object {"error": {"kind", "message"}} so callers can parse them.
+pass cap was hit), 3 I/O or schema error (a malformed command line too),
+4 internal error (an exception the program does not expect, which is a
+bug).  Failures print one JSON object {"error": {"kind", "message"}}.
 
 Defaults for the validation depth and the pass cap may also come from the
 environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
@@ -21,6 +21,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import NoReturn
 
 from . import counting, serialize, synthesis
 from .frieze import FriezeView
@@ -55,11 +56,15 @@ def _setting(flag: int | None, option: str | None, env: str, default: int, least
     return value
 
 
-def _scale(value: float) -> float:
-    """--scale if it is finite and > 0, else a SchemaError that names it."""
-    if not 0 < value < math.inf:  # nan fails both comparisons
-        raise SchemaError(f"--scale must be finite and > 0, got {value}")
-    return value
+def _draw(render, obj, scale: float) -> str:
+    """render(obj, scale), or a SchemaError naming --scale unless it is
+    finite, > 0 and small enough that every coordinate stays finite."""
+    if not 0 < scale < math.inf:  # nan fails both comparisons
+        raise SchemaError(f"--scale must be finite and > 0, got {scale}")
+    try:
+        return render(obj, scale)
+    except ValueError as e:
+        raise SchemaError(f"--scale is too large to draw, got {scale}") from e
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -91,9 +96,14 @@ def _parse_range(spec: str, what: str) -> tuple[int, int]:
         raise SchemaError(f"{what}: expected LO..HI, got {spec!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # a usage error, not exit 2 (inconclusive)
+        raise SchemaError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="friezes",
         description="Infinite friezes, quiddity sequences, and strip triangulations.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -184,7 +194,6 @@ def _cmd_frieze(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
-    scale = _scale(args.scale) if args.subcommand == "render" else None
     p = serialize.polygon_from_json(_read_json(args.file))
     if args.subcommand == "frieze":
         print(serialize.dumps(serialize.frieze_pattern_to_json(p.frieze_pattern())),
@@ -201,13 +210,12 @@ def _cmd_polygon(args) -> int:
             raise SchemaError(f"--walk: expected comma separated integers, got {args.walk!r}")
         print(serialize.dumps({"walk": walk, "count": p.bci_count(walk)}), end="")
     else:
-        _write_text(args.svg, render_polygon_svg(p, scale))
+        _write_text(args.svg, _draw(render_polygon_svg, p, args.scale))
         print(serialize.dumps({"written": args.svg}), end="")
     return EXIT_OK
 
 
 def _cmd_strip(args) -> int:
-    scale = _scale(args.scale) if args.subcommand == "render" else None
     t = serialize.strip_from_json(_read_json(args.file))
     if args.subcommand == "phi":
         quid = t.quiddity_of()
@@ -231,7 +239,7 @@ def _cmd_strip(args) -> int:
         print(serialize.dumps(out), end="")
         return EXIT_OK if out["admissible_window"] else EXIT_INVALID
     else:
-        _write_text(args.svg, render_strip_svg(t, scale))
+        _write_text(args.svg, _draw(render_strip_svg, t, args.scale))
         print(serialize.dumps({"written": args.svg}), end="")
     return EXIT_OK
 
@@ -306,7 +314,6 @@ def _print_roundtrip(checks: list[tuple[str, bool, str]]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "quiddity": _cmd_quiddity,
         "frieze": _cmd_frieze,
@@ -317,6 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         "roundtrip": _cmd_roundtrip,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SchemaError as e:
         return _fail("schema", str(e), EXIT_IO)

@@ -9,7 +9,8 @@ SVG output places the strip's lower boundary at the bottom and the upper
 boundary at the top, drawing peripheral arcs as semicircles bulging into the
 strip and bridging arcs as straight segments.  Polygons are drawn on a
 circle.  All coordinates are formatted with fixed precision so identical
-inputs give byte-identical files.
+inputs give byte-identical files; a scale so large that one is not finite
+is a ValueError.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def render_frieze(view: FriezeView, rows: tuple[int, int],
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("a coordinate is not finite; the scale is too large")
     return f"{x:.2f}"
 
 

@@ -23,24 +23,26 @@ a fully consumed position):
   whole tail periods are one period's excess times their number, so only
   the window's cut is visited.
 
-The shape of the upper index set is read off from which phases terminate.
+The shape of the upper index set is read off from which phases terminate:
+phase A, then each side's fountain, endless on a tail with a value > 2.  Only
+a bi-infinite boundary has an anchor, the one free choice (a twist class).
 Residuals stay eventually periodic throughout, so passes are computed as
 exact descriptor rewrites.  A window's cut is read off the residuals, as
 zeroed positions never revive, and each pass's 1s and arcs are recorded
 once, over the cut.  One sweep carries the phase-A rule: it reads the
 values of a range once, walks their nonzero positions as (previous, this,
-next) triples, and gives the rewritten values, the 1s with their arcs, and
-the double-decrement flag.  The descriptor rewrite, the arcs over the cut
-and the check of the new tails all run it.  It rejects three patterns that
-no frieze reaches (Conway-Coxeter: a residual 1 is an ear): two 1s
-adjacent through zeros, as the continuant K(1, 1) is 0; a 2 between two
-1s, as K(1, 2, 1) is 0, the one decrement that would zero a position
-without an arc; and a 1 with an all-zero side, which has no end for its
-arc.  These rules decide validity: a run that trips none builds a strip
-whose triangle counts are q, so psi needs no separate positivity check.
-Nontermination of phase A is detected by recurrence, up to translation, of
-the residual with its zeros collapsed away (zero positions are inert, and
-the gaps between survivors grow, so the uncollapsed residual never recurs).
+next) triples, and gives the rewritten values and the 1s with their arcs.
+The descriptor rewrite, the arcs over the cut and the check of the new
+tails all run it.  It rejects three patterns that no frieze reaches
+(Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through zeros, as
+the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is 0, the
+one decrement that would zero a position without an arc; and a 1 with an
+all-zero side, which has no end for its arc.  These rules decide validity:
+a run that trips none builds a strip whose triangle counts are q, so psi
+needs no separate positivity check.  Nontermination of phase A is detected
+by recurrence, up to translation, of the residual with its zeros collapsed
+away (zero positions are inert, and the gaps between survivors grow, so the
+uncollapsed residual never recurs).
 """
 
 from __future__ import annotations
@@ -156,24 +158,23 @@ class PassRecord:
     ones: tuple[int, ...]
     arcs: tuple[tuple[int, int], ...]
     residual_after: Residual
-    double_decrement: bool
 
 
-def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list, bool]:
+def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list]:
     """One phase-A pass over lo..hi, given vals[k], the value at base + k.
 
     vals must reach every nearest nonzero neighbour of a position in lo..hi
-    that has one.  Returns the values on lo..hi after the pass, each 1 there
-    with its arc (p, n) between its nearest nonzero neighbours, and whether
-    some position lost two slots at once.  Only the nonzero positions are
-    walked, as (previous, this, next) triples.  Raises QuiddityError for a 1
-    next to another 1 or with an all-zero side, and for a 2 between two 1s,
-    the one decrement that would zero a position without an arc.
+    that has one.  Returns the values on lo..hi after the pass, and each 1
+    there with its arc (p, n) between its nearest nonzero neighbours.  Only
+    the nonzero positions are walked, as (previous, this, next) triples.
+    Raises QuiddityError for a 1 next to another 1 or with an all-zero side,
+    and for a 2 between two 1s, the one decrement that would zero a position
+    without an arc.
     """
     nonzero = list(compress(count(base), vals))
     ends, near = [None, *nonzero, None], [0, *compress(vals, vals), 0]
     new = vals[lo - base:hi + 1 - base]
-    ones, double = [], False
+    ones = []
     k, m = bisect_left(nonzero, lo), bisect_right(nonzero, hi)
     for p, i, n, a, v, b in zip(ends[k:m], nonzero[k:m], ends[k + 2:], near[k:m],
                                 near[k + 1:], near[k + 2:]):
@@ -196,8 +197,7 @@ def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], lis
                     f"residual 2 at {i} lies between two 1s; "
                     "the input is not the quiddity sequence of an infinite frieze")
             new[i - lo] -= (a == 1) + (b == 1)
-            double = double or a == b == 1
-    return new, ones, double
+    return new, ones
 
 
 def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -209,7 +209,7 @@ def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[in
     """
     gap = res.max_zero_gap()
     base = lo - 2 * gap - 1
-    _, found, _ = _sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
+    _, found = _sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
     ones, arcs = [], []
     for i, (p, n) in found:
         if lo <= i <= hi:
@@ -219,25 +219,23 @@ def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[in
     return ones, arcs
 
 
-def step_a_pass(res: Residual) -> tuple[Residual, bool]:
+def step_a_pass(res: Residual) -> Residual:
     """Apply one simultaneous pass to the residual descriptor.
 
-    Returns the rewritten residual and whether any position lost two slots
-    at once (both nearest nonzero neighbours were 1s).  One sweep rewrites
-    two period copies per side around the core, so that tail-core boundary
-    effects land in the new core; the outermost copies see pure tail context
-    and become the new periods, as a sweep over three copies of each period
-    confirms.
+    One sweep rewrites two period copies per side around the core, so that
+    tail-core boundary effects land in the new core; the outermost copies
+    see pure tail context and become the new periods, as a sweep over three
+    copies of each period confirms.
     """
     L, R = len(res.left_period), len(res.right_period)
     w_lo, w_hi = res.core_start - 2 * L, res.core_start + len(res.core) + 2 * R - 1
     gap = res.max_zero_gap()
-    new, _, double = _sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
+    new, _ = _sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
     left, core, right = new[:L], new[L:len(new) - R], new[len(new) - R:]
     for period, got in ((res.left_period, left), (res.right_period, right)):
         if got != _sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
             raise AssertionError("tail rewrite deviated from its periodic context")
-    return _normalize(Residual(left, core, right, w_lo + L)), double
+    return _normalize(Residual(left, core, right, w_lo + L))
 
 
 @dataclass(frozen=True)
@@ -275,19 +273,18 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
         raise QuiddityError("pass cap must be >= 1")
     res = _normalize(q)
     seen = {_collapsed_signature(res)}
-    residuals, doubles = [res], []
+    residuals = [res]
     detected: int | None = None
     while True:
-        k = len(doubles)
+        k = len(residuals) - 1
         verdict = ("terminated" if not res.has_value(1)
                    else "nonterminating" if detected is not None
                    and not any(res.values(mat_lo, mat_hi))
                    else "cap_reached" if k >= cap else None)
         if verdict:
             break
-        res, double = step_a_pass(res)
+        res = step_a_pass(res)
         residuals.append(res)
-        doubles.append(double)
         if detected is None:
             sig = _collapsed_signature(res)
             detected = k + 1 if sig in seen else None
@@ -297,98 +294,68 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     at = residuals[min(zeroed, k)]
     cut = at.prev_nonzero(mat_lo + 1), at.next_nonzero(mat_hi - 1)
     trace, arcs = [], []
-    for i, (before, after, double) in enumerate(zip(residuals, residuals[1:], doubles)):
+    for i, (before, after) in enumerate(zip(residuals, residuals[1:])):
         ones, new_arcs = pass_arcs(before, *cut)
         arcs += new_arcs
-        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), after, double))
+        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), after))
     return StepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
 
 
 @dataclass(frozen=True)
 class StepBResult:
     bridging_arcs: tuple[tuple[int, int], ...]  # sorted (lower index, upper label)
-    b1_terminated: bool
-    b2_terminated: bool
-    n_value: int | None  # None when infinite
-    anchor: int | None
+    anchor: int | None  # bi_infinite's, or the one given; else None
     m2: M2Class
-
-
-def _pick_anchor(res: Residual, mid: int) -> int | None:
-    f_lo, f_hi = res.footprint()
-    # a tail with no value > 2 holds no anchor: each scan starts past it
-    start = mid if any(v > 2 for v in res.left_period) else max(mid, f_lo)
-    right = res.scan(start - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
-    if right is not None:
-        return right
-    start = mid if any(v > 2 for v in res.right_period) else min(mid, f_hi + 1)
-    return res.scan(start, -1, min(mid, f_lo) - len(res.left_period), above=2)
 
 
 def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
            anchor: int | None = None) -> StepBResult:
     """Plant upper marked points and bridging arcs on a terminated residual.
 
-    A position of value v >= 2 takes the v - 1 consecutive labels from the
-    one after the previous nonzero position on, sharing the first.  So the
-    label after position i is first + P(i) - P(at - 1) for the prefix sum P
-    of the excesses max(v - 2, 0), where (first, at) fixes the class's
-    labeling: (1, f_lo) finite, (0, f_lo) nat_right, (0, f_hi + 1) nat_left
-    and (1, anchor) bi_infinite, for the footprint f_lo..f_hi.  The starting
+    The class comes from the tails holding a value > 2: both give
+    bi_infinite, the left alone nat_left, the right alone nat_right, and
+    neither the finite class of 1 + excess points.  A position of value
+    v >= 2 takes the v - 1 consecutive labels from the one after the
+    previous nonzero position on, sharing the first.  So the label after
+    position i is first + P(i) - P(at - 1) for the prefix sum P of the
+    excesses max(v - 2, 0), where (first, at) fixes the class's labeling:
+    (1, f_lo) finite, (0, f_lo) nat_right, (0, f_hi + 1) nat_left and
+    (1, anchor) bi_infinite, for the footprint f_lo..f_hi.  The starting
     label is one excess sum over whole tail periods, and fans are recorded
     at lower indices in [mat_lo, mat_hi] only, so the cost does not grow
     with the distance from the core or the anchor.
 
-    The anchor defaults to the value > 2 position nearest the window
-    midpoint (preferring the right); it is the one free choice of the
-    construction and amounts, on a bi-infinite upper boundary, to fixing the
-    twist class representative.
+    The anchor, needed only on bi_infinite, defaults to the first value > 2
+    from the window midpoint rightward; a given one must have value > 2.
     """
     if res.has_value(1):
         raise QuiddityError("phase B requires a residual with no 1s")
-    b1_term = not any(v > 2 for v in res.right_period)
-    b2_term = not any(v > 2 for v in res.left_period)
     f_lo, f_hi = res.footprint()
-    n_value = 1 + res.excess(f_lo, f_hi) if b1_term and b2_term else None
     if not any(res.values(f_lo, f_hi)):
         raise QuiddityError("residual vanished entirely; a valid frieze cannot reach this state")
-
-    lo, hi = window
-    if anchor is None:
-        anchor = _pick_anchor(res, (lo + hi) // 2)
-    elif res.value_at(anchor) <= 2:
+    if anchor is not None and res.value_at(anchor) <= 2:
         raise QuiddityError(f"anchor {anchor} does not have residual value > 2")
 
-    m2 = m2_class(True, b1_term, b2_term, n_value)
-    first, at = {"finite": (1, f_lo), "nat_right": (0, f_lo), "nat_left": (0, f_hi + 1),
-                 "bi_infinite": (1, anchor)}[m2.kind]
+    left = any(v > 2 for v in res.left_period)
+    right = any(v > 2 for v in res.right_period)
+    if left and right:
+        if anchor is None:
+            mid = sum(window) // 2
+            anchor = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+        m2, first, at = M2_BI_INFINITE, 1, anchor
+    elif left:
+        m2, first, at = M2_NAT_LEFT, 0, f_hi + 1
+    elif right:
+        m2, first, at = M2_NAT_RIGHT, 0, f_lo
+    else:
+        m2, first, at = m2_finite(1 + res.excess(f_lo, f_hi)), 1, f_lo
     top = first + (res.excess(at, mat_lo - 1) if at <= mat_lo else -res.excess(mat_lo, at - 1))
     arcs: list[tuple[int, int]] = []
     for i, v in enumerate(res.values(mat_lo, mat_hi), mat_lo):
         if v >= 2:
             arcs += [(i, u) for u in range(top, top + v - 1)]
             top += v - 2
-    return StepBResult(tuple(arcs), b1_term, b2_term, n_value, anchor, m2)
-
-
-def m2_class(a_terminated: bool, b1_terminated: bool | None,
-             b2_terminated: bool | None, n_value: int | None) -> M2Class:
-    """Upper index class from the phase termination flags (pure lookup)."""
-    if not a_terminated:
-        return M2_EMPTY
-    if b1_terminated is None or b2_terminated is None:
-        raise QuiddityError("terminated runs need both fountain flags")
-    if b1_terminated and b2_terminated:
-        if n_value is None:
-            raise QuiddityError("both fountains terminated yet the excess sum is infinite")
-        return m2_finite(n_value)
-    if n_value is not None:
-        raise QuiddityError("finite excess sum is inconsistent with a running fountain")
-    if b1_terminated and not b2_terminated:
-        return M2_NAT_LEFT
-    if b2_terminated and not b1_terminated:
-        return M2_NAT_RIGHT
-    return M2_BI_INFINITE
+    return StepBResult(tuple(arcs), anchor, m2)
 
 
 @dataclass(frozen=True)
@@ -399,10 +366,7 @@ class SynthesisOutcome:
     step_a_passes: int
     residual: Residual
     trace: tuple[PassRecord, ...]
-    b1_terminated: bool | None
-    b2_terminated: bool | None
-    n_value: int | None
-    anchor: int | None
+    anchor: int | None  # bi_infinite's, or the one given; else None
 
 
 def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
@@ -425,7 +389,8 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     Phase B runs once over the cut, and the margin is the smallest that
     holds it.  Phase B labels the cut's fans by prefix sums of excess,
     without walking to the core or the anchor, so it answers at any distance
-    from them.
+    from them.  The class is empty unless phase A terminates, else read off
+    the tails; the anchor is None unless it is bi_infinite or given.
 
     Validity is decided by the construction itself: a run that finishes
     without tripping a pass rule is a strip triangulation whose triangle
@@ -453,8 +418,7 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     if a.verdict == "nonterminating":
         tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, a.arcs, ())
         return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
-                                a.trace, None, None, None, None)
+                                a.trace, None)
     b = step_b(a.residual, window, r_lo, r_hi, anchor)
     tri = StripTriangulation.from_pairs(window, margin, b.m2, a.arcs, b.bridging_arcs)
-    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, a.trace,
-                            b.b1_terminated, b.b2_terminated, b.n_value, b.anchor)
+    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, a.trace, b.anchor)

@@ -11,22 +11,22 @@ oracle counts zero runs one value at a time.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
 strips by scanning every arc.  The phase-B oracle walks the fountain position
-by position from the anchor to the closed end of each terminating side and
-labels the upper points it planted by rank.  The strip rules oracle checks
-a strip's arcs one Arc tuple at a time, each label against its class.  The
-phase-A oracle stops a recurring run only once an arc it recorded spans the
-range, and the cut oracle takes the tightest recorded arc over it.  The
-enough-ones oracle searches frieze entries for 1s out to a depth and
-re-checks the pairs it leaves uncovered against every peripheral arc of the
-window's strip.
+by position from the anchor to the closed end of each terminating side,
+labels the upper points it planted by rank, and reads the class off the
+tails itself.  The strip rules oracle checks a strip's arcs one Arc tuple
+at a time, each label against its class.  The phase-A oracle stops a
+recurring run only once an arc it recorded spans the range, and the cut
+oracle takes the tightest recorded arc over it.  The enough-ones oracle
+searches frieze entries for 1s out to a depth and re-checks the pairs it
+leaves uncovered against every peripheral arc of the window's strip.
 """
 
 from __future__ import annotations
 
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
-                     StripError, ValidationReport, bridging, cross, m2_class, peripheral, psi)
+                     StripError, ValidationReport, bridging, cross, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
-from friezes.strip import m2_finite
+from friezes.strip import M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, m2_finite
 from friezes.synthesis import (DEFAULT_CAP, StepBResult, _collapsed_signature, _normalize,
                                _primitive, pass_arcs, step_a_pass)
 
@@ -380,13 +380,14 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
     left_inf = any(v > 2 for v in res.left_period)
     b1_term, b2_term = not right_inf, not left_inf
     f_lo, f_hi = res.footprint()
-    if b1_term and b2_term:
-        n_value = 1 + sum(v - 2 for v in res.values(f_lo, f_hi) if v > 2)
-    else:
-        n_value = None
+    n_value = 1 + sum(v - 2 for v in res.values(f_lo, f_hi) if v > 2)
+    # a side whose tail holds a value > 2 runs its fountain forever
+    m2 = {(True, True): m2_finite(n_value), (True, False): M2_NAT_LEFT,
+          (False, True): M2_NAT_RIGHT, (False, False): M2_BI_INFINITE}[b1_term, b2_term]
 
     lo, hi = window
     mid = (lo + hi) // 2
+    given = anchor
     if anchor is None:
         anchor = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
         if anchor is None:
@@ -398,7 +399,6 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
     if anchor is None:
         # every position is 0 or 2: a single upper point serves them all
         arcs += [(i, 0) for i in range(mat_lo, mat_hi + 1) if res.value_at(i) == 2]
-        m2 = m2_finite(1)
         labels = {0: 1}
     else:
         stop_lo = min(mat_lo, f_lo - len(res.left_period)) if b2_term else mat_lo
@@ -425,7 +425,6 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
         grow(1, v0 - 2, v0 - 1, stop_hi)
         grow(-1, 0, -1, stop_lo)
 
-        m2 = m2_class(True, b1_term, b2_term, n_value)
         temps_sorted = sorted(set(temps))
         if m2.kind == "finite":
             if len(temps_sorted) != n_value:
@@ -439,7 +438,8 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
             labels = {t: t + 1 for t in temps_sorted}
 
     final_arcs = tuple(sorted({(i, labels[t]) for i, t in arcs}))
-    return StepBResult(final_arcs, b1_term, b2_term, n_value, anchor, m2)
+    # the walk starts from an anchor in every class; only bi_infinite reports it
+    return StepBResult(final_arcs, anchor if m2 == M2_BI_INFINITE else given, m2)
 
 
 def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
@@ -460,7 +460,7 @@ def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
                 and any(a <= mat_lo and mat_hi <= b for a, b in arcs):
             break
         arcs += pass_arcs(res, mat_lo, mat_hi)[1]
-        res, _ = step_a_pass(res)
+        res = step_a_pass(res)
         passes += 1
         sig = _collapsed_signature(res)
         detected = detected or sig in seen

@@ -5,16 +5,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from friezes import FriezeView, QuiddityDescriptor, cli, psi
+from friezes import FriezeView, QuiddityDescriptor, cli, polygon_from_quiddity, psi
 from friezes.cli import main
-from friezes.serialize import (dumps, quiddity_to_json, strip_dumps, strip_from_json,
-                               strip_to_json)
+from friezes.serialize import (dumps, polygon_to_json, quiddity_to_json, strip_dumps,
+                               strip_from_json, strip_to_json)
 
 import refdata
 
@@ -27,6 +30,25 @@ def qfile(tmp_path):
     def write(q, name="q.json"):
         path = tmp_path / name
         path.write_text(dumps(quiddity_to_json(q)))
+        return str(path)
+    return write
+
+
+@pytest.fixture()
+def input_for(qfile, tmp_path):
+    """The file a command line reads: a heptagon for polygon commands, a
+    constant-3 strip for strip commands, else constant 3's quiddity, whose
+    validation is depth-free."""
+    def write(argv):
+        c3 = QuiddityDescriptor.constant(3)
+        if argv[0] == "polygon":
+            doc = dumps(polygon_to_json(polygon_from_quiddity(refdata.HEPTAGON_QUIDDITY)))
+        elif argv[0] == "strip":
+            doc = strip_dumps(psi(c3, (-2, 2)).triangulation)
+        else:
+            return qfile(c3)
+        path = tmp_path / f"{argv[0]}.json"
+        path.write_text(doc)
         return str(path)
     return write
 
@@ -218,13 +240,84 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
      "--scale must be finite and > 0, got -0.001"),
     (["strip", "render", "--svg", "s.svg", "--scale", "inf"], {},
      "--scale must be finite and > 0, got inf"),
+    (["polygon", "render", "--svg", "p.svg", "--scale", "1e308"], {},
+     "--scale is too large to draw, got 1e+308"),
+    (["strip", "render", "--svg", "s.svg", "--scale", "1e308"], {},
+     "--scale is too large to draw, got 1e+308"),
+    # a malformed command line too, never argparse's exit 2, which means inconclusive
+    (["quiddity", "validate", "--depth", "x"], {}, "argument --depth: invalid int value: 'x'"),
+    (["quiddity", "validate", "--deep=3"], {}, "unrecognized arguments: --deep=3"),
+    (["synthesize"], {}, "the following arguments are required: --window"),
+    (["polygon", "render", "--svg", "p.svg", "--scale", "wide"], {},
+     "argument --scale: invalid float value: 'wide'"),
 ])
-def test_out_of_range_setting_is_schema_error(qfile, capsys, monkeypatch, argv, env, named):
+def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monkeypatch,
+                                              argv, env, named):
     # a bad setting is the caller's error, not a verdict on the quiddity
+    monkeypatch.chdir(tmp_path)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert main([*argv, qfile(QuiddityDescriptor.constant(3))]) == 3
+    assert main([*argv, input_for(argv)]) == 3
     assert _json_out(capsys)["error"] == {"kind": "schema", "message": named}
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["quiddity", "validate", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0 and "usage: friezes" in capsys.readouterr().out
+
+
+def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys, monkeypatch):
+    """Every flag and variable that takes a number, driven with edge values.
+
+    Each value lands in each command's flag or variable, in either flag
+    form, with the other variable set at random.  Every case exits 0-3 with
+    no SystemExit, a failure prints the JSON error, and no output or SVG
+    holds inf or nan beyond the echo of an input.
+    """
+    rng = random.Random(21)
+    monkeypatch.chdir(tmp_path)
+    values = ["0", "1", "-1", "2", str(10**30), "1e308", "nan", "inf", "-inf", "word", ""]
+    commands = [(["quiddity", "validate"], "--depth", ["FRIEZE_DEPTH"]),
+                (["synthesize", "--window=-2..2"], "--cap", ["FRIEZE_CAP"]),
+                (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH", "FRIEZE_CAP"]),
+                (["polygon", "render", "--svg", "out.svg"], "--scale", []),
+                (["strip", "render", "--svg", "out.svg"], "--scale", [])]
+    files = {argv[0]: input_for(argv) for argv, _, _ in commands}
+    svg = tmp_path / "out.svg"
+    started, codes = time.perf_counter(), set()
+    for (argv, flag, variables), value in [(c, v) for c in commands for v in values] * 2:
+        env = {var: rng.choice([None, *values]) for var in ("FRIEZE_DEPTH", "FRIEZE_CAP")}
+        argv = list(argv)
+        if flag and (not variables or rng.random() < 0.5):
+            argv += rng.choice([[flag, value], [f"{flag}={value}"]])
+        else:
+            env[rng.choice(variables)] = value
+        for var, raw in env.items():
+            if raw is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, raw)
+        case = (argv, env)
+        try:
+            code = main([*argv, files[argv[0]]])
+        except SystemExit as e:
+            pytest.fail(f"SystemExit({e.code}) on {case}")
+        out = capsys.readouterr().out
+        assert code in range(4), case
+        if code:
+            assert set(json.loads(out)["error"]) == {"kind", "message"}, case
+        text = out + (svg.read_text() if svg.exists() else "")
+        for raw in sorted(filter(None, {value, *env.values()}), key=len, reverse=True):
+            text = text.replace(raw, "")
+        assert not re.search(r"\b(inf|infinity|nan)\b", text, re.IGNORECASE), case
+        svg.unlink(missing_ok=True)
+        codes.add((argv[0], code))
+    # each command both succeeds and refuses a setting; none is inconclusive
+    assert codes == {(argv[0], code) for argv, _, _ in commands for code in (0, 3)}, codes
+    assert time.perf_counter() - started < 2.0
 
 
 def test_lowest_settings_are_accepted(qfile, capsys, monkeypatch):
@@ -268,9 +361,8 @@ def test_repeated_main_calls_share_a_parser_and_no_state(qfile, tmp_path, capsys
     assert main(["quiddity", "validate", lin]) == 0
     assert _json_out(capsys)["depth"] == 10
 
-    with pytest.raises(SystemExit) as usage:
-        main(["synthesize", lin])  # --window is required
-    assert usage.value.code == 2 and "--window" in capsys.readouterr().err
+    assert main(["synthesize", lin]) == 3  # --window is required
+    assert "--window" in _json_out(capsys)["error"]["message"]
     assert main(["strip", "check", str(out)]) == 0
     assert _json_out(capsys)["admissible_window"]
 

@@ -9,7 +9,7 @@ import pytest
 
 from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
                      StripTriangulation, bci_entry, bridging, cc_entry, cli, cut_polygon,
-                     m2_class, peripheral, psi, run_step_a, step_a_pass, step_b, validate)
+                     peripheral, psi, run_step_a, step_a_pass, step_b, validate)
 from friezes.serialize import dumps, quiddity_to_json
 from friezes.strip import M2_EMPTY
 from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim, pass_arcs
@@ -40,7 +40,6 @@ def test_worked_example_pass_by_pass():
 def test_worked_example_classification_and_shape():
     out = psi(refdata.MIXED_TAILS, (-8, 8))
     assert out.m2_class.kind == "nat_left"
-    assert out.b1_terminated is True and out.b2_terminated is False
     tri = out.triangulation
     # anchor vertex (0,0): two peripheral arcs plus a fan of three bridging arcs
     star = tri.lower_star(0)
@@ -68,7 +67,6 @@ def test_constant_two_single_fountain():
     out = psi(refdata.LINEAR, (-5, 5))
     assert out.step_a_passes == 0
     assert out.m2_class.kind == "finite" and out.m2_class.size == 1
-    assert out.n_value == 1
     tri = out.triangulation
     assert not tri.peripheral_arcs
     assert all(u == 1 for _, u in tri.bridging_arcs)
@@ -77,7 +75,6 @@ def test_constant_two_single_fountain():
 
 def test_bumped_quiddity_gives_two_upper_points():
     out = psi(refdata.BUMPED, (-5, 5))
-    assert out.n_value == 2
     assert out.m2_class.kind == "finite" and out.m2_class.size == 2
     tri = out.triangulation
     assert [b for _, b in tri.lower_star(-1)] == [("U", 1), ("U", 2)]
@@ -89,7 +86,7 @@ def test_bumped_quiddity_gives_two_upper_points():
 def test_constant_three_is_bi_infinite():
     out = psi(QuiddityDescriptor.constant(3), (-4, 4))
     assert out.m2_class.kind == "bi_infinite"
-    assert out.b1_terminated is False and out.b2_terminated is False
+    assert out.anchor == 0  # the first value > 2 from the window midpoint rightward
     tri = out.triangulation
     for i in range(-4, 5):
         ups = sorted(u for _, (end, u) in tri.lower_star(i) if end == "U")
@@ -145,9 +142,9 @@ def test_cap_message_names_the_recurrence_pass():
 
 def test_step_a_pass_simultaneous_update():
     res = _normalize(Residual.from_descriptor(refdata.ZIGZAG))
-    after, double = step_a_pass(res)
+    after = step_a_pass(res)
+    # the 5s between two 1s lose both slots in one pass
     assert after.values(-4, 4) == [3, 0, 3, 0, 1, 2, 0, 3, 0]
-    assert double  # the 5s between two 1s lose both slots in one pass
 
 
 def test_step_a_pass_rejects_adjacent_ones():
@@ -187,19 +184,6 @@ def test_step_b_anchor_override_must_have_excess():
     res = Residual((2,), (), (2,), 0)
     with pytest.raises(QuiddityError):
         step_b(res, (-2, 2), -6, 6, anchor=0)
-
-
-def test_m2_class_lookup_table():
-    assert m2_class(False, None, None, None).kind == "empty"
-    assert m2_class(True, True, True, 3).kind == "finite"
-    assert m2_class(True, True, True, 3).size == 3
-    assert m2_class(True, True, False, None).kind == "nat_left"
-    assert m2_class(True, False, True, None).kind == "nat_right"
-    assert m2_class(True, False, False, None).kind == "bi_infinite"
-    with pytest.raises(QuiddityError):
-        m2_class(True, True, True, None)
-    with pytest.raises(QuiddityError):
-        m2_class(True, False, True, 4)
 
 
 def test_trim_matches_the_value_by_value_loop():
@@ -369,17 +353,16 @@ def test_outputs_are_noncrossing_and_window_maximal(q):
 def test_nat_right_class_and_labels():
     q = QuiddityDescriptor((2,), (), (3,), 0)
     out = psi(q, (-4, 4))
-    assert out.m2_class.kind == "nat_right"
-    assert out.b1_terminated is False and out.b2_terminated is True
+    assert out.m2_class.kind == "nat_right" and out.anchor is None
     tri = out.triangulation
     assert min(u for _, u in tri.bridging_arcs) == 0  # leftmost label
     assert tri.quiddity_of() == {i: q.value_at(i) for i in range(-4, 5)}
     assert tri.special_upper_points() == []
 
 
-def test_window_away_from_core_uses_anchor_fallback():
+def test_window_away_from_core_has_no_anchor():
     out = psi(refdata.MIXED_TAILS, (2, 9))
-    assert out.anchor == 0  # no excess right of the window midpoint
+    assert out.anchor is None  # a half line has no twist to fix
     assert out.m2_class.kind == "nat_left"
     assert out.triangulation.quiddity_of() == {
         i: refdata.MIXED_TAILS.value_at(i) for i in range(2, 10)}
