@@ -130,8 +130,9 @@ def render_polygon_svg(p: PolygonTriangulation, scale: float = 200.0) -> str:
                     f'y2="{_fmt(y2)}" stroke="blue"/>')
     for v in range(1, p.n + 1):
         x, y = pos(v)
-        lx = cx + (r + 12) * (x - cx) / r
-        ly = cy + (r + 12) * (y - cy) / r
+        # divide first: (r + 12) * (x - cx) overflows for a scale above about 1e154
+        lx = cx + (x - cx) / r * (r + 12)
+        ly = cy + (y - cy) / r * (r + 12)
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2" fill="black"/>')
         body.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="11" '
                     f'text-anchor="middle">{v}</text>')

@@ -27,29 +27,37 @@ The shape of the upper index set is read off from which phases terminate:
 phase A, then each side's fountain, endless on a tail with a value > 2.  Only
 a bi-infinite boundary has an anchor, the one free choice (a twist class).
 Residuals stay eventually periodic throughout, so passes are computed as
-exact descriptor rewrites.  A window's cut is read off the residuals, as
-zeroed positions never revive, and each pass's 1s and arcs are recorded
-once, over the cut.  One sweep carries the phase-A rule: it reads the
-values of a range once, walks their nonzero positions as (previous, this,
-next) triples, and gives the rewritten values and the 1s with their arcs.
-The descriptor rewrite, the arcs over the cut and the check of the new
-tails all run it.  It rejects three patterns that no frieze reaches
-(Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through zeros, as
-the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is 0, the
-one decrement that would zero a position without an arc; and a 1 with an
-all-zero side, which has no end for its arc.  These rules decide validity:
-a run that trips none builds a strip whose triangle counts are q, so psi
-needs no separate positivity check.  Nontermination of phase A is detected
-by recurrence, up to translation, of the residual with its zeros collapsed
-away (zero positions are inert, and the gaps between survivors grow, so the
-uncollapsed residual never recurs).
+exact descriptor rewrites.  Phase A holds the residual as survivors: its two
+tail periods and the sorted nonzero core positions with their values.  A
+pass finds the nearest nonzero neighbours of its 1s by bisect, or by period
+arithmetic in a tail, and touches only the 1s, their neighbours and the
+tail values a front consumes; so a run costs about as much as its 1s, not
+the core length times the passes.  One rule carries the pass: it walks
+nonzero positions as (previous, this, next) triples and gives the changed
+values and the 1s with their arcs.  The core's 1s and each tail period, in
+its own periodic context, run it.  It rejects three patterns that no frieze
+reaches (Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through
+zeros, as the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is
+0, the one decrement that would zero a position without an arc; and a 1
+with an all-zero side, which has no end for its arc.  These rules decide
+validity: a run that trips none builds a strip whose triangle counts are q,
+so psi needs no separate positivity check.  A window's cut is read off the
+survivors, as zeroed positions never revive.  Each pass's 1s and arcs are
+recorded once and kept over the cut; the residual after a pass is rebuilt
+from the recorded changes only when read.  Nontermination of phase A is
+detected by recurrence, up to translation, of the residual with its zeros
+collapsed away (zero positions are inert, and the gaps between survivors
+grow, so the uncollapsed residual never recurs).  Signatures are compared
+only between passes whose collapsed cores are as long.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import compress, count, cycle
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, compress, count, cycle, islice
 from operator import ne
 from typing import NoReturn
 
@@ -100,6 +108,7 @@ def _tail_excess(period: tuple[int, ...], phase: int, count: int) -> int:
     return whole * _excess(period) + _excess((period[phase:] + period[:phase])[:rest])
 
 
+@lru_cache(maxsize=256)
 def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
     for d in range(1, n + 1):
@@ -108,9 +117,10 @@ def _primitive(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
-def _agreement(word: tuple[int, ...], period: tuple[int, ...]) -> int:
-    """Length of the longest prefix of word that continues period cycled from its start."""
-    return next(compress(count(), map(ne, word, cycle(period))), len(word)) if period else 0
+def _agreement(word: Iterable[int], n: int, period: tuple[int, ...]) -> int:
+    """Length of the longest prefix of word, n values long, that continues
+    period cycled from its start."""
+    return next(compress(count(), map(ne, word, cycle(period))), n) if period else 0
 
 
 def _rotate(period: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -126,8 +136,8 @@ def _trim(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...],
     Both trim lengths are found first, so the core is sliced once.
     """
     left, right = _primitive(left), _primitive(right)
-    k = _agreement(core, left)
-    j = _agreement(core[k:][::-1], right[::-1])
+    k = _agreement(core, len(core), left)
+    j = _agreement(islice(reversed(core), len(core) - k), len(core) - k, right[::-1])
     return _rotate(left, k), core[k:len(core) - j], _rotate(right, -j), start + k
 
 
@@ -141,43 +151,33 @@ def _collapsed(res: Residual) -> tuple[tuple[int, ...], tuple[int, ...], tuple[i
     return drop(res.left_period), drop(res.core), drop(res.right_period)
 
 
-def _collapsed_signature(res: Residual):
-    """Canonical form of the zero-collapsed residual, up to index translation."""
-    a, c, b, _ = _trim(*_collapsed(res), 0)
+def _signature(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...]):
+    """Canonical form, up to index translation, of a zero-free residual word."""
+    a, c, b, _ = _trim(left, core, right, 0)
     if not c and a and a == b:
         rotations = [a[i:] + a[:i] for i in range(len(a))]
         return ("pure", min(rotations))
     return ("mixed", a, c, b)
 
 
-@dataclass(frozen=True)
-class PassRecord:
-    """What one phase-A pass did inside the materialized range."""
-
-    index: int
-    ones: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
-    residual_after: Residual
+def _collapsed_signature(res: Residual):
+    """Canonical form of the zero-collapsed residual, up to index translation."""
+    return _signature(*_collapsed(res))
 
 
-def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list]:
-    """One phase-A pass over lo..hi, given vals[k], the value at base + k.
+def _rule(triples) -> tuple[list[tuple[int, int]], list[tuple[int, tuple[int, int]]]]:
+    """The phase-A pass rule, applied to nonzero positions left to right.
 
-    vals must reach every nearest nonzero neighbour of a position in lo..hi
-    that has one.  Returns the values on lo..hi after the pass, and each 1
-    there with its arc (p, n) between its nearest nonzero neighbours.  Only
-    the nonzero positions are walked, as (previous, this, next) triples.
-    Raises QuiddityError for a 1 next to another 1 or with an all-zero side,
-    and for a 2 between two 1s, the one decrement that would zero a position
-    without an arc.
+    Each triple is (p, i, n, a, v, b): a nonzero position i of value v, its
+    nearest nonzero neighbours p and n (None for an all-zero side) and their
+    values a and b (0 for None).  Returns each changed position with its new
+    value, and each 1 with its arc (p, n).  Raises QuiddityError, at the
+    first offending position, for a 1 next to another 1 or with an all-zero
+    side, and for a 2 between two 1s, the one decrement that would zero a
+    position without an arc.
     """
-    nonzero = list(compress(count(base), vals))
-    ends, near = [None, *nonzero, None], [0, *compress(vals, vals), 0]
-    new = vals[lo - base:hi + 1 - base]
-    ones = []
-    k, m = bisect_left(nonzero, lo), bisect_right(nonzero, hi)
-    for p, i, n, a, v, b in zip(ends[k:m], nonzero[k:m], ends[k + 2:], near[k:m],
-                                near[k + 1:], near[k + 2:]):
+    changes, ones = [], []
+    for p, i, n, a, v, b in triples:
         if v == 1:
             if 1 in (a, b):
                 # for a genuine frieze this pattern forces a zero entry two bands up
@@ -188,7 +188,7 @@ def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], lis
                 raise QuiddityError(
                     f"residual 1 at {i} has no nonzero neighbour; "
                     "input is not a valid quiddity sequence")
-            new[i - lo] = 0
+            changes.append((i, 0))
             ones.append((i, (p, n)))
         elif a == 1 or b == 1:
             if a == b == 1 and v == 2:
@@ -196,22 +196,252 @@ def _sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], lis
                 raise QuiddityError(
                     f"residual 2 at {i} lies between two 1s; "
                     "the input is not the quiddity sequence of an infinite frieze")
-            new[i - lo] -= (a == 1) + (b == 1)
-    return new, ones
+            changes.append((i, v - (a == 1) - (b == 1)))
+    return changes, ones
 
 
-def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Value-1 positions and their peripheral arcs relevant to [lo, hi].
+def _period_pass(period: tuple[int, ...], base: int):
+    """A pass over a tail in its own periodic context: the new period, and
+    the 1s with their arcs of the copy at base..base + len(period) - 1."""
+    if 1 not in period:
+        return period, []
+    n = len(period)
+    nonzero = list(compress(count(), period))
+    ends = [nonzero[-1] - n, *nonzero, nonzero[0] + n]
+    changes, ones = _rule((base + p, base + i, base + m, period[p % n], period[i], period[m % n])
+                          for p, i, m in zip(ends, nonzero, ends[2:]))
+    new = list(period)
+    for i, v in changes:
+        new[i - base] = v
+    return tuple(new), ones
 
-    An arc reaches at most max_zero_gap beyond its 1, so one sweep over the
-    1s within gap + 1 of [lo, hi], read with their neighbours another gap
-    out, catches every arc whose span meets [lo, hi].
+
+@lru_cache(maxsize=256)
+def _nonzero_ends(period: tuple[int, ...]) -> tuple[int, int] | None:
+    """Indices of the first and the last nonzero value of period; None if it is all zero."""
+    nonzero = list(compress(count(), period))
+    return (nonzero[0], nonzero[-1]) if nonzero else None
+
+
+def _tail_scan(period: tuple[int, ...], anchor: int, x: int, step: int) -> int | None:
+    """First nonzero tail position from x on in direction step, within one
+    period; the tail's value at y is period[(y - anchor) % len(period)]."""
+    n = len(period)
+    for y in range(x, x + step * n, step):
+        if period[(y - anchor) % n]:
+            return y
+    return None
+
+
+class _Survivors:
+    """A residual held as phase A needs it: the left period, whose last value
+    sits at cs - 1; the nonzero positions pos of the core cs..ce - 1, sorted,
+    with their values vals; the right period, whose first value sits at ce;
+    and ones, the core positions of value 1.  Extents, periods and trims are
+    those of the descriptor rewrite, so residual() is what that rewrite gives.
+    A pass touches the 1s, their neighbours, and tail values only where a 1
+    reaches them.
     """
-    gap = res.max_zero_gap()
-    base = lo - 2 * gap - 1
-    _, found = _sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
+
+    def __init__(self, res: Residual):
+        self.left, self.right = res.left_period, res.right_period
+        self.cs = res.core_start
+        self.ce = res.core_start + len(res.core)
+        self.pos = list(compress(count(self.cs), res.core))
+        self.vals = list(filter(None, res.core))
+        self.ones = [i for i, v in zip(self.pos, self.vals) if v == 1]
+
+    def residual(self) -> Residual:
+        core = [0] * (self.ce - self.cs)
+        for i, v in zip(self.pos, self.vals):
+            core[i - self.cs] = v
+        return Residual(self.left, core, self.right, self.cs)
+
+    def signature(self):
+        """_collapsed_signature of residual(), read off the survivors."""
+        return _signature(tuple(filter(None, self.left)), tuple(self.vals),
+                          tuple(filter(None, self.right)))
+
+    def core_length(self) -> int:
+        """The length of signature()'s core, found without building it."""
+        vals, n = self.vals, len(self.vals)
+        a, b = (_primitive(tuple(filter(None, t))) for t in (self.left, self.right))
+        k = _agreement(vals, n, a)
+        return n - k - _agreement(islice(reversed(vals), n - k), n - k, b[::-1])
+
+    def has_one(self) -> bool:
+        return bool(self.ones) or 1 in self.left or 1 in self.right
+
+    def prev_nonzero(self, i: int) -> int | None:
+        """The nearest nonzero position below i; None when there is none."""
+        x = i - 1
+        if x >= self.ce:
+            y = _tail_scan(self.right, self.ce, x, -1)
+            if y is not None and y >= self.ce:
+                return y
+            x = self.ce - 1
+        k = bisect_right(self.pos, x)
+        if k:
+            return self.pos[k - 1]
+        return _tail_scan(self.left, self.cs, min(x, self.cs - 1), -1)
+
+    def next_nonzero(self, i: int) -> int | None:
+        """The nearest nonzero position above i; None when there is none."""
+        x = i + 1
+        if x < self.cs:
+            y = _tail_scan(self.left, self.cs, x, 1)
+            if y is not None and y < self.cs:
+                return y
+            x = self.cs
+        k = bisect_left(self.pos, x)
+        if k < len(self.pos):
+            return self.pos[k]
+        return _tail_scan(self.right, self.ce, max(x, self.ce), 1)
+
+    def zero_on(self, lo: int, hi: int) -> bool:
+        """Whether every value at lo..hi is 0."""
+        k = bisect_left(self.pos, lo)
+        if k < len(self.pos) and self.pos[k] <= hi:
+            return False
+        for period, anchor, a, b in ((self.left, self.cs, lo, min(hi, self.cs - 1)),
+                                     (self.right, self.ce, max(lo, self.ce), hi)):
+            n = len(period)
+            if a <= b and any(period if b - a >= n else
+                              (period[(y - anchor) % n] for y in range(a, b + 1))):
+                return False
+        return True
+
+    def step(self):
+        """One simultaneous pass, with the descriptor rewrite's result.
+
+        That rewrite lends the core one period copy per side, and the outer
+        copies, in pure tail context, give the new periods.  Only a period
+        holding a 1 is lent here, as its copy's 1s reach into the core; a
+        1-free tail is left alone but for the one value a core 1 at the edge
+        consumes, which joins the core.  Returns the pass's 1s with their
+        arcs, as (core 1s, (period, its copy's 1s) per tail: a tail's 1s are
+        those of its innermost copy, repeated outward), and the changed core
+        values as (position, value) pairs, 0 for a position no longer held.
+        """
+        left, right, pos, vals = self.left, self.right, self.pos, self.vals
+        L, R = len(left), len(right)
+        c0, c1 = self.cs - L, self.ce + R
+        lo, hi = self.cs, self.ce  # pos holds every nonzero value in lo..hi - 1
+        before: dict[int, int] = {}  # each changed position's value before the pass, 0 if not held
+        after: dict[int, int] = {}
+        ones = self.ones
+        if 1 in left:
+            lo = c0
+            lent = [(i, v) for i, v in enumerate(left, c0) if v]
+            pos[:0], vals[:0] = [i for i, _ in lent], [v for _, v in lent]
+            before.update((i, 0) for i, _ in lent)
+            after.update(lent)
+            ones = [i for i, v in lent if v == 1] + ones
+        if 1 in right:
+            hi = c1
+            lent = [(i, v) for i, v in enumerate(right, self.ce) if v]
+            pos += (i for i, _ in lent)
+            vals += (v for _, v in lent)
+            before.update((i, 0) for i, _ in lent)
+            after.update(lent)
+            ones = ones + [i for i, v in lent if v == 1]
+
+        new_left, left_ones = _period_pass(left, lo - L)
+        # the nearest tail values to the core's edge survivors, and their values
+        ends = _nonzero_ends(left)
+        xl, al = (lo - L + ends[1], left[ends[1]]) if ends else (None, 0)
+        ends = _nonzero_ends(right)
+        xr, ar = (hi + ends[0], right[ends[0]]) if ends else (None, 0)
+        m = len(pos)
+        near = set()
+        for i in ones:
+            k = bisect_left(pos, i)
+            near.update((k - 1, k, k + 1))
+        if al == 1:
+            near.add(0)
+        if ar == 1:
+            near.add(m - 1)
+        triples = []
+        # a 1 at an edge consumes a slot of the 1-free tail value next to it,
+        # whose other neighbour is a tail value, so no 1
+        if m and vals[0] == 1 and xl is not None and lo == self.cs:
+            triples.append((None, xl, pos[0], 0, al, 1))
+        for k in sorted(near):
+            if 0 <= k < m:
+                p, a = (pos[k - 1], vals[k - 1]) if k else (xl, al)
+                n, b = (pos[k + 1], vals[k + 1]) if k + 1 < m else (xr, ar)
+                triples.append((p, pos[k], n, a, vals[k], b))
+        if m and vals[-1] == 1 and xr is not None and hi == self.ce:
+            triples.append((pos[-1], xr, None, 1, ar, 0))
+        changes, core_ones = _rule(triples)
+        new_right, right_ones = _period_pass(right, hi)
+
+        carry = []
+        for i, v in changes:
+            k = bisect_left(pos, i)
+            if k < len(pos) and pos[k] == i:
+                before.setdefault(i, vals[k])
+                if v:
+                    vals[k] = v
+                else:
+                    del pos[k], vals[k]
+            else:
+                before[i] = 0
+                pos.insert(k, i)
+                vals.insert(k, v)
+            after[i] = v
+            if v == 1:
+                carry.append(i)
+
+        # _trim, read off the survivors and the tails: primitive periods, and
+        # the core shorn of the values that continue them.  Tail values that
+        # no core 1 consumed continue their own period, so each scan starts
+        # at the first held position or the old core
+        new_left, new_right = _primitive(new_left), _primitive(new_right)
+        Ln, Rn = len(new_left), len(new_right)
+        m = len(pos)
+        x = min(pos[0], lo) if pos else lo
+        k = 0
+        while x < c1:
+            held = k < m and pos[k] == x
+            v = (vals[k] if held else left[(x - lo) % L] if x < lo
+                 else right[(x - hi) % R] if x >= hi else 0)
+            if v != new_left[(x - c0) % Ln]:
+                break
+            k += held
+            x += 1
+        y = max(max(pos[-1], hi - 1) if pos else hi - 1, x - 1)
+        j = m
+        while y >= x:
+            held = j > k and pos[j - 1] == y
+            v = (vals[j - 1] if held else left[(y - lo) % L] if y < lo
+                 else right[(y - hi) % R] if y >= hi else 0)
+            if v != new_right[(y - c1) % Rn]:
+                break
+            j -= held
+            y -= 1
+        for i, v in zip(pos[:k] + pos[j:], vals[:k] + vals[j:]):
+            before.setdefault(i, v)
+            after[i] = 0
+        del pos[j:], vals[j:], pos[:k], vals[:k]
+        self.cs, self.ce = x, y + 1
+        self.left, self.right = _rotate(new_left, x - c0), _rotate(new_right, y + 1 - c1)
+        self.ones = [i for i in carry if x <= i <= y]
+        found = (core_ones, (left, left_ones), (right, right_ones))
+        return found, tuple((i, v) for i, v in after.items() if v != before[i])
+
+
+def _over(found, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The 1s of one pass in lo..hi, and the arcs that meet lo..hi, in the
+    order of their 1s."""
+    core, (lp, lones), (rp, rones) = found
+    L, R = len(lp), len(rp)
+    left = sorted((i - t * L, (p - t * L, n - t * L)) for i, (p, n) in lones
+                  for t in range(max(0, -((hi + L - i) // L)), (i - lo + L) // L + 1))
+    right = sorted((i + t * R, (p + t * R, n + t * R)) for i, (p, n) in rones
+                   for t in range(max(0, -((i - lo + R) // R)), (hi + R - i) // R + 1))
     ones, arcs = [], []
-    for i, (p, n) in found:
+    for i, (p, n) in chain(left, core, right):
         if lo <= i <= hi:
             ones.append(i)
         if n >= lo and p <= hi:
@@ -219,29 +449,80 @@ def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[in
     return ones, arcs
 
 
+def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The value-1 positions in [lo, hi], and the peripheral arcs of one pass
+    that meet [lo, hi], in the order of their 1s.  Raises as step_a_pass."""
+    found, _ = _Survivors(res).step()
+    return _over(found, lo, hi)
+
+
 def step_a_pass(res: Residual) -> Residual:
     """Apply one simultaneous pass to the residual descriptor.
 
-    One sweep rewrites two period copies per side around the core, so that
-    tail-core boundary effects land in the new core; the outermost copies
-    see pure tail context and become the new periods, as a sweep over three
-    copies of each period confirms.
+    Tail values that the pass changes next to the core join it; the rest
+    see pure tail context and follow the rewritten periods.  The result is
+    normalized as _normalize does.
     """
-    L, R = len(res.left_period), len(res.right_period)
-    w_lo, w_hi = res.core_start - 2 * L, res.core_start + len(res.core) + 2 * R - 1
-    gap = res.max_zero_gap()
-    new, _ = _sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
-    left, core, right = new[:L], new[L:len(new) - R], new[len(new) - R:]
-    for period, got in ((res.left_period, left), (res.right_period, right)):
-        if got != _sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
-            raise AssertionError("tail rewrite deviated from its periodic context")
-    return _normalize(Residual(left, core, right, w_lo + L))
+    s = _Survivors(res)
+    s.step()
+    return s.residual()
+
+
+class _History:
+    """The survivors before the first pass and each pass's changes: the
+    residual after any pass is rebuilt from them when it is read."""
+
+    def __init__(self, s: _Survivors):
+        self._first = dict(zip(s.pos, s.vals))
+        self._shapes = [(s.left, s.cs, s.ce, s.right)]
+        self._changes: list[tuple[tuple[int, int], ...]] = []
+        self._cursor = 0, dict(self._first)
+
+    def add(self, s: _Survivors, changes: tuple[tuple[int, int], ...]) -> None:
+        self._shapes.append((s.left, s.cs, s.ce, s.right))
+        self._changes.append(changes)
+
+    def residual(self, k: int) -> Residual:
+        """The residual after k passes."""
+        at, held = self._cursor
+        if k < at:
+            at, held = 0, dict(self._first)
+        for changes in self._changes[at:k]:
+            for i, v in changes:
+                if v:
+                    held[i] = v
+                else:
+                    del held[i]
+        self._cursor = k, held
+        left, cs, ce, right = self._shapes[k]
+        core = [0] * (ce - cs)
+        for i, v in held.items():
+            core[i - cs] = v
+        return Residual(left, core, right, cs)
+
+
+@dataclass(frozen=True)
+class PassRecord:
+    """What one phase-A pass did over the cut: its 1s and their arcs.
+
+    residual_after is rebuilt from the run's survivor history when read, so
+    a run keeps the changes of each pass, not one residual per pass.
+    """
+
+    index: int
+    ones: tuple[int, ...]
+    arcs: tuple[tuple[int, int], ...]
+    _history: _History = field(repr=False, compare=False)
+
+    @property
+    def residual_after(self) -> Residual:
+        return self._history.residual(self.index + 1)
 
 
 @dataclass(frozen=True)
 class StepAResult:
     """A phase-A run; its 1s and arcs are recorded once per pass, over the
-    cut, which is read off the residuals and holds mat_lo..mat_hi."""
+    cut, which is read off the survivors and holds mat_lo..mat_hi."""
 
     verdict: str  # "terminated" | "nonterminating" | "cap_reached"
     passes: int
@@ -256,49 +537,69 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
                cap: int = DEFAULT_CAP) -> StepAResult:
     """Iterate phase-A passes until no 1 remains, recurrence, or the cap.
 
+    The residual is held as survivors: the nonzero core positions with their
+    values, between two tail periods.  A pass finds the neighbours of its 1s
+    by bisect, or in a tail by period arithmetic, takes into the core only
+    the tail values it changes there, and trims what continues the new
+    periods, so its cost grows with its 1s and the periods, not with the
+    core.  Recurrence is looked for among passes whose collapsed cores are
+    as long, so a long core that never recurs is never copied.
+
     On recurrence of the collapsed residual the run is known nonterminating;
     passes continue until mat_lo..mat_hi is zero, so that window queries see
-    final data.  The cut is then read off the residuals: the nearest nonzero
+    final data.  The cut is read off the survivors: the nearest nonzero
     positions around mat_lo + 1..mat_hi - 1 after the first pass that zeroes
-    it (found by bisect, as positions never revive), or after the last.  That
-    pass removes the range's one nonzero value, a 1 whose arc is the cut: its
-    ends stay nonzero, no earlier arc spans the 1 and no later one lies
-    inside.  So the cut is the tightest arc (p, n) with p <= mat_lo and
-    mat_hi <= n, or else the ends of the nearest bridging arcs.  This needs
-    no 0 in the range before the first pass, as for every QuiddityDescriptor;
-    a Residual with zeros there is out of scope.  Each pass's 1s and arcs are
-    recorded once, over the cut.
+    it (positions never revive), or after the last.  That pass removes the
+    range's one nonzero value, a 1 whose arc is the cut: its ends stay
+    nonzero, no earlier arc spans the 1 and no later one lies inside.  So the
+    cut is the tightest arc (p, n) with p <= mat_lo and mat_hi <= n, or else
+    the ends of the nearest bridging arcs.  This needs no 0 in the range
+    before the first pass, as for every QuiddityDescriptor; a Residual with
+    zeros there is out of scope.  Each pass's 1s and arcs are recorded once,
+    and kept over the cut; its residual_after is rebuilt only when read, and
+    the final residual is built once.
     """
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
-    res = _normalize(q)
-    seen = {_collapsed_signature(res)}
-    residuals = [res]
+    s = _Survivors(_normalize(q))
+    history = _History(s)
+    # passes by the length of their collapsed core; signatures are built
+    # only for passes whose lengths meet, as only those can be equal
+    lengths = {s.core_length(): [0]}
+    signatures = {}
+    found = []
+    cut = None
     detected: int | None = None
     while True:
-        k = len(residuals) - 1
-        verdict = ("terminated" if not res.has_value(1)
-                   else "nonterminating" if detected is not None
-                   and not any(res.values(mat_lo, mat_hi))
+        if cut is None and s.zero_on(mat_lo + 1, mat_hi - 1):
+            cut = s.prev_nonzero(mat_lo + 1), s.next_nonzero(mat_hi - 1)
+        k = len(found)
+        verdict = ("terminated" if not s.has_one()
+                   else "nonterminating" if detected is not None and s.zero_on(mat_lo, mat_hi)
                    else "cap_reached" if k >= cap else None)
         if verdict:
             break
-        res = step_a_pass(res)
-        residuals.append(res)
+        ones, changes = s.step()
+        found.append(ones)
+        history.add(s, changes)
         if detected is None:
-            sig = _collapsed_signature(res)
-            detected = k + 1 if sig in seen else None
-            seen.add(sig)
-    zeroed = bisect_left(residuals, True,
-                         key=lambda r: not any(r.values(mat_lo + 1, mat_hi - 1)))
-    at = residuals[min(zeroed, k)]
-    cut = at.prev_nonzero(mat_lo + 1), at.next_nonzero(mat_hi - 1)
+            same = lengths.setdefault(s.core_length(), [])
+            if same:
+                signatures[k + 1] = s.signature()
+                for i in same:
+                    if i not in signatures:
+                        signatures[i] = _collapsed_signature(history.residual(i))
+                if signatures[k + 1] in (signatures[i] for i in same):
+                    detected = k + 1
+            same.append(k + 1)
+    if cut is None:
+        cut = s.prev_nonzero(mat_lo + 1), s.next_nonzero(mat_hi - 1)
     trace, arcs = [], []
-    for i, (before, after) in enumerate(zip(residuals, residuals[1:])):
-        ones, new_arcs = pass_arcs(before, *cut)
+    for i, ones in enumerate(found):
+        ones, new_arcs = _over(ones, *cut)
         arcs += new_arcs
-        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), after))
-    return StepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
+        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), history))
+    return StepAResult(verdict, k, s.residual(), tuple(sorted(arcs)), tuple(trace), cut, detected)
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,28 @@ strips by scanning every arc.  The phase-B oracle walks the fountain position
 by position from the anchor to the closed end of each terminating side,
 labels the upper points it planted by rank, and reads the class off the
 tails itself.  The strip rules oracle checks a strip's arcs one Arc tuple
-at a time, each label against its class.  The phase-A oracle stops a
-recurring run only once an arc it recorded spans the range, and the cut
-oracle takes the tightest recorded arc over it.  The enough-ones oracle
+at a time, each label against its class.  The dense phase-A oracle reads
+every value of a range and rewrites the whole core on every pass, keeping
+each residual, where the library touches only the survivors near the 1s.
+The scanning phase-A oracle stops a recurring run only once an arc it
+recorded spans the range, and the cut oracle takes the tightest recorded
+arc over it.  The enough-ones oracle
 searches frieze entries for 1s out to a depth and re-checks the pairs it
 leaves uncovered against every peripheral arc of the window's strip.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import compress, count
+
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
                      StripError, ValidationReport, bridging, cross, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
 from friezes.strip import M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, m2_finite
-from friezes.synthesis import (DEFAULT_CAP, StepBResult, _collapsed_signature, _normalize,
-                               _primitive, pass_arcs, step_a_pass)
+from friezes.synthesis import (DEFAULT_CAP, Residual, StepAResult, StepBResult,
+                               _collapsed_signature, _normalize, _primitive)
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -442,10 +449,116 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
     return StepBResult(final_arcs, anchor if m2 == M2_BI_INFINITE else given, m2)
 
 
+def sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list]:
+    """One phase-A pass over lo..hi, read off dense values: vals[k] is the
+    value at base + k, out to every nearest nonzero neighbour of lo..hi.
+
+    Returns the values on lo..hi after the pass, and each 1 there with its
+    arc (p, n) between its nearest nonzero neighbours.  Raises QuiddityError,
+    with the library's messages, at the first position of lo..hi that trips
+    a pass rule.
+    """
+    nonzero = list(compress(count(base), vals))
+    ends, near = [None, *nonzero, None], [0, *compress(vals, vals), 0]
+    new = vals[lo - base:hi + 1 - base]
+    ones = []
+    k, m = bisect_left(nonzero, lo), bisect_right(nonzero, hi)
+    for p, i, n, a, v, b in zip(ends[k:m], nonzero[k:m], ends[k + 2:], near[k:m],
+                                near[k + 1:], near[k + 2:]):
+        if v == 1:
+            if 1 in (a, b):
+                raise QuiddityError(
+                    "two residual 1s are adjacent through zeros; "
+                    "the input is not the quiddity sequence of an infinite frieze")
+            if p is None or n is None:
+                raise QuiddityError(
+                    f"residual 1 at {i} has no nonzero neighbour; "
+                    "input is not a valid quiddity sequence")
+            new[i - lo] = 0
+            ones.append((i, (p, n)))
+        elif a == 1 or b == 1:
+            if a == b == 1 and v == 2:
+                raise QuiddityError(
+                    f"residual 2 at {i} lies between two 1s; "
+                    "the input is not the quiddity sequence of an infinite frieze")
+            new[i - lo] -= (a == 1) + (b == 1)
+    return new, ones
+
+
+def dense_pass_arcs(res, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The 1s in lo..hi and the arcs meeting lo..hi of one pass, by one sweep
+    over the 1s within max_zero_gap + 1 of lo..hi."""
+    gap = res.max_zero_gap()
+    base = lo - 2 * gap - 1
+    _, found = sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
+    return ([i for i, _ in found if lo <= i <= hi],
+            [(p, n) for _, (p, n) in found if n >= lo and p <= hi])
+
+
+def dense_step_a_pass(res) -> Residual:
+    """One pass as a dense descriptor rewrite: one sweep over the core and two
+    period copies per side; the outermost copies see pure tail context and
+    become the new periods, which a sweep over three copies confirms."""
+    L, R = len(res.left_period), len(res.right_period)
+    w_lo, w_hi = res.core_start - 2 * L, res.core_start + len(res.core) + 2 * R - 1
+    gap = res.max_zero_gap()
+    new, _ = sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
+    left, core, right = new[:L], new[L:len(new) - R], new[len(new) - R:]
+    for period, got in ((res.left_period, left), (res.right_period, right)):
+        if got != sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
+            raise AssertionError("tail rewrite deviated from its periodic context")
+    return _normalize(Residual(left, core, right, w_lo + L))
+
+
+@dataclass(frozen=True)
+class DensePassRecord:
+    index: int
+    ones: tuple[int, ...]
+    arcs: tuple[tuple[int, int], ...]
+    residual_after: Residual
+
+
+def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> StepAResult:
+    """synthesis.run_step_a over dense residuals: every pass rewrites the whole
+    core and is kept, recurrence is checked on every collapsed signature,
+    the cut is found by bisect over the kept residuals, and each pass's 1s
+    and arcs are swept again over the cut."""
+    if cap < 1:
+        raise QuiddityError("pass cap must be >= 1")
+    res = _normalize(q)
+    seen = {_collapsed_signature(res)}
+    residuals = [res]
+    detected = None
+    while True:
+        k = len(residuals) - 1
+        verdict = ("terminated" if not res.has_value(1)
+                   else "nonterminating" if detected is not None
+                   and not any(res.values(mat_lo, mat_hi))
+                   else "cap_reached" if k >= cap else None)
+        if verdict:
+            break
+        res = dense_step_a_pass(res)
+        residuals.append(res)
+        if detected is None:
+            sig = _collapsed_signature(res)
+            detected = k + 1 if sig in seen else None
+            seen.add(sig)
+    zeroed = bisect_left(residuals, True,
+                         key=lambda r: not any(r.values(mat_lo + 1, mat_hi - 1)))
+    at = residuals[min(zeroed, k)]
+    cut = at.prev_nonzero(mat_lo + 1), at.next_nonzero(mat_hi - 1)
+    trace, arcs = [], []
+    for i, (before, after) in enumerate(zip(residuals, residuals[1:])):
+        ones, new_arcs = dense_pass_arcs(before, *cut)
+        arcs += new_arcs
+        trace.append(DensePassRecord(i, tuple(ones), tuple(new_arcs), after))
+    return StepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
+
+
 def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
     """Phase A as synthesis.run_step_a runs it, with a two-clause stop rule.
 
-    Each pass records the arcs that pass_arcs finds over mat_lo..mat_hi; a
+    Each pass records the arcs that dense_pass_arcs finds over mat_lo..mat_hi; a
     recurring run stops once that range is zero and a recorded arc (a, b)
     has a <= mat_lo and mat_hi <= b.  Returns the pass count, the recorded
     arcs and the final residual.
@@ -459,8 +572,8 @@ def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
         if detected and not any(res.values(mat_lo, mat_hi)) \
                 and any(a <= mat_lo and mat_hi <= b for a, b in arcs):
             break
-        arcs += pass_arcs(res, mat_lo, mat_hi)[1]
-        res = step_a_pass(res)
+        arcs += dense_pass_arcs(res, mat_lo, mat_hi)[1]
+        res = dense_step_a_pass(res)
         passes += 1
         sig = _collapsed_signature(res)
         detected = detected or sig in seen

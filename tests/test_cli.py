@@ -240,7 +240,7 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
      "--scale must be finite and > 0, got -0.001"),
     (["strip", "render", "--svg", "s.svg", "--scale", "inf"], {},
      "--scale must be finite and > 0, got inf"),
-    (["polygon", "render", "--svg", "p.svg", "--scale", "1e308"], {},
+    (["strip", "render", "--svg", "s.svg", "--scale=1e308"], {},
      "--scale is too large to draw, got 1e+308"),
     (["strip", "render", "--svg", "s.svg", "--scale", "1e308"], {},
      "--scale is too large to draw, got 1e+308"),
@@ -260,6 +260,15 @@ def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monke
     assert main([*argv, input_for(argv)]) == 3
     assert _json_out(capsys)["error"] == {"kind": "schema", "message": named}
     assert not list(tmp_path.glob("*.svg"))
+
+
+def test_polygon_render_draws_any_finite_scale(input_for, tmp_path, capsys, monkeypatch):
+    # the labels sit 12 units past the circle at every scale, with no overflow on the way
+    monkeypatch.chdir(tmp_path)
+    argv = ["polygon", "render", "--svg", "p.svg", "--scale", "1e308"]
+    assert main([*argv, input_for(argv)]) == 0
+    svg = (tmp_path / "p.svg").read_text()
+    assert "inf" not in svg and "nan" not in svg and svg.count("<text") == 7
 
 
 def test_help_still_exits_zero(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,13 @@ def test_polygon_svg_matches_golden():
 def test_renders_are_deterministic():
     tri = psi(refdata.ZIGZAG, (-4, 4)).triangulation
     assert render_strip_svg(tri) == render_strip_svg(tri)
+
+
+def test_polygon_svg_at_a_huge_scale_has_finite_coordinates():
+    # the label offset divides before it multiplies, so no radius-sized product overflows
+    p = polygon_from_quiddity((1, 3, 1, 2, 2))
+    svg = render_polygon_svg(p, 1e200)
+    coords = [float(v) for v in re.findall(r'\b(?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)]
+    # two per line end, vertex dot and label
+    assert len(coords) == 4 * (p.n + len(p.chords)) + 4 * p.n
+    assert all(map(math.isfinite, coords))

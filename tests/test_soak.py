@@ -3,8 +3,8 @@
 Every window drawn here must answer, with the class the descriptor has at
 its core, and must pass the checks a strip of the window promises.  Windows
 of non-empty classes are drawn out to 10^9 from the core; psi's windows of
-the empty class stay within 100 of it, as phase A consumes a window one
-pass per tail period of distance and its pass cap bounds that.  The
+the empty class stay within 500 of it, as phase A consumes a window about
+one pass per position of distance and its 1000-pass cap bounds that.  The
 enough-ones verdict needs no strip of an empty-class window, so it is drawn
 out to 10^9 for every class, and is "yes" exactly on the empty class.
 """
@@ -26,7 +26,7 @@ def test_far_windows_answer_and_pass_every_check():
     kinds = Counter()
     for q in bijection_corpus() + enough_ones_corpus() + random_corpus(90, seed=4421):
         kind = psi(q, (-4, 4)).m2_class.kind
-        reach = 100 if kind == "empty" else 10**9
+        reach = 500 if kind == "empty" else 10**9
         for k in range(3):
             hw = rng.randint(2, 6 if k == 0 else 12)
             mid = log_offset(rng, reach)
