@@ -91,9 +91,12 @@ def _parse_range(spec: str, what: str) -> tuple[int, int]:
     # negative bounds need the --flag=LO..HI form, or argparse eats the value
     try:
         lo, hi = spec.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise SchemaError(f"{what}: expected LO..HI, got {spec!r}")
+    if hi - lo >= sys.maxsize:  # no sequence can hold that many indices
+        raise SchemaError(f"{what}: spans more than {sys.maxsize} indices, got {spec!r}")
+    return lo, hi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quiddity", help="operations on quiddity descriptors")
     qs = p.add_subparsers(dest="subcommand", required=True)
-    v = qs.add_parser("validate", help="positivity check: exact and depth-free when both "
-                      "tails make the entries grow (no enough ones), else up to --depth")
+    v = qs.add_parser("validate", help="positivity check: phase A decides, at any depth; "
+                      "when it refuses, a band scan up to --depth names the first witness")
     v.add_argument("--depth", type=int, default=None,
                    help=f"band width to verify, >= 2 (env FRIEZE_DEPTH, default {DEFAULT_DEPTH})")
     v.add_argument("file")

@@ -16,9 +16,10 @@ tiles rightward so that its first element sits just after the core.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import compress, count, cycle, islice
-from operator import le, sub
+from operator import sub
 from typing import ClassVar
 
 
@@ -204,11 +205,10 @@ class ValidationReport:
 
     status is "valid_to_depth" or "invalid"; an invalid report carries the
     first nonpositive entry (i, j, t(i, j)) in scan order (increasing band
-    j - i, then increasing i).  Positivity of every frieze entry is an
-    infinite condition, so in general a valid report certifies only the
-    bands up to `depth`.  When validate's tail growth certificate holds
-    (see validate), every entry is positive: the same report is then exact
-    and does not depend on `depth`.
+    j - i, then increasing i), which validate's band scan names.  Phase A
+    decides validity: when it accepts q (see validate), every entry is
+    positive and the valid report does not depend on `depth`.  A valid
+    report from the scan certifies only the bands up to `depth`.
     """
 
     status: str
@@ -221,97 +221,23 @@ class ValidationReport:
 
 
 DEFAULT_DEPTH = 64
-_SLIDES = 3  # how often the growth certificate moves its starting block before it gives up
-
-
-def _climbs(xs: list[int], k: int, period: int, floor: int) -> bool:
-    """Whether xs certifies x >= floor (floor >= 0) on xs and everywhere past it.
-
-    xs holds x_f, x_{f+1}, ... of a solution x of the frieze recurrence
-    whose values from index f + k on repeat with the given period R, one
-    period's transfer having trace s >= 2.  Past f + k, Cayley-Hamilton
-    gives x_{q+2R} = s x_{q+R} - x_q, so d_q = x_{q+R} - x_q obeys
-    d_{q+R} = (s - 2) x_{q+R} + d_q.  Hence if x >= floor up to a block
-    [Q, Q+R) with Q >= f + k and d >= 0 on that block, x never decreases
-    along a residue class mod R from Q on.  Q starts at f + k and moves up
-    by R at most _SLIDES times, so xs needs k + (_SLIDES + 2) * R entries.
-    """
-    if min(xs[:k], default=floor) < floor:
-        return False
-    for q in range(k, k + (_SLIDES + 1) * period, period):
-        block = xs[q:q + period]
-        if min(block) < floor:
-            return False
-        if all(map(le, block, xs[q + period:q + 2 * period])):
-            return True
-    return False
-
-
-def _growth_cost(q: QuiddityDescriptor) -> int:
-    """About how many entries _grows reads: its rows times its columns."""
-    C, L, R = len(q.core), len(q.left_period), len(q.right_period)
-    return (C + (_SLIDES + 2) * L + R) * (C + (_SLIDES + 2) * L + (_SLIDES + 3) * R)
-
-
-def _grows(q: QuiddityDescriptor) -> bool:
-    """Exact certificate that t(i, j) >= 1 for all i < j, from tail growth.
-
-    Both tails' one-period transfers must have trace >= 2, and _climbs must
-    certify, with the matching period:
-    - each row of the left tail's own periodic frieze, which holds every
-      entry t(p, c) with c <= P0 (the right tail's is rows B-1 .. B+R-2);
-    - rows P0-L+1 .. B+R-2 of q, where B is the first right-tail index;
-      rows from B-1 on are translates of the last R of them;
-    - for p in (P0-L, P0], the difference t(p-L, c) - t(p, c) over columns
-      c > P0, with floor 0.  Read down a column, t(., c) obeys the same
-      recurrence with the left tail's values, so the column form of the
-      _climbs argument gives t(p, c) >= 1 for every row p <= P0.
-    P0 starts at core_start - 1 and moves down by L, at most _SLIDES times,
-    while a difference fails.  With enough ones (psi's empty class) entries
-    come back to 1 arbitrarily far from the diagonal; the certificate fails
-    there and validate's scan decides.
-    """
-    left, right = q.left_period, q.right_period
-    L, R = len(left), len(right)
-    for period in (left, right):
-        w, _, _, z = _walk(IDENTITY, period)
-        if w + z < 2:
-            return False
-    n = (_SLIDES + 2) * L
-    for r in range(L):
-        turned = left[r:] + left[:r]
-        if not _climbs([1, *continue_row(islice(cycle(turned), n - 1), 0, 1)], 0, L, 1):
-            return False
-    A = q.core_start
-    B = A + len(q.core)
-    lo, end = A - (_SLIDES + 2) * L, B + (_SLIDES + 3) * R - 2  # rows lo .. B+R-2
-    vals = q.values(lo + 1, end - 1)
-    rows = [[1, *continue_row(vals[k:], 0, 1)] for k in range(B + R - 1 - lo)]
-    # rows[p - lo] holds t(p, p+1) .. t(p, end)
-    top = B + R - 1  # rows from top on are certified
-    for P0 in range(A - 1, A - 1 - (_SLIDES + 1) * L, -L):
-        if not all(_climbs(rows[p - lo], max(B - p - 1, 0), R, 1)
-                   for p in range(P0 - L + 1, top)):
-            return False
-        top = P0 - L + 1
-        if all(_climbs(list(map(sub, rows[p - L - lo][P0 - p + L:], rows[p - lo][P0 - p:])),
-                       B - P0 - 1, R, 0) for p in range(P0 - L + 1, P0 + 1)):
-            return True
-    return False
 
 
 def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationReport:
     """Check t(i, j) >= 1 for all i < j with j - i <= depth.
 
-    First, when it reads fewer entries than the scan below would, an exact
-    certificate from tail growth is tried (_grows).  If both tails' period
-    transfers have trace >= 2 and finitely many entries near the core
-    already increase along each tail period, every entry is positive, and
-    the answer is valid at any depth.  It is built for valid friezes
-    without enough ones (psi's nonempty upper classes), whose entries grow
-    away from the diagonal, and holds on every such descriptor of the test
-    corpora; friezes with enough ones, and invalid descriptors, go to the
-    scan.  Either way the report equals the scan's.
+    Phase A of the strip synthesis decides first, over the whole word.  A
+    run that trips no pass rule and terminates or recurs builds a strip
+    triangulation whose triangle counts are q, and by the bijection between
+    infinite friezes and admissible strip triangulations q is then the
+    quiddity sequence of an infinite frieze: every entry is positive, and
+    the answer is valid at any depth.  A 0 counts no triangles, so a
+    Residual holding one goes straight to the scan.
+
+    Otherwise, on a tripped rule or at the pass cap, the band scan below
+    names the first nonpositive entry up to depth, or reports valid_to_depth
+    when there is none.  Phase A accepts only what the scan finds valid, so
+    every report equals the scan's.
 
     Rows are scanned over one full period of each tail plus the core; by
     periodicity this covers every band position of the bi-infinite frieze.
@@ -321,11 +247,15 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
     rows are kept: a row joins the others, with its representative's two
     latest entries, at the band where it first reads a core value.
     """
+    from .synthesis import run_step_a  # synthesis imports this module, so not at the top
+
     if depth < 2:
         raise QuiddityError("validation depth must be >= 2")
-    scan_cost = depth * (len(q.core) + len(q.left_period) + len(q.right_period) + depth // 2)
-    if _growth_cost(q) <= scan_cost and _grows(q):
-        return ValidationReport("valid_to_depth", depth)
+    if not q.has_value(0):
+        with suppress(QuiddityError):  # a tripped pass rule: the scan names the witness
+            a = run_step_a(q, q.core_start, q.core_start)
+            if a.verdict == "terminated" or a.detected_at is not None:
+                return ValidationReport("valid_to_depth", depth)
     L = len(q.left_period)
     row_lo = q.core_start - depth + 1 - L
     row_hi = q.core_start + len(q.core) + len(q.right_period)

@@ -6,8 +6,9 @@ three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
 and raises a whole tail period to a power, the unimodular checker reads
 entries pairwise, and the strip and chord checkers test every pair with the
 crossing rule itself.  The validation oracle walks every row of the scan
-range on its own, reading each value through value_at, and the zero-gap
-oracle counts zero runs one value at a time.  The polygon oracles
+range on its own, reading each value through value_at; the growth
+certificate proves every entry positive from tail growth alone, with no
+phase A; and the zero-gap oracle counts zero runs one value at a time.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
 strips by scanning every arc.  The phase-B oracle walks the fountain position
@@ -148,6 +149,90 @@ def validate_rows(q, depth: int) -> ValidationReport:
     if witness is not None:
         return ValidationReport("invalid", depth, witness)
     return ValidationReport("valid_to_depth", depth)
+
+
+SLIDES = 3  # how often the growth certificate moves its starting block before it gives up
+
+
+def _row(values) -> list[int]:
+    """t(p, p+1), t(p, p+2), ... for the values a_{p+1}, a_{p+2}, ..."""
+    prev, cur = 0, 1
+    out = [cur]
+    for a in values:
+        prev, cur = cur, a * cur - prev
+        out.append(cur)
+    return out
+
+
+def climbs(xs: list[int], k: int, period: int, floor: int) -> bool:
+    """Whether xs certifies x >= floor (floor >= 0) on xs and everywhere past it.
+
+    xs holds x_f, x_{f+1}, ... of a solution x of the frieze recurrence
+    whose values from index f + k on repeat with the given period R, one
+    period's transfer having trace s >= 2.  Past f + k, Cayley-Hamilton
+    gives x_{q+2R} = s x_{q+R} - x_q, so d_q = x_{q+R} - x_q obeys
+    d_{q+R} = (s - 2) x_{q+R} + d_q.  Hence if x >= floor up to a block
+    [Q, Q+R) with Q >= f + k and d >= 0 on that block, x never decreases
+    along a residue class mod R from Q on.  Q starts at f + k and moves up
+    by R at most SLIDES times, so xs needs k + (SLIDES + 2) * R entries.
+    """
+    if min(xs[:k], default=floor) < floor:
+        return False
+    for q in range(k, k + (SLIDES + 1) * period, period):
+        block = xs[q:q + period]
+        if min(block) < floor:
+            return False
+        if all(a <= b for a, b in zip(block, xs[q + period:q + 2 * period])):
+            return True
+    return False
+
+
+def grows(q) -> bool:
+    """Exact certificate that t(i, j) >= 1 for all i < j, from tail growth.
+
+    A second oracle for the valid side of quiddity.validate, independent of
+    phase A.  Both tails' one-period transfers must have trace >= 2, and
+    climbs must certify, with the matching period:
+    - each row of the left tail's own periodic frieze, which holds every
+      entry t(p, c) with c <= P0 (the right tail's is rows B-1 .. B+R-2);
+    - rows P0-L+1 .. B+R-2 of q, where B is the first right-tail index;
+      rows from B-1 on are translates of the last R of them;
+    - for p in (P0-L, P0], the difference t(p-L, c) - t(p, c) over columns
+      c > P0, with floor 0.  Read down a column, t(., c) obeys the same
+      recurrence with the left tail's values, so the column form of the
+      climbs argument gives t(p, c) >= 1 for every row p <= P0.
+    P0 starts at core_start - 1 and moves down by L, at most SLIDES times,
+    while a difference fails.  With enough ones (psi's empty class) entries
+    come back to 1 arbitrarily far from the diagonal, and the certificate
+    fails.  It holds its whole row box, so it suits short cores only.
+    """
+    left, right = q.left_period, q.right_period
+    L, R = len(left), len(right)
+    for period in (left, right):
+        (w, _), (_, z) = transfer(period)
+        if w + z < 2:
+            return False
+    n = (SLIDES + 2) * L
+    for r in range(L):
+        turned = left[r:] + left[:r]
+        if not climbs(_row(turned[i % L] for i in range(n - 1)), 0, L, 1):
+            return False
+    A = q.core_start
+    B = A + len(q.core)
+    lo, end = A - (SLIDES + 2) * L, B + (SLIDES + 3) * R - 2  # rows lo .. B+R-2
+    vals = [q.value_at(i) for i in range(lo + 1, end)]
+    rows = [_row(vals[k:]) for k in range(B + R - 1 - lo)]
+    # rows[p - lo] holds t(p, p+1) .. t(p, end)
+    top = B + R - 1  # rows from top on are certified
+    for P0 in range(A - 1, A - 1 - (SLIDES + 1) * L, -L):
+        if not all(climbs(rows[p - lo], max(B - p - 1, 0), R, 1)
+                   for p in range(P0 - L + 1, top)):
+            return False
+        top = P0 - L + 1
+        if all(climbs([a - b for a, b in zip(rows[p - L - lo][P0 - p + L:], rows[p - lo][P0 - p:])],
+                      B - P0 - 1, R, 0) for p in range(P0 - L + 1, P0 + 1)):
+            return True
+    return False
 
 
 def max_zero_gap_loop(res) -> int:

@@ -250,6 +250,11 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     (["synthesize"], {}, "the following arguments are required: --window"),
     (["polygon", "render", "--svg", "p.svg", "--scale", "wide"], {},
      "argument --scale: invalid float value: 'wide'"),
+    # a range no sequence can hold, checked before any work
+    (["synthesize", f"--window=0..{10**30}"], {},
+     f"--window: spans more than {sys.maxsize} indices, got '0..{10**30}'"),
+    (["frieze", "print", f"--rows=0..{10**30}", "--cols=0..3"], {},
+     f"--rows: spans more than {sys.maxsize} indices, got '0..{10**30}'"),
 ])
 def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monkeypatch,
                                               argv, env, named):
