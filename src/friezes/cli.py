@@ -10,6 +10,11 @@ Defaults for the validation depth and the pass cap may also come from the
 environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
 environment.  main(argv) may be called repeatedly in one process; it builds
 its argument parser once, on the first call.
+
+`frieze print` prints at most MAX_GRID_CELLS cells, the row count times the
+column count, with an empty range counting as one (its labels still print);
+a larger grid is a schema error naming --rows/--cols, raised before any
+entry is evaluated.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+MAX_GRID_CELLS = 10**6  # largest grid `frieze print` renders
 
 
 def _setting(flag: int | None, option: str | None, env: str, default: int, least: int) -> int:
@@ -121,7 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frieze", help="evaluate and print infinite friezes")
     fs = p.add_subparsers(dest="subcommand", required=True)
-    fp = fs.add_parser("print", help="aligned integer grid of frieze entries")
+    fp = fs.add_parser("print", help="aligned integer grid of frieze entries, "
+                       f"at most {MAX_GRID_CELLS} cells")
     fp.add_argument("--rows", required=True, help="row range LO..HI")
     fp.add_argument("--cols", required=True, help="column range LO..HI")
     fp.add_argument("file")
@@ -192,6 +200,10 @@ def _cmd_frieze(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     rows = _parse_range(args.rows, "--rows")
     cols = _parse_range(args.cols, "--cols")
+    n_rows, n_cols = (max(1, hi - lo + 1) for lo, hi in (rows, cols))
+    if n_rows * n_cols > MAX_GRID_CELLS:
+        raise SchemaError(f"--rows/--cols: a grid of {n_rows} x {n_cols} cells is more "
+                          f"than {MAX_GRID_CELLS}, got {args.rows!r} and {args.cols!r}")
     print(render_frieze(FriezeView(q), rows, cols), end="")
     return EXIT_OK
 

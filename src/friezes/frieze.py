@@ -9,14 +9,17 @@ quiddity sequence a_i = t(i-1, i+1) via the three-term recurrence
 
 The recurrence itself lives in quiddity: continue_row walks a row one entry
 at a time, and transfer multiplies out its matrix form, the product of the
-matrices [[a_k, -1], [1, 0]], with whole tail periods raised to a power.
-FriezeView walks and memoizes each row out to band ROW_BAND and answers
-entries farther from the diagonal by one transfer product, which it does
-not store, so its memory stays bounded.  The remaining operations are the
-row identities: the Ptolemy relation, reconstruction of any entry from two
-rows, the continuant (tridiagonal determinant) form, and the row-pair
-determinant coefficients whose value does not depend on the evaluation
-position.  has_enough_ones reads the 1-entries off the strip synthesis.
+matrices [[a_k, -1], [1, 0]], with whole tail periods raised to a power by
+the Chebyshev recurrence of the period's trace.  FriezeView walks and
+memoizes each row out to band ROW_BAND, growing a memo row to at least
+twice its band at a time, and answers entries farther from the diagonal by
+one transfer product, which it does not store, so its memory stays
+bounded.  A run of consecutive entries of one row is one walk from two
+seeds.  The remaining operations are the row identities: the Ptolemy
+relation, reconstruction of any entry from two rows, the continuant
+(tridiagonal determinant) form, and the row-pair determinant coefficients
+whose value does not depend on the evaluation position.  has_enough_ones
+reads the 1-entries off the strip synthesis.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ class FriezeView:
     """Memoized evaluator of the infinite frieze over a quiddity descriptor.
 
     Row i is memoized as the list [t(i, i), t(i, i+1), ...] walked so far,
-    at most out to t(i, i + ROW_BAND).  A longer row is a new list stored
-    with one assignment, never extended in place, so concurrent readers at
-    worst recompute an entry.  Entries are exact Python integers; they grow
-    without bound with the band width.
+    at most out to t(i, i + ROW_BAND).  A row that must grow grows to at
+    least twice its band, so a scan along a row walks it about log2 of its
+    length times, while a lone entry walks only out to itself.  A longer
+    row is a new list stored with one assignment, never extended in place,
+    so concurrent readers at worst recompute an entry.  Entries are exact
+    Python integers; they grow without bound with the band width.
     """
 
     def __init__(self, quiddity: QuiddityDescriptor):
@@ -60,13 +65,23 @@ class FriezeView:
             return row[j - i]
         if j - i > ROW_BAND:
             return transfer(self.quiddity, i + 1, j - 1)[0]
-        values = self.quiddity.values(i + n - 1, j - 1)
+        band = min(ROW_BAND, max(j - i, 2 * (n - 1)))
+        values = self.quiddity.values(i + n - 1, i + band - 1)
         row = self._rows[i] = [*row, *continue_row(values, row[-2], row[-1])]
-        return row[-1]
+        return row[j - i]
 
     def row(self, i: int, lo: int, hi: int) -> list[int]:
-        """[t(i, lo), ..., t(i, hi)]."""
-        return [self.entry(i, j) for j in range(lo, hi + 1)]
+        """[t(i, lo), ..., t(i, hi)]; empty when lo > hi.
+
+        One continue_row walk from the seeds t(i, lo - 1) and t(i, lo).
+        Continuants satisfy the three-term recurrence on either side of the
+        diagonal, for any integer word, so the walk may cross it.
+        """
+        if lo > hi:
+            return []
+        cur = self.entry(i, lo)  # first: a fresh memo row then walks out to lo only
+        prev = self.entry(i, lo - 1)
+        return [cur, *continue_row(self.quiddity.values(lo, hi - 1), prev, cur)]
 
     def continuant(self, p: int, q: int) -> int:
         """The tridiagonal determinant in a_{p+1}, ..., a_{q-1}; equals t(p, q).

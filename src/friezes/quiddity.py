@@ -162,25 +162,39 @@ def _walk(m: Matrix, values: Iterable[int]) -> Matrix:
     return w, x, y, z
 
 
-def _mul(m: Matrix, n: Matrix) -> Matrix:
-    a, b, c, d = m
-    e, f, g, h = n
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+def _chebyshev(trace: int, n: int) -> tuple[int, int]:
+    """(U_{n-1}, U_n) for n >= 0, where U_{-1} = 0, U_0 = 1 and
+    U_{k+1} = trace * U_k - U_{k-1}.
+
+    By doubling, one bit of n at a time: with U_{k-2} = trace * U_{k-1} - U_k,
+    U_{2k} = U_k^2 - U_{k-1}^2 and U_{2k-1} = U_{k-1} (U_k - U_{k-2}), two
+    products of large integers per bit.
+    """
+    if not n:
+        return 0, 1
+    a, b = 1, trace  # (U_{k-1}, U_k) at k = 1, the leading bit of n
+    for bit in bin(n)[3:]:
+        a, b = a * (b - trace * a + b), (b - a) * (b + a)  # k -> 2k
+        if bit == "1":
+            a, b = b, trace * b - a  # k -> k + 1
+    return a, b
 
 
 def _tail(m: Matrix, period: tuple[int, ...], phase: int, count: int) -> Matrix:
-    """m left-multiplied by the transfer of count tail values from period[phase]."""
+    """m left-multiplied by the transfer of count tail values from period[phase].
+
+    The period matrix P has det 1, so P^2 = tau P - I for its trace tau, and
+    P^n = U_{n-1} P - U_{n-2} I with U as in _chebyshev: a whole-period power
+    costs two products of large integers per bit of n, and applying it to
+    m two more per entry of m.
+    """
     turned = period[phase:] + period[:phase]
     whole, rest = divmod(count, len(period))
     if whole:
         p = _walk(IDENTITY, turned)
-        while True:  # m = p^whole m by squaring; powers of p commute
-            if whole & 1:
-                m = _mul(p, m)
-            whole >>= 1
-            if not whole:
-                break
-            p = _mul(p, p)
+        u0, u1 = _chebyshev(p[0] + p[3], whole - 1)  # U_{whole-2}, U_{whole-1}
+        pm = _walk(m, turned)
+        m = tuple(u1 * x - u0 * y for x, y in zip(pm, m))
     return _walk(m, turned[:rest])
 
 
@@ -190,8 +204,9 @@ def transfer(q: QuiddityDescriptor, lo: int, hi: int) -> Matrix:
     The frieze recurrence in matrix form: the product maps the column
     (t(p, lo), t(p, lo - 1)) to (t(p, hi + 1), t(p, hi)), so t(p, q) is
     transfer(q, p + 1, q - 1)[0].  The core values are multiplied out and
-    whole tail periods are raised to a power by squaring, so the cost grows
-    with the logarithm of the distance, not with the distance.
+    whole tail periods are raised to a power by the Chebyshev recurrence of
+    the period's trace (see _tail), so the number of products grows with the
+    logarithm of the distance, not with the distance.
     """
     (lp, ln), core, (rp, rn) = q._pieces(lo, hi)
     m = _tail(IDENTITY, q.left_period, lp, ln) if ln else IDENTITY

@@ -24,14 +24,16 @@ from .strip import LOWER, UPPER, StripTriangulation
 
 def render_frieze(view: FriezeView, rows: tuple[int, int],
                   cols: tuple[int, int]) -> str:
-    """ASCII grid of t(r, c) for r in rows, c in cols (inclusive, maybe empty)."""
+    """ASCII grid of t(r, c) for r in rows, c in cols (inclusive, maybe empty).
+
+    Each grid row is one FriezeView.row walk.
+    """
     r_lo, r_hi = rows
     c_lo, c_hi = cols
     header = [""] + [f"({c})" for c in range(c_lo, c_hi + 1)]
     table = [header]
     for r in range(r_lo, r_hi + 1):
-        table.append([f"({r})"] + [str(view.entry(r, c))
-                                   for c in range(c_lo, c_hi + 1)])
+        table.append([f"({r})", *map(str, view.row(r, c_lo, c_hi))])
     width = max((len(s) for row in table for s in row), default=0)
     return "\n".join(" ".join(s.rjust(width) for s in row).rstrip()
                      for row in table) + "\n"

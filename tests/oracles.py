@@ -104,17 +104,14 @@ def _tail_transfer(period: tuple[int, ...], phase: int, count: int) -> Matrix:
     return mat_mul(transfer(turned[:rest]), mat_pow(transfer(turned), whole))
 
 
-def transfer_entry(q, p: int, r: int) -> int:
-    """t(p, r) as the top-left entry of M(a_{r-1}) ... M(a_{p+1}).
+def transfer_matrix(q, lo: int, hi: int) -> Matrix:
+    """M(a_hi) ... M(a_lo), IDENTITY when lo > hi.
 
     Reads the descriptor's fields directly; whole tail periods are one
     matrix power, so the cost is logarithmic in the distance from the core.
     """
-    if p > r:
-        return -transfer_entry(q, r, p)
-    if p == r:
-        return 0
-    lo, hi = p + 1, r - 1  # the values a_lo .. a_hi enter the product
+    if lo > hi:
+        return IDENTITY
     start, end = q.core_start, q.core_start + len(q.core)  # core is a_start .. a_{end-1}
     left = right = IDENTITY
     if lo < start:
@@ -125,7 +122,16 @@ def transfer_entry(q, p: int, r: int) -> int:
         right = _tail_transfer(q.right_period, (first - end) % len(q.right_period),
                                hi + 1 - first)
     middle = transfer(q.core[max(lo - start, 0):max(hi + 1 - start, 0)])
-    return mat_mul(right, mat_mul(middle, left))[0][0]
+    return mat_mul(right, mat_mul(middle, left))
+
+
+def transfer_entry(q, p: int, r: int) -> int:
+    """t(p, r) as the top-left entry of M(a_{r-1}) ... M(a_{p+1})."""
+    if p > r:
+        return -transfer_entry(q, r, p)
+    if p == r:
+        return 0
+    return transfer_matrix(q, p + 1, r - 1)[0][0]
 
 
 def validate_rows(q, depth: int) -> ValidationReport:

@@ -255,6 +255,16 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
      f"--window: spans more than {sys.maxsize} indices, got '0..{10**30}'"),
     (["frieze", "print", f"--rows=0..{10**30}", "--cols=0..3"], {},
      f"--rows: spans more than {sys.maxsize} indices, got '0..{10**30}'"),
+    # a grid past cli.MAX_GRID_CELLS, refused before any entry is evaluated
+    (["frieze", "print", f"--rows=0..{10**12}", "--cols=0..3"], {},
+     f"--rows/--cols: a grid of {10**12 + 1} x 4 cells is more than 1000000, "
+     f"got '0..{10**12}' and '0..3'"),
+    (["frieze", "print", "--rows=-500..500", "--cols=0..999"], {},
+     "--rows/--cols: a grid of 1001 x 1000 cells is more than 1000000, "
+     "got '-500..500' and '0..999'"),
+    (["frieze", "print", "--rows=7..6", f"--cols=-{10**6}..0"], {},
+     "--rows/--cols: a grid of 1 x 1000001 cells is more than 1000000, "
+     f"got '7..6' and '-{10**6}..0'"),
 ])
 def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monkeypatch,
                                               argv, env, named):
@@ -284,7 +294,8 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys, monkeypatch):
-    """Every flag and variable that takes a number, driven with edge values.
+    """Every flag and variable that takes a number, and the grid's ranges,
+    driven with edge values.
 
     Each value lands in each command's flag or variable, in either flag
     form, with the other variable set at random.  Every case exits 0-3 with
@@ -293,8 +304,11 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     """
     rng = random.Random(21)
     monkeypatch.chdir(tmp_path)
-    values = ["0", "1", "-1", "2", str(10**30), "1e308", "nan", "inf", "-inf", "word", ""]
+    values = ["0", "1", "-1", "2", str(10**30), "1e308", "nan", "inf", "-inf", "word", "",
+              "0..3", "3..0", f"0..{10**12}", f"{-10**30}..0"]
     commands = [(["quiddity", "validate"], "--depth", ["FRIEZE_DEPTH"]),
+                (["frieze", "print", "--cols=-2..2"], "--rows", []),
+                (["frieze", "print", "--rows=-2..2"], "--cols", []),
                 (["synthesize", "--window=-2..2"], "--cap", ["FRIEZE_CAP"]),
                 (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH", "FRIEZE_CAP"]),
                 (["polygon", "render", "--svg", "out.svg"], "--scale", []),

@@ -9,12 +9,13 @@ import tracemalloc
 
 import pytest
 
-from friezes import (FriezeError, FriezeView, QuiddityDescriptor, QuiddityError,
+from friezes import (FriezeError, FriezeView, QuiddityDescriptor, QuiddityError, Residual,
                      entry_from_fg, has_enough_ones, quiddity_from_f)
 from friezes.frieze import ROW_BAND
 
 import refdata
-from corpus import bijection_corpus
+from corpus import (bijection_corpus, enough_ones_corpus, log_offset, random_corpus,
+                    random_descriptor)
 from oracles import det_bareiss, transfer_entry, tridiagonal_matrix, unimodular_ok
 
 GRIDS = [(refdata.LINEAR, refdata.LINEAR_GRID),
@@ -120,6 +121,81 @@ def test_far_entries_match_transfer_matrix_oracle():
                 assert view.entry(p + dist, p) == -want
                 assert view.continuant(p, p + dist) == want
         assert all(len(row) <= ROW_BAND + 1 for row in view._rows.values())
+
+
+def _row_ranges(rng: random.Random, i: int) -> list[tuple[int, int]]:
+    """Row ranges of row i: across the diagonal, wholly below or above it,
+    farther than ROW_BAND from it on one or both ends, and empty."""
+    far = ROW_BAND + rng.randint(1, 300)
+    return [(i - rng.randint(0, 40), i + rng.randint(0, 40)),
+            (i - far, i - far + rng.randint(0, 30)),
+            (i + far, i + far + rng.randint(0, 30)),
+            (i - far, i + rng.randint(-5, 5)),
+            (i + rng.randint(-3, 3), i + ROW_BAND + rng.randint(-2, 5)),
+            (i + rng.randint(-5, 5), i - rng.randint(-5, 5) - 11),
+            (i + 3, i + 2)]
+
+
+def test_row_matches_transfer_oracle():
+    rng = random.Random(5813)
+    qs = [*bijection_corpus(20), *enough_ones_corpus(), *random_corpus(20)]
+    qs += [random_descriptor(rng) for _ in range(20)]
+    for q in qs:
+        q = q.shift(log_offset(rng, 10**9))
+        view = FriezeView(q)
+        for _ in range(2):
+            i = q.core_start + rng.randint(-20, 20)
+            for lo, hi in _row_ranges(rng, i):
+                got = (view if rng.random() < 0.5 else FriezeView(q)).row(i, lo, hi)
+                assert got == [transfer_entry(q, i, j) for j in range(lo, hi + 1)], (q, i, lo, hi)
+        assert all(len(row) <= ROW_BAND + 1 for row in view._rows.values())
+
+
+def test_row_over_zeros_matches_entries():
+    # a Residual may hold 0s: the walk still crosses the diagonal and far bands
+    rng = random.Random(3391)
+    for _ in range(60):
+        left, core, right = (tuple(rng.randint(0, 4) for _ in range(rng.randint(k, 4)))
+                             for k in (1, 0, 1))
+        q = Residual(left, core, right, log_offset(rng, 10**9))
+        view = FriezeView(q)
+        i = q.core_start + rng.randint(-10, 10)
+        for lo, hi in _row_ranges(rng, i):
+            row = view.row(i, lo, hi)
+            assert len(row) == max(0, hi - lo + 1)
+            for j, got in zip(range(lo, hi + 1), row):
+                assert got == view.entry(i, j) == transfer_entry(q, i, j), (q, i, j)
+
+
+def test_memo_rows_grow_geometrically():
+    calls = []
+
+    class Recording(QuiddityDescriptor):
+        def values(self, lo, hi):
+            calls.append((lo, hi))
+            return super().values(lo, hi)
+
+    rng = random.Random(727)
+    for q in (QuiddityDescriptor.constant(3), refdata.MIXED_TAILS, refdata.ZIGZAG):
+        q = Recording(q.left_period, q.core, q.right_period, q.core_start)
+        i = rng.randint(-50, 50)
+        calls.clear()
+        view = FriezeView(q)
+        assert [view.entry(i, j) for j in range(i, i + 201)] == \
+            [transfer_entry(q, i, j) for j in range(i, i + 201)]
+        assert len(calls) <= math.ceil(math.log2(200)) + 2, calls
+        for j in range(i + 201, i + ROW_BAND + 40):
+            view.entry(i, j)
+        for _ in range(200):
+            a, b = rng.randint(-400, 400), rng.randint(-400, 400)
+            assert view.entry(a, b) == transfer_entry(q, a, b)
+        assert all(len(row) <= ROW_BAND + 1 for row in view._rows.values())
+        # a lone entry still walks only out to itself; the next one doubles the
+        # band, up to ROW_BAND
+        lone = FriezeView(q)
+        for j, band in ((100, 100), (101, 200), (201, ROW_BAND)):
+            assert lone.entry(i, i + j) == transfer_entry(q, i, i + j)
+            assert len(lone._rows[i]) == band + 1
 
 
 def test_continuant_precondition():

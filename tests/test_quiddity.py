@@ -8,13 +8,14 @@ import time
 import pytest
 
 from friezes import QuiddityDescriptor, QuiddityError, Residual, ValidationReport, psi, validate
-from friezes.quiddity import IDENTITY, transfer
+from friezes.quiddity import IDENTITY, _tail, transfer
 from friezes.synthesis import run_step_a
 
 import refdata
 from corpus import (W68, bijection_corpus, enough_ones_corpus, fan_word, polygon_word,
                     random_corpus, random_descriptor)
-from oracles import grows, max_zero_gap_loop, transfer as transfer_oracle, validate_rows
+from oracles import (_tail_transfer, grows, mat_mul, max_zero_gap_loop, transfer as transfer_oracle,
+                     transfer_matrix, validate_rows)
 
 
 def test_constant_descriptor_value_at():
@@ -211,6 +212,43 @@ def test_transfer_matches_matrix_product_oracle():
                 (a, b), (c, d) = transfer_oracle(q.value_at(i) for i in range(lo, hi + 1))
                 assert transfer(q, lo, hi) == (a, b, c, d), (q, lo, hi)
     assert transfer(refdata.LINEAR, 5, 4) == IDENTITY
+
+
+def _flat(m) -> tuple[int, int, int, int]:
+    (a, b), (c, d) = m
+    return a, b, c, d
+
+
+def test_tail_power_matches_squaring_oracle():
+    # the Chebyshev recurrence of the period's trace against repeated squaring,
+    # over every phase; values from 0, since M(0) has det 1 too
+    rng = random.Random(8123)
+    for _ in range(100):
+        period = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 4)))
+        n = len(period)
+        m = tuple(rng.randint(-9, 9) for _ in range(4))
+        far = round(10 ** rng.uniform(0, 5))  # log-uniform up to 10^5 values
+        counts = {w * n + e for w in (0, 1, 2, 3, 8, 2**rng.randint(4, 9)) for e in (-1, 0, 1)}
+        for phase in range(n):
+            for count in sorted(c for c in counts | {far} if c >= 0):
+                want = _tail_transfer(period, phase, count)
+                assert _tail(IDENTITY, period, phase, count) == _flat(want), (period, phase, count)
+                assert _tail(m, period, phase, count) == _flat(mat_mul(want, (m[:2], m[2:]))), \
+                    (period, phase, count, m)
+
+
+def test_transfer_far_in_the_tails_matches_squaring_oracle():
+    # transfer at log-uniform distances up to 10^5, through either tail and across the core
+    rng = random.Random(4409)
+    for _ in range(120):
+        left, right = (tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 4))) for _ in "lr")
+        core = tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 5)))
+        q = Residual(left, core, right, rng.randint(-10**9, 10**9))
+        for _ in range(3):
+            back = round(10 ** rng.uniform(0, 5)) if rng.random() < 0.5 else 0
+            lo = q.core_start + rng.randint(-20, 20) - back
+            hi = lo + round(10 ** rng.uniform(0, 5)) - 1
+            assert transfer(q, lo, hi) == _flat(transfer_matrix(q, lo, hi)), (q, lo, hi)
 
 
 def _phase_a_accepts(q) -> bool:
