@@ -14,7 +14,14 @@ its argument parser once, on the first call.
 `frieze print` prints at most MAX_GRID_CELLS cells, the row count times the
 column count, with an empty range counting as one (its labels still print);
 a larger grid is a schema error naming --rows/--cols, raised before any
-entry is evaluated.
+entry is evaluated.  `synthesize` and `roundtrip` take a --window of at most
+MAX_WINDOW points; a wider one is a schema error naming --window, raised
+before any synthesis.
+
+Output files (-o, --svg) are overwritten in place, not atomically: the
+file keeps its inode, so a symlink is followed and hard links and the mode
+are kept.  A write that fails partway leaves the new bytes followed by the
+rest of the old file (see _write_text).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import traceback
 from pathlib import Path
@@ -42,6 +50,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 MAX_GRID_CELLS = 10**6  # largest grid `frieze print` renders
+MAX_WINDOW = 10**5  # most lower points a `synthesize` or `roundtrip` window holds
 
 
 def _setting(flag: int | None, option: str | None, env: str, default: int, least: int) -> int:
@@ -87,9 +96,32 @@ def _read_json(path: str):
     return serialize.loads(text)
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)  # open()'s own mode; os.open's is 0o777
+
+
 def _write_text(path: str, text: str) -> None:
+    """Write text to path in place, as Path.write_text would, without O_TRUNC.
+
+    Opening with O_TRUNC empties an existing file first; on ext4 that marks
+    it for writeback on close (auto_da_alloc's replace-via-truncate), which
+    costs more than writing a strip document.  So the file is opened as it
+    is, written, and then cut to the written length: a regular file only,
+    as a device, FIFO or tty takes no ftruncate.  A temporary file renamed
+    over the target would meet ext4's replace-via-rename flush instead, and
+    unlinking first would break symlinks and hard links.
+
+    The bytes, encoding, inode and mode are those of Path.write_text; a new
+    file gets 0o666 & ~umask.  What differs is a write that fails partway:
+    it leaves the new bytes followed by the old file's rest, where O_TRUNC
+    left a prefix of the new ones.  Neither is crash-safe, as neither calls
+    fsync.
+    """
     try:
-        Path(path).write_text(text)
+        with open(path, "w", opener=_open_untruncated) as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as e:
         raise SchemaError(f"cannot write {path}: {e}")
 
@@ -103,6 +135,15 @@ def _parse_range(spec: str, what: str) -> tuple[int, int]:
         raise SchemaError(f"{what}: expected LO..HI, got {spec!r}")
     if hi - lo >= sys.maxsize:  # no sequence can hold that many indices
         raise SchemaError(f"{what}: spans more than {sys.maxsize} indices, got {spec!r}")
+    return lo, hi
+
+
+def _parse_window(spec: str) -> tuple[int, int]:
+    """--window's range, or a SchemaError when it holds more than MAX_WINDOW points."""
+    lo, hi = _parse_range(spec, "--window")
+    if hi - lo + 1 > MAX_WINDOW:
+        raise SchemaError(f"--window: a window of {hi - lo + 1} points is more than "
+                          f"{MAX_WINDOW}, got {spec!r}")
     return lo, hi
 
 
@@ -165,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sr.add_argument("file")
 
     p = sub.add_parser("synthesize", help="strip triangulation realizing a quiddity")
-    p.add_argument("--window", required=True, help="lower index range LO..HI")
+    p.add_argument("--window", required=True,
+                   help=f"lower index range LO..HI, at most {MAX_WINDOW} points")
     p.add_argument("--cap", type=int, default=None,
                    help=f"phase-A pass cap (env FRIEZE_CAP, default {synthesis.DEFAULT_CAP})")
     p.add_argument("-o", "--output", default=None)
@@ -179,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("roundtrip", help="validate, synthesize, and cross-check")
-    p.add_argument("--window", default="-6..6", help="lower index range LO..HI")
+    p.add_argument("--window", default="-6..6",
+                   help=f"lower index range LO..HI, at most {MAX_WINDOW} points")
     p.add_argument("file")
     return ap
 
@@ -261,7 +304,7 @@ def _cmd_strip(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
-    window = _parse_range(args.window, "--window")
+    window = _parse_window(args.window)
     cap = _setting(args.cap, "--cap", "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)
     outcome = synthesis.psi(q, window, cap=cap)
     doc = serialize.strip_dumps(outcome.triangulation)
@@ -290,7 +333,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
-    window = _parse_range(args.window, "--window")
+    window = _parse_window(args.window)
     lo, hi = window
     depth = _setting(None, None, "FRIEZE_DEPTH", DEFAULT_DEPTH, 2)
     cap = _setting(None, None, "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)

@@ -249,18 +249,10 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
     the answer is valid at any depth.  A 0 counts no triangles, so a
     Residual holding one goes straight to the scan.
 
-    Otherwise, on a tripped rule or at the pass cap, the band scan below
-    names the first nonpositive entry up to depth, or reports valid_to_depth
-    when there is none.  Phase A accepts only what the scan finds valid, so
-    every report equals the scan's.
-
-    Rows are scanned over one full period of each tail plus the core; by
-    periodicity this covers every band position of the bi-infinite frieze.
-    The scan is band by band, so the first nonpositive entry found is the
-    first in band-major order.  At band d the rows i <= core_start - d read
-    only left-tail values and repeat with its period L, so only the lowest L
-    rows are kept: a row joins the others, with its representative's two
-    latest entries, at the band where it first reads a core value.
+    Otherwise, on a tripped rule or at the pass cap, the band scan
+    (_band_scan) names the first nonpositive entry up to depth, or reports
+    valid_to_depth when there is none.  Phase A accepts only what the scan
+    finds valid, so every report equals the scan's.
     """
     from .synthesis import run_step_a  # synthesis imports this module, so not at the top
 
@@ -271,6 +263,21 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
             a = run_step_a(q, q.core_start, q.core_start)
             if a.verdict == "terminated" or a.detected_at is not None:
                 return ValidationReport("valid_to_depth", depth)
+    return _band_scan(q, depth)
+
+
+def _band_scan(q: QuiddityDescriptor, depth: int) -> ValidationReport:
+    """validate's report without phase A: the first t(i, j) <= 0 with
+    j - i <= depth (depth >= 2), in band-major order, or valid_to_depth.
+
+    Rows are scanned over one full period of each tail plus the core; by
+    periodicity this covers every band position of the bi-infinite frieze.
+    The scan is band by band, so the first nonpositive entry found is the
+    first in band-major order.  At band d the rows i <= core_start - d read
+    only left-tail values and repeat with its period L, so only the lowest L
+    rows are kept: a row joins the others, with its representative's two
+    latest entries, at the band where it first reads a core value.
+    """
     L = len(q.left_period)
     row_lo = q.core_start - depth + 1 - L
     row_hi = q.core_start + len(q.core) + len(q.right_period)

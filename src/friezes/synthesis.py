@@ -61,7 +61,10 @@ from itertools import chain, compress, count, cycle, islice
 from operator import ne
 from typing import NoReturn
 
-from .quiddity import QuiddityDescriptor, QuiddityError, validate
+# validate is unused here since _refuse scans directly, but perfbench's tracer
+# still patches friezes.synthesis.validate and counts it missing if absent
+from .quiddity import (DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, _band_scan,
+                       validate)
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, m2_finite)
 
@@ -671,8 +674,13 @@ class SynthesisOutcome:
 
 
 def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
-    """Raise a QuiddityError naming validate(q)'s witness if it finds one, else err."""
-    report = validate(q)
+    """Raise a QuiddityError naming validate(q)'s witness if it finds one, else err.
+
+    Called once phase A has refused q, so only validate's band scan runs:
+    phase A accepts only what the scan finds valid, so the scan's report is
+    validate's.
+    """
+    report = _band_scan(q, DEFAULT_DEPTH)
     if report.ok:
         raise err
     raise QuiddityError(

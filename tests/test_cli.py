@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -184,6 +185,62 @@ def test_strip_dehn_document_bytes(qfile, tmp_path, capsys):
     assert out.read_bytes() == want.encode()
 
 
+@pytest.fixture()
+def synth_to(qfile, capsys):
+    """synthesize constant 3 over a window into a path; exits 0."""
+    q = qfile(QuiddityDescriptor.constant(3), "c3.json")
+
+    def run(window, out):
+        assert main(["synthesize", f"--window={window}", "-o", str(out), q]) == 0
+        assert _json_out(capsys)["written"] == str(out)
+    return run
+
+
+def test_overwriting_a_longer_document_leaves_no_old_tail(synth_to, tmp_path):
+    fresh, out = tmp_path / "fresh.json", tmp_path / "out.json"
+    synth_to("-2..2", fresh)
+    synth_to("-64..64", out)
+    assert out.stat().st_size > 10 * fresh.stat().st_size
+    synth_to("-2..2", out)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_overwriting_keeps_links_inode_and_mode(synth_to, tmp_path):
+    fresh, target = tmp_path / "fresh.json", tmp_path / "target.json"
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+    synth_to("-2..2", fresh)
+    synth_to("-64..64", target)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    synth_to("-2..2", link)
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    assert hard.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode and stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_new_output_file_mode_follows_umask(synth_to, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        synth_to("-2..2", tmp_path / "new.json")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o666 & ~0o027
+
+
+def test_output_to_a_device_is_written_untruncated(synth_to):
+    synth_to("-2..2", os.devnull)  # ftruncate on a character device would fail
+
+
+@pytest.mark.parametrize("target", [".", "missing/out.json"])
+def test_unwritable_output_is_schema_error(qfile, tmp_path, capsys, target):
+    out = str(tmp_path / target)
+    assert main(["synthesize", "--window=-2..2", "-o", out, qfile(refdata.LINEAR)]) == 3
+    error = _json_out(capsys)["error"]
+    assert error["kind"] == "schema" and error["message"].startswith(f"cannot write {out}: ")
+
+
 def test_roundtrip_command(qfile, capsys):
     assert main(["roundtrip", "--window=-5..5", qfile(refdata.MIXED_TAILS)]) == 0
     out = capsys.readouterr().out
@@ -265,6 +322,16 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     (["frieze", "print", "--rows=7..6", f"--cols=-{10**6}..0"], {},
      "--rows/--cols: a grid of 1 x 1000001 cells is more than 1000000, "
      f"got '7..6' and '-{10**6}..0'"),
+    # a window past cli.MAX_WINDOW points, refused before any synthesis
+    (["synthesize", f"--window=0..{10**12}"], {},
+     f"--window: a window of {10**12 + 1} points is more than 100000, got '0..{10**12}'"),
+    (["synthesize", "--window=0..100000", "--svg", "s.svg"], {},
+     "--window: a window of 100001 points is more than 100000, got '0..100000'"),
+    (["roundtrip", "--window=-50000..50000"], {},
+     "--window: a window of 100001 points is more than 100000, got '-50000..50000'"),
+    (["roundtrip", f"--window={-10**12}..{10**12}"], {"FRIEZE_DEPTH": "10"},
+     f"--window: a window of {2 * 10**12 + 1} points is more than 100000, "
+     f"got '{-10**12}..{10**12}'"),
 ])
 def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monkeypatch,
                                               argv, env, named):
@@ -275,6 +342,23 @@ def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monke
     assert main([*argv, input_for(argv)]) == 3
     assert _json_out(capsys)["error"] == {"kind": "schema", "message": named}
     assert not list(tmp_path.glob("*.svg"))
+
+
+def test_window_bound_is_checked_before_any_synthesis(qfile, capsys, monkeypatch):
+    q = qfile(QuiddityDescriptor.constant(3))
+    monkeypatch.setattr(cli, "MAX_WINDOW", 9)
+    assert main(["synthesize", "--window=-4..4", q]) == 0  # at the bound
+    assert strip_from_json(_json_out(capsys)).window == (-4, 4)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(cli.synthesis, "psi", unreachable)
+    monkeypatch.setattr(cli, "validate", unreachable)
+    for argv in (["synthesize", "--window=-4..5"], ["roundtrip", "--window=-5..4"]):
+        assert main([*argv, q]) == 3
+        assert _json_out(capsys)["error"]["message"].startswith(
+            "--window: a window of 10 points is more than 9")
 
 
 def test_polygon_render_draws_any_finite_scale(input_for, tmp_path, capsys, monkeypatch):
@@ -294,8 +378,8 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys, monkeypatch):
-    """Every flag and variable that takes a number, and the grid's ranges,
-    driven with edge values.
+    """Every flag and variable that takes a number, and the grid's and the
+    window's ranges, driven with edge values.
 
     Each value lands in each command's flag or variable, in either flag
     form, with the other variable set at random.  Every case exits 0-3 with
@@ -306,17 +390,24 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     values = ["0", "1", "-1", "2", str(10**30), "1e308", "nan", "inf", "-inf", "word", "",
               "0..3", "3..0", f"0..{10**12}", f"{-10**30}..0"]
+    # --window's own edges: past cli.MAX_WINDOW points either way; no reversed
+    # range, as an empty window is refused by the synthesis (exit 1)
+    windows = ["-2..2", "0..0", "0", "word", "", f"0..{cli.MAX_WINDOW}",
+               f"{-cli.MAX_WINDOW}..0", f"0..{10**12}", f"{-10**30}..0"]
     commands = [(["quiddity", "validate"], "--depth", ["FRIEZE_DEPTH"]),
                 (["frieze", "print", "--cols=-2..2"], "--rows", []),
                 (["frieze", "print", "--rows=-2..2"], "--cols", []),
                 (["synthesize", "--window=-2..2"], "--cap", ["FRIEZE_CAP"]),
                 (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH", "FRIEZE_CAP"]),
+                (["synthesize"], "--window", []),
+                (["roundtrip"], "--window", []),
                 (["polygon", "render", "--svg", "out.svg"], "--scale", []),
                 (["strip", "render", "--svg", "out.svg"], "--scale", [])]
     files = {argv[0]: input_for(argv) for argv, _, _ in commands}
     svg = tmp_path / "out.svg"
     started, codes = time.perf_counter(), set()
-    for (argv, flag, variables), value in [(c, v) for c in commands for v in values] * 2:
+    cases = [(c, v) for c in commands for v in (windows if c[1] == "--window" else values)]
+    for (argv, flag, variables), value in cases * 2:
         env = {var: rng.choice([None, *values]) for var in ("FRIEZE_DEPTH", "FRIEZE_CAP")}
         argv = list(argv)
         if flag and (not variables or rng.random() < 0.5):
@@ -412,6 +503,7 @@ def test_repeated_main_calls_share_a_parser_and_no_state(qfile, tmp_path, capsys
 
 def test_one_shot_processes_match_in_process_main(qfile, tmp_path, capsys):
     qfile(refdata.MIXED_TAILS)  # q.json in tmp_path
+    (tmp_path / "out.json").write_text(" " * 10**5)  # overwritten, not appended to
     env = {**os.environ, "PYTHONPATH": str(SRC)}
 
     def run(*argv):

@@ -19,10 +19,10 @@ import random
 import pytest
 
 from friezes import (InconclusiveError, QuiddityDescriptor, QuiddityError, StripError, cli,
-                     psi, validate)
+                     psi, synthesis, validate)
 from friezes.serialize import dumps, quiddity_to_json
 
-from corpus import RANDOM_TAILS, polygon_word, random_descriptor
+from corpus import W68, RANDOM_TAILS, fan_word, polygon_word, random_descriptor
 
 TAILS = RANDOM_TAILS + ((1, 3), (2, 1, 4), (1, 4, 2, 3))
 RANDOM_DEPTH = 64
@@ -103,6 +103,46 @@ def test_extremes_raise_documented_errors(shift):
             psi(polygon, (shift - 8, shift + 8), cap=cap)
     with pytest.raises(QuiddityError):
         psi(polygon, (shift - 8, shift + 8))
+
+
+def test_refused_psi_runs_phase_a_once(monkeypatch):
+    """A refusal scans for validate's witness without a second phase-A run,
+    and says what validate(q) at its default depth would have it say."""
+    rng = random.Random(8167)
+    cap = synthesis.DEFAULT_CAP
+    draws = [(q, cap) for q, _ in _polygon_draws(rng)][::6]
+    draws += [(q, cap) for q in (random_descriptor(rng, TAILS, 10) for _ in range(200))
+              if not validate(q).ok]
+    draws += [(QuiddityDescriptor.periodic(fan_word(70)), cap),
+              (QuiddityDescriptor((3,), W68, (3,), 0), cap),
+              (QuiddityDescriptor((2,), (1, 1), (2,), 0), 1),
+              (QuiddityDescriptor.periodic(polygon_word(rng, 12)), 2),
+              # a valid nested-ear core, refused at a cap before recurrence
+              (QuiddityDescriptor((3,), (54, 1) + (2,) * 51 + (4,), (3,), 0), 20)]
+    expected = []
+    for q, cap in draws:
+        report = validate(q)
+        expected.append(None if report.ok else
+                        f"not a valid quiddity sequence: t{report.witness[:2]} = "
+                        f"{report.witness[2]}")
+    calls = []
+    run_step_a = synthesis.run_step_a
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return run_step_a(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "run_step_a", recording)
+    for (q, cap), message in zip(draws, expected):
+        calls.clear()
+        with pytest.raises((QuiddityError, InconclusiveError)) as refused:
+            psi(q, (-8, 8), cap)
+        assert calls == [q], q
+        if message is None:  # no witness up to the default depth: the run's own error
+            assert "not a valid" not in str(refused.value), q
+        else:
+            assert type(refused.value) is QuiddityError and str(refused.value) == message, q
+    assert sum(m is None for m in expected) >= 3 and len(expected) > 40
 
 
 def _long_core(rng: random.Random, n: int) -> tuple[int, ...]:
