@@ -12,11 +12,14 @@ environment.  main(argv) may be called repeatedly in one process; it builds
 its argument parser once, on the first call.
 
 `frieze print` prints at most MAX_GRID_CELLS cells, the row count times the
-column count, with an empty range counting as one (its labels still print);
-a larger grid is a schema error naming --rows/--cols, raised before any
-entry is evaluated.  `synthesize` and `roundtrip` take a --window of at most
-MAX_WINDOW points; a wider one is a schema error naming --window, raised
-before any synthesis.
+column count, with an empty range counting as one (its labels still print),
+and at most MAX_GRID_DIGITS digits, the cell count times the digit bound of
+the widest span (quiddity.digit_bound); a larger grid is a schema error
+naming --rows/--cols, raised before any entry is evaluated.  A reversed
+--rows or --cols is an empty range.  `synthesize` and `roundtrip` take a
+--window of LO <= HI and at most MAX_WINDOW points, and `count` takes
+--i <= --j; anything else is a schema error naming the flag, raised before
+any synthesis or counting.
 
 Output files (-o, --svg) are overwritten in place, not atomically: the
 file keeps its inode, so a symlink is followed and hard links and the mode
@@ -38,7 +41,7 @@ from typing import NoReturn
 
 from . import counting, serialize, synthesis
 from .frieze import FriezeView
-from .quiddity import DEFAULT_DEPTH, QuiddityError, validate
+from .quiddity import DEFAULT_DEPTH, QuiddityError, digit_bound, validate
 from .render import render_frieze, render_polygon_svg, render_strip_svg
 from .serialize import SchemaError
 from .strip import StripError
@@ -50,6 +53,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 MAX_GRID_CELLS = 10**6  # largest grid `frieze print` renders
+MAX_GRID_DIGITS = 10**8  # most cells x digits per cell that `frieze print` renders
 MAX_WINDOW = 10**5  # most lower points a `synthesize` or `roundtrip` window holds
 
 
@@ -139,8 +143,11 @@ def _parse_range(spec: str, what: str) -> tuple[int, int]:
 
 
 def _parse_window(spec: str) -> tuple[int, int]:
-    """--window's range, or a SchemaError when it holds more than MAX_WINDOW points."""
+    """--window's range, or a SchemaError when it is reversed or holds more
+    than MAX_WINDOW points."""
     lo, hi = _parse_range(spec, "--window")
+    if lo > hi:
+        raise SchemaError(f"--window: LO must be <= HI, got {spec!r}")
     if hi - lo + 1 > MAX_WINDOW:
         raise SchemaError(f"--window: a window of {hi - lo + 1} points is more than "
                           f"{MAX_WINDOW}, got {spec!r}")
@@ -247,6 +254,13 @@ def _cmd_frieze(args) -> int:
     if n_rows * n_cols > MAX_GRID_CELLS:
         raise SchemaError(f"--rows/--cols: a grid of {n_rows} x {n_cols} cells is more "
                           f"than {MAX_GRID_CELLS}, got {args.rows!r} and {args.cols!r}")
+    (r_lo, r_hi), (c_lo, c_hi) = rows, cols
+    # t(r, c) spans r..c above the diagonal and c..r below it; an empty range has no entry
+    digits = max(digit_bound(q, r_lo + 1, c_hi - 1), digit_bound(q, c_lo + 1, r_hi - 1))
+    if r_lo <= r_hi and c_lo <= c_hi and n_rows * n_cols * digits > MAX_GRID_DIGITS:
+        raise SchemaError(f"--rows/--cols: a grid of {n_rows} x {n_cols} cells of up to "
+                          f"{math.ceil(digits)} digits is more than {MAX_GRID_DIGITS} "
+                          f"digits, got {args.rows!r} and {args.cols!r}")
     print(render_frieze(FriezeView(q), rows, cols), end="")
     return EXIT_OK
 
@@ -323,6 +337,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.i > args.j:
+        raise SchemaError(f"--i/--j: need i <= j, got {args.i} and {args.j}")
     t = serialize.strip_from_json(_read_json(args.file))
     fn = counting.cc_entry if args.method == "cc" else counting.bci_entry
     value = fn(t, args.i, args.j)
@@ -356,13 +372,29 @@ def _cmd_roundtrip(args) -> int:
     checks.append(("no_special_upper_points", not specials, f"{len(specials)} found"))
     checks.append(("admissible_window", tri.is_admissible_window(), ""))
     view = FriezeView(q)
-    spots = [(i, j) for i in range(lo, hi + 1) for j in range(i, min(i + 4, hi) + 1)]
-    cc_ok = all(counting.cc_entry(tri, i, j) == view.entry(i, j) for i, j in spots)
-    bci_ok = all(counting.bci_entry(tri, i, j) == view.entry(i, j) for i, j in spots)
-    checks.append(("cc_spot_checks", cc_ok, f"{len(spots)} pairs"))
-    checks.append(("bci_spot_checks", bci_ok, f"{len(spots)} pairs"))
+    spots, cc_ok, bci_ok = 0, True, True
+    for i in range(lo, hi + 1):  # t(i, i..i+4) within the window
+        end = min(i + 4, hi)
+        want = view.row(i, i, end)
+        cc, bci = _counted_row(tri, i, end)
+        spots += len(want)
+        cc_ok = cc_ok and cc == want
+        bci_ok = bci_ok and bci == want
+    checks.append(("cc_spot_checks", cc_ok, f"{spots} pairs"))
+    checks.append(("bci_spot_checks", bci_ok, f"{spots} pairs"))
     _print_roundtrip(checks)
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVALID
+
+
+def _counted_row(tri, i: int, end: int) -> tuple[list[int], list[int]]:
+    """t(i, i..end) by CC and by BCI, both counted in one star cut of i+1..end-1."""
+    if end - i < 2:
+        return [*range(end - i + 1)], [*range(end - i + 1)]
+    cut = counting.cut_polygon(tri, i + 1, end - 1)
+    walk = [cut.lower_map[k] for k in range(i, end + 1)]
+    labels = cut.polygon.cc_labels(walk[0])
+    return ([labels[v] for v in walk],
+            [cut.polygon.bci_count(walk[:k]) for k in range(1, len(walk) + 1)])
 
 
 def _print_roundtrip(checks: list[tuple[str, bool, str]]) -> None:

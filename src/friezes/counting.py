@@ -1,26 +1,25 @@
-"""Frieze entries of a strip triangulation by counting inside polygon cuts.
+"""Frieze entries of a strip triangulation by counting inside star cuts.
 
-Any entry t(i, j) of the frieze of an admissible strip triangulation can be
-computed combinatorially: cut the strip along an existing arc system that
-encloses the stars of the lower points i..j (either one peripheral arc
-passing over them, or a bridging arc on each side), producing a finite
-triangulated polygon, then run the polygon counting methods there.  The
-label-propagation count and the boundary-walk tuple count both equal the
-frieze entry, giving a fully independent cross-check of the recurrence.
+t(i, j) reads only the triangles at the lower points i+1..j-1: it is the
+continuant of their counts.  Their union is a triangulated polygon, the
+star cut, and both classical counts run there: Conway-Coxeter label
+propagation from i, and Broline-Crowe-Isaacs tuples of triangles along the
+lower walk i..j.  They agree with the recurrence, giving a fully independent
+cross-check of it, and the cut costs about j - i plus the degrees of
+i+1..j-1, whatever the strip's width.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .polygon import PolygonTriangulation
+from .polygon import PolygonError, PolygonTriangulation
 from .strip import StripTriangulation, StripError
 
 
 class CutError(StripError):
-    """No complete enclosing cut was found among the materialized arcs."""
+    """The materialized arcs do not hold the stars a cut needs."""
 
 
 @dataclass(frozen=True)
@@ -30,82 +29,71 @@ class PolygonCut:
     polygon: PolygonTriangulation
     lower_map: dict[int, int]   # lower index -> polygon vertex label
     upper_map: dict[int, int]   # upper index -> polygon vertex label
-    kind: str                   # "peripheral" or "bridging"
 
 
-def _peripheral_chords(t: StripTriangulation, lo: int, hi: int,
-                       label: dict[int, int]) -> set[tuple[int, int]]:
-    """The peripheral arcs (x, y) with lo <= x and y <= hi, relabelled."""
-    arcs = t.peripheral_arcs
-    inside = arcs[bisect_left(arcs, (lo,)):bisect_left(arcs, (hi,))]
-    return {(label[x], label[y]) for x, y in inside if y <= hi}
+def _has(arcs: tuple[tuple[int, int], ...], arc: tuple[int, int]) -> bool:
+    k = bisect_left(arcs, arc)
+    return k < len(arcs) and arcs[k] == arc
 
 
-def cut_polygon(t: StripTriangulation, i: int, j: int,
-                route: str = "auto") -> PolygonCut:
-    """Cut out a triangulated polygon containing the stars of lower points i..j.
+def cut_polygon(t: StripTriangulation, i: int, j: int) -> PolygonCut:
+    """The polygon of the triangles at lower points i..j: the star cut.
 
-    Prefers the tightest peripheral arc over (i-1, j+1); otherwise falls
-    back to the nearest bridging arcs at some p <= i-1 and q >= j+1.  The
-    cut arcs become polygon sides; everything strictly inside is inherited.
-    route forces one of the two cut kinds ("peripheral" or "bridging");
-    any valid cut yields the same counts.  The cut arcs and the arcs inside
-    them are found by bisecting the sorted arc views: no Python loop runs
-    over arcs outside the polygon.
+    Stars of neighbours k, k+1 share the triangle on the segment (k, k+1),
+    so the union does not pinch.  Its corners are i-1..j+1 and the far ends
+    of the arcs at i..j: the lower ones ascending, labelled from 1, then the
+    upper ones descending.  Both sides of an arc at a point of i..j are
+    triangles at that point, so those arcs are exactly the chords, and every
+    other side joins two corners outside i..j.
+
+    The cut certifies itself from the arcs alone, trusting no window or
+    margin.  Each side off the lower path must be a boundary segment
+    (adjacent lower indices or upper labels) or a materialized arc; the
+    polygon is then a union of true triangles, any arc in it is a chord of
+    its one triangulation, and its n - 3 chord check passes only when the
+    stars of i..j are complete.  Either failure raises CutError, so a strip
+    missing arcs never gives a wrong count.  The arcs are bisected out of
+    the sorted pairs: the cost follows the cut, not the strip.
     """
     if i > j:
         raise StripError("need i <= j")
-    if route not in ("auto", "peripheral", "bridging"):
-        raise StripError(f"unknown cut route {route!r}")
-    over = None if route == "bridging" else t.tightest_peripheral_over(i - 1, j + 1)
-    if over is not None:
-        a0, b0 = over
-        n = b0 - a0 + 1
-        lower_map = {k: k - a0 + 1 for k in range(a0, b0 + 1)}
-        chords = _peripheral_chords(t, a0, b0, lower_map) - {(1, n)}  # the cut arc is a side
-        poly = PolygonTriangulation(n, frozenset(chords))
-        return PolygonCut(poly, lower_map, {}, "peripheral")
-
-    if route == "peripheral":
-        raise CutError(f"no peripheral arc over ({i - 1}, {j + 1})")
-    bridging_arcs = t.bridging_arcs
-    left = bisect_right(bridging_arcs, i - 1, key=itemgetter(0))  # end of feet <= i-1
-    right = bisect_left(bridging_arcs, j + 1, key=itemgetter(0))  # start of feet >= j+1
-    if left == 0 or right == len(bridging_arcs):
-        raise CutError(
-            f"no peripheral arc over ({i - 1}, {j + 1}) and no flanking bridging "
-            "arcs in the materialized region")
-    (p, u), (q, v) = bridging_arcs[left - 1], bridging_arcs[right]
-    if u > v:
-        raise StripError("flanking bridging arcs cross; triangulation is corrupt")
-    n_low = q - p + 1
-    lower_map = {k: k - p + 1 for k in range(p, q + 1)}
-    upper_map = {w: n_low + (v - w) + 1 for w in range(u, v + 1)}
-    n = n_low + (v - u + 1)
-    chords = _peripheral_chords(t, p, q, lower_map)
-    chords |= {(lower_map[k], upper_map[w])  # feet strictly between p and q
-               for k, w in bridging_arcs[left:right] if u <= w <= v}
-    if len(chords) != n - 3:
-        raise CutError(
-            f"cut region has {len(chords)} chords but needs {n - 3}; "
-            "the strip does not materialize this cut completely")
-    poly = PolygonTriangulation(n, frozenset(chords))
-    return PolygonCut(poly, lower_map, upper_map, "bridging")
+    starting, ending, footed = t.stars(i, j)
+    left = sorted({x for x, _ in ending if x < i - 1})
+    right = sorted({y for _, y in starting if y > j + 1})
+    upper = sorted({u for _, u in footed})
+    per, bri = t.peripheral_arcs, t.bridging_arcs
+    first, last = (left or [i - 1])[0], (right or [j + 1])[-1]
+    if upper:
+        closed = _has(bri, (last, upper[-1])) and _has(bri, (first, upper[0]))
+    else:
+        closed = _has(per, (first, last))
+    lower_sides = [*zip(left, [*left[1:], i - 1]), *zip([j + 1, *right], right)]
+    if not (closed and all(b == a + 1 or _has(per, (a, b)) for a, b in lower_sides)
+            and all(v == u + 1 for u, v in zip(upper, upper[1:]))):
+        raise CutError(f"a side of the star cut of {i}..{j} is not a materialized arc")
+    lower_map = {x: k for k, x in enumerate([*left, *range(i - 1, j + 2), *right], 1)}
+    top = len(lower_map) + len(upper)
+    upper_map = {u: top - k for k, u in enumerate(upper)}
+    chords = {(lower_map[x], lower_map[y]) for x, y in (*starting, *ending)}
+    chords |= {(lower_map[k], upper_map[u]) for k, u in footed}
+    try:
+        poly = PolygonTriangulation(top, frozenset(chords))
+    except PolygonError as e:
+        raise CutError(f"the star cut of {i}..{j} is not complete: {e}") from e
+    return PolygonCut(poly, lower_map, upper_map)
 
 
 def cc_entry(t: StripTriangulation, i: int, j: int) -> int:
-    """t(i, j) by label propagation inside a polygon cut (i <= j)."""
+    """t(i, j) by label propagation inside the star cut of i+1..j-1 (i <= j)."""
     if i <= j <= i + 1:
         return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
-    cut = cut_polygon(t, i, j)
-    labels = cut.polygon.cc_labels(cut.lower_map[i])
-    return labels[cut.lower_map[j]]
+    cut = cut_polygon(t, i + 1, j - 1)
+    return cut.polygon.cc_labels(cut.lower_map[i])[cut.lower_map[j]]
 
 
 def bci_entry(t: StripTriangulation, i: int, j: int) -> int:
     """t(i, j) by counting triangle tuples along the lower walk i, i+1, ..., j."""
     if i <= j <= i + 1:
         return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
-    cut = cut_polygon(t, i, j)
-    walk = [cut.lower_map[k] for k in range(i, j + 1)]
-    return cut.polygon.bci_count(walk)
+    cut = cut_polygon(t, i + 1, j - 1)
+    return cut.polygon.bci_count([cut.lower_map[k] for k in range(i, j + 1)])

@@ -19,6 +19,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import compress, count, cycle, islice
+from math import log10
 from operator import sub
 from typing import ClassVar
 
@@ -212,6 +213,25 @@ def transfer(q: QuiddityDescriptor, lo: int, hi: int) -> Matrix:
     m = _tail(IDENTITY, q.left_period, lp, ln) if ln else IDENTITY
     m = _walk(m, core)
     return _tail(m, q.right_period, rp, rn) if rn else m
+
+
+def digit_bound(q: QuiddityDescriptor, lo: int, hi: int) -> float:
+    """log10 of the product of a_k + 1 over lo <= k <= hi; 0 when lo > hi.
+
+    It bounds the digits of every entry whose open span lies in lo..hi:
+    each continuant step has |c_n| <= a_n |c_{n-1}| + |c_{n-2}|, so by
+    induction |t(p, r)| <= the product of a_k + 1 over p < k < r.  A whole
+    tail period's logarithms are summed once, so the cost is O(core +
+    periods) at any distance.
+    """
+    def tail(period: tuple[int, ...], phase: int, count: int) -> float:
+        logs = [log10(a + 1) for a in period[phase:] + period[:phase]]
+        whole, rest = divmod(count, len(period))
+        return whole * sum(logs) + sum(logs[:rest])
+
+    (lp, ln), core, (rp, rn) = q._pieces(lo, hi)
+    return (tail(q.left_period, lp, ln) + sum(log10(a + 1) for a in core)
+            + tail(q.right_period, rp, rn))
 
 
 @dataclass(frozen=True)

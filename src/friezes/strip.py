@@ -130,11 +130,15 @@ class StripTriangulation:
     (i, j) with j - i >= 2 and `bridging_arcs` (i, u) with u in the upper
     class.  `from_pairs` takes those pairs, the constructor Arc tuples, and
     both run one check.  `arcs` gives the Arc tuples back, built on first use.
-    Producers guarantee complete stars at the window's lower points and a
-    complete window cut: the polygon counting.cut_polygon cuts out around
-    lower points lo-1..hi+1, within [lo - margin, hi + margin].  Queries
+    Producers guarantee complete stars at the lower points lo-1..hi+1 and
+    every arc of the window cut, the polygon enclosing those stars along
+    the tightest peripheral arc over (lo-2, hi+2) or else between the
+    nearest bridging arcs, whose lower span lies in [lo - margin, hi +
+    margin] (psi takes the least such margin).  Counting reads only stars
+    (see counting.cut_polygon), which certify themselves; other queries
     about points outside the window may be answered from partial data and
-    raise StripError where that would be unsound.
+    raise StripError where that would be unsound.  `peripheral_by_end` is
+    built on first use, as `arcs` is.
     """
 
     window: tuple[int, int]
@@ -205,10 +209,29 @@ class StripTriangulation:
         return tuple(merge(((i, LOWER, j) for i, j in self.peripheral_arcs),
                            ((i, UPPER, u) for i, u in self.bridging_arcs)))
 
+    @cached_property
+    def peripheral_by_end(self) -> tuple[tuple[int, int], ...]:
+        """The peripheral arcs sorted by right end, then by left end."""
+        return tuple(sorted(self.peripheral_arcs, key=itemgetter(1)))  # stable: keeps left order
+
+    def stars(self, i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The arcs at lower points i..j as three slices found by bisection.
+
+        Peripheral (x, y) with i <= x <= j, in sorted order; peripheral
+        (x, y) with i <= y <= j, by right end (an arc with both ends in i..j
+        is in both); and bridging (k, u) with i <= k <= j, in sorted order.
+        """
+        per, ends, bri = self.peripheral_arcs, self.peripheral_by_end, self.bridging_arcs
+        end = itemgetter(1)
+        return (per[bisect_left(per, (i,)):bisect_left(per, (j + 1,))],
+                ends[bisect_left(ends, i, key=end):bisect_right(ends, j, key=end)],
+                bri[bisect_left(bri, (i,)):bisect_left(bri, (j + 1,))])
+
     def lower_star(self, i: int) -> list[Arc]:
         """The arcs at lower point i, as Arc tuples in sorted order."""
-        return ([peripheral(h, j) for h, j in self.peripheral_arcs if i in (h, j)]
-                + [bridging(i, u) for h, u in self.bridging_arcs if h == i])
+        starting, ending, footed = self.stars(i, i)
+        return ([peripheral(x, i) for x, _ in ending] + [peripheral(i, y) for _, y in starting]
+                + [bridging(i, u) for _, u in footed])
 
     def quiddity_of(self, window: tuple[int, int] | None = None) -> dict[int, int]:
         """Triangle count at each lower point of the window: 1 + arc degree.

@@ -410,7 +410,14 @@ def bci_count_oracle(p: PolygonTriangulation, walk: list[int]) -> int:
 
 
 def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
-    """counting.cut_polygon by scanning every arc of the strip."""
+    """A cut enclosing the stars of lower points i..j, by scanning every arc.
+
+    Along the tightest peripheral arc over (i - 1, j + 1), or else between
+    the nearest bridging arcs on each side; route forces one of the two.
+    These were counting.cut_polygon's routes before the star cut: its counts
+    must agree with theirs, and psi's margin is the smallest that holds this
+    cut around the window.
+    """
     if i > j:
         raise StripError("need i <= j")
     if route not in ("auto", "peripheral", "bridging"):
@@ -427,7 +434,7 @@ def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
             if a0 <= x and y <= b0 and (x, y) != (a0, b0):
                 chords.add((lower_map[x], lower_map[y]))
         poly = PolygonTriangulation(b0 - a0 + 1, frozenset(chords))
-        return PolygonCut(poly, lower_map, {}, "peripheral")
+        return PolygonCut(poly, lower_map, {})
 
     if route == "peripheral":
         raise CutError(f"no peripheral arc over ({i - 1}, {j + 1})")
@@ -459,7 +466,7 @@ def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
             f"cut region has {len(chords)} chords but needs {n - 3}; "
             "the strip does not materialize this cut completely")
     poly = PolygonTriangulation(n, frozenset(chords))
-    return PolygonCut(poly, lower_map, upper_map, "bridging")
+    return PolygonCut(poly, lower_map, upper_map)
 
 
 def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
@@ -673,7 +680,7 @@ def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
 
 
 def cut_region(arcs, res, lo: int, hi: int) -> tuple[int, int]:
-    """Lower span of the polygon counting.cut_polygon cuts around lo-1..hi+1.
+    """Lower span of the polygon cut_polygon_oracle cuts around lo-1..hi+1.
 
     The tightest arc over (lo - 2, hi + 2), final once recorded as no later
     arc ends strictly inside an earlier one; failing that, the nearest

@@ -38,13 +38,13 @@ def qfile(tmp_path):
 @pytest.fixture()
 def input_for(qfile, tmp_path):
     """The file a command line reads: a heptagon for polygon commands, a
-    constant-3 strip for strip commands, else constant 3's quiddity, whose
-    validation is depth-free."""
+    constant-3 strip for strip and count commands, else constant 3's
+    quiddity, whose validation is depth-free."""
     def write(argv):
         c3 = QuiddityDescriptor.constant(3)
         if argv[0] == "polygon":
             doc = dumps(polygon_to_json(polygon_from_quiddity(refdata.HEPTAGON_QUIDDITY)))
-        elif argv[0] == "strip":
+        elif argv[0] in ("strip", "count"):
             doc = strip_dumps(psi(c3, (-2, 2)).triangulation)
         else:
             return qfile(c3)
@@ -332,6 +332,19 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     (["roundtrip", f"--window={-10**12}..{10**12}"], {"FRIEZE_DEPTH": "10"},
      f"--window: a window of {2 * 10**12 + 1} points is more than 100000, "
      f"got '{-10**12}..{10**12}'"),
+    # a grid past cli.MAX_GRID_DIGITS: 200001 cells of constant 3 of up to 10^5 digits
+    (["frieze", "print", "--rows=0..0", "--cols=0..200000"], {},
+     "--rows/--cols: a grid of 1 x 200001 cells of up to 120412 digits is more than "
+     "100000000 digits, got '0..0' and '0..200000'"),
+    (["frieze", "print", "--rows=200000..200000", "--cols=0..999"], {},
+     "--rows/--cols: a grid of 1 x 1000 cells of up to 120412 digits is more than "
+     "100000000 digits, got '200000..200000' and '0..999'"),
+    # reversed ranges, refused before any synthesis or counting
+    (["synthesize", "--window=3..0"], {}, "--window: LO must be <= HI, got '3..0'"),
+    (["roundtrip", "--window=0..-1"], {}, "--window: LO must be <= HI, got '0..-1'"),
+    (["count", "cc", "--i", "5", "--j", "0"], {}, "--i/--j: need i <= j, got 5 and 0"),
+    (["count", "bci", "--i=-1", f"--j=-{10**30}"], {},
+     f"--i/--j: need i <= j, got -1 and -{10**30}"),
 ])
 def test_out_of_range_setting_is_schema_error(input_for, tmp_path, capsys, monkeypatch,
                                               argv, env, named):
@@ -359,6 +372,29 @@ def test_window_bound_is_checked_before_any_synthesis(qfile, capsys, monkeypatch
         assert main([*argv, q]) == 3
         assert _json_out(capsys)["error"]["message"].startswith(
             "--window: a window of 10 points is more than 9")
+
+
+def test_digit_bound_is_checked_before_any_entry(qfile, capsys, monkeypatch):
+    # 11 cells of constant 3 whose widest span, t(0, 10) = 6765, is bounded by
+    # 4^9, a bound of 9 log10(4) = 5.42 digits: 59.6 digits in all
+    q = qfile(QuiddityDescriptor.constant(3))
+    monkeypatch.setattr(cli, "MAX_GRID_DIGITS", 60)
+    assert main(["frieze", "print", "--rows=0..0", "--cols=0..10", q]) == 0
+    assert capsys.readouterr().out.split()[-1] == "6765"
+    monkeypatch.setattr(cli, "MAX_GRID_DIGITS", 59)
+    assert main(["frieze", "print", "--rows=0..0", "--cols=0..10", q]) == 3
+    assert _json_out(capsys)["error"]["message"].startswith(
+        "--rows/--cols: a grid of 1 x 11 cells of up to 6 digits is more than 59 digits")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an entry was evaluated")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "render_frieze", unreachable)
+    start = time.perf_counter()
+    assert main(["frieze", "print", "--rows=0..0", "--cols=0..200000", q]) == 3
+    assert time.perf_counter() - start < 0.1
+    assert _json_out(capsys)["error"]["kind"] == "schema"
 
 
 def test_polygon_render_draws_any_finite_scale(input_for, tmp_path, capsys, monkeypatch):
@@ -390,10 +426,9 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     values = ["0", "1", "-1", "2", str(10**30), "1e308", "nan", "inf", "-inf", "word", "",
               "0..3", "3..0", f"0..{10**12}", f"{-10**30}..0"]
-    # --window's own edges: past cli.MAX_WINDOW points either way; no reversed
-    # range, as an empty window is refused by the synthesis (exit 1)
+    # --window's own edges: past cli.MAX_WINDOW points either way, and reversed
     windows = ["-2..2", "0..0", "0", "word", "", f"0..{cli.MAX_WINDOW}",
-               f"{-cli.MAX_WINDOW}..0", f"0..{10**12}", f"{-10**30}..0"]
+               f"{-cli.MAX_WINDOW}..0", f"0..{10**12}", f"{-10**30}..0", "3..0", "0..-1"]
     commands = [(["quiddity", "validate"], "--depth", ["FRIEZE_DEPTH"]),
                 (["frieze", "print", "--cols=-2..2"], "--rows", []),
                 (["frieze", "print", "--rows=-2..2"], "--cols", []),
@@ -401,6 +436,7 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
                 (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH", "FRIEZE_CAP"]),
                 (["synthesize"], "--window", []),
                 (["roundtrip"], "--window", []),
+                (["count", "cc", "--j=1"], "--i", []),
                 (["polygon", "render", "--svg", "out.svg"], "--scale", []),
                 (["strip", "render", "--svg", "out.svg"], "--scale", [])]
     files = {argv[0]: input_for(argv) for argv, _, _ in commands}

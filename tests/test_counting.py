@@ -1,9 +1,10 @@
-"""Polygon cuts and the counting methods on strip triangulations."""
+"""Star cuts and the counting methods on strip triangulations."""
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,14 +13,13 @@ from friezes.counting import CutError
 from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging, peripheral
 
 import refdata
-from corpus import bijection_corpus, enough_ones_corpus
+from corpus import bijection_corpus, enough_ones_corpus, log_offset
 from oracles import cut_polygon_oracle
 
 
 def test_cut_through_single_fountain():
     tri = psi(refdata.LINEAR, (-5, 5)).triangulation
     cut = cut_polygon(tri, 0, 3)
-    assert cut.kind == "bridging"
     assert cut.polygon.n == 7  # lowers -1..4 plus the one upper point
     assert cut.lower_map[-1] == 1 and cut.lower_map[4] == 6
 
@@ -27,8 +27,8 @@ def test_cut_through_single_fountain():
 def test_cut_along_peripheral_arc():
     tri = psi(refdata.MIXED_TAILS, (-8, 8)).triangulation
     cut = cut_polygon(tri, -2, -1)
-    assert cut.kind == "peripheral"
-    assert set(cut.lower_map) == {-3, -2, -1, 0}  # cut along (-3, 0)
+    assert set(cut.lower_map) == {-3, -2, -1, 0}  # the stars lie under (-3, 0)
+    assert cut.upper_map == {}
 
 
 def test_single_point_cut_has_enough_vertices():
@@ -73,24 +73,6 @@ def test_three_way_agreement(q):
             assert bci_entry(tri, i, j) == want, (i, j)
 
 
-def test_cut_invariance_between_cut_kinds():
-    # pairs inside (-3, 0) have both a peripheral cut (along that arc) and a
-    # bridging cut (fountains at -3 and 0); the counts must not depend on it
-    tri = psi(refdata.MIXED_TAILS, (-8, 8)).triangulation
-    view = FriezeView(refdata.MIXED_TAILS)
-    for i, j in [(-2, -1), (-2, -2), (-1, -1)]:
-        per = cut_polygon(tri, i, j, route="peripheral")
-        bri = cut_polygon(tri, i, j, route="bridging")
-        assert per.kind == "peripheral" and bri.kind == "bridging"
-        assert per.polygon.n != bri.polygon.n
-        want = view.entry(i, j)
-        for cut in (per, bri):
-            labels = cut.polygon.cc_labels(cut.lower_map[i])
-            assert labels[cut.lower_map[j]] == want
-            walk = [cut.lower_map[k] for k in range(i, j + 1)]
-            assert cut.polygon.bci_count(walk) == want
-
-
 def test_cut_error_when_nothing_flanks():
     bare = StripTriangulation((-2, 2), 1, M2_BI_INFINITE,
                               frozenset({bridging(0, 0), bridging(0, 1)}))
@@ -102,14 +84,6 @@ def test_count_precondition():
     tri = psi(refdata.LINEAR, (-3, 3)).triangulation
     with pytest.raises(Exception):
         cc_entry(tri, 2, 1)
-
-
-def test_forced_peripheral_route_errors_without_an_arc():
-    tri = psi(refdata.LINEAR, (-3, 3)).triangulation  # no peripheral arcs at all
-    with pytest.raises(CutError):
-        cut_polygon(tri, 0, 1, route="peripheral")
-    with pytest.raises(Exception):
-        cut_polygon(tri, 0, 1, route="sideways")
 
 
 def test_band_entries_are_continuants_of_polygon_quiddity():
@@ -164,29 +138,88 @@ def _translated(t: StripTriangulation, d: int) -> StripTriangulation:
     return StripTriangulation((lo + d, hi + d), t.margin, t.m2_class, frozenset(arcs))
 
 
-def _cut_or_error(cut, t, i, j, route):
+def _counts(t: StripTriangulation, i: int, j: int):
+    """(CC, BCI) of t(i, j), or CutError when the strip does not hold the cut."""
     try:
-        c = cut(t, i, j, route)
-    except Exception as e:  # the cut and its oracle must fail alike
-        return type(e), str(e)
-    return c.polygon, c.lower_map, c.upper_map, c.kind
+        return cc_entry(t, i, j), bci_entry(t, i, j)
+    except CutError:
+        return CutError
 
 
-def test_cut_polygon_matches_scanning_oracle():
-    """Every route, on corpus strips moved by up to 10^3, cuts exactly as a
-    scan over every arc does, or fails with the same error."""
+def test_star_cut_counts_match_the_enclosing_cut_routes():
+    """On corpus strips moved by up to 10^3, and on pairs reaching past the
+    window, the star cut answers wherever the oracle's peripheral or
+    bridging cut does, with the same counts as both and as FriezeView.
+    Where it answers alone, it still counts right."""
     rng = random.Random(4417)
-    kinds = set()
+    answered = Counter()
     for q in bijection_corpus() + enough_ones_corpus():
         base = psi(q, (-8, 8)).triangulation
         for d in (0, rng.randint(-1000, 1000)):
-            t = _translated(base, d)
+            t, view = _translated(base, d), FriezeView(q.shift(d))
             lo, hi = t.window
-            for _ in range(60):
+            for _ in range(30):
                 i = rng.randint(lo - 3, hi + 3)
-                j = i + rng.randint(0, 12)
-                for route in ("auto", "peripheral", "bridging"):
-                    got = _cut_or_error(cut_polygon, t, i, j, route)
-                    assert got == _cut_or_error(cut_polygon_oracle, t, i, j, route), (q, d, i, j, route)
-                    kinds.add(got[-1] if len(got) == 4 else got[0])
-    assert kinds == {"peripheral", "bridging", CutError}
+                j = i + rng.randint(2, 12)
+                want, got = view.entry(i, j), _counts(t, i, j)
+                answered["star" if got is not CutError else CutError] += 1
+                assert got in ((want, want), CutError), (q, d, i, j)
+                for route in ("peripheral", "bridging"):
+                    try:
+                        cut = cut_polygon_oracle(t, i + 1, j - 1, route)
+                    except CutError:
+                        continue
+                    answered[route] += 1
+                    walk = [cut.lower_map[k] for k in range(i, j + 1)]
+                    labels = cut.polygon.cc_labels(walk[0])
+                    assert (labels[walk[-1]], cut.polygon.bci_count(walk)) == got == (want, want), (
+                        q, d, i, j, route)
+    assert all(answered[k] for k in ("star", CutError, "peripheral", "bridging")), answered
+
+
+def test_every_pair_around_the_window_counts_its_entry():
+    """Every pair with lo - 1 <= i <= j <= hi + 1 answers by CC and by BCI
+    with FriezeView.entry, at the core and at a log-uniform offset out to
+    10^9 (500 on the empty class, whose pass cap bounds psi's distance)."""
+    rng = random.Random(2609)
+    for q in (bijection_corpus() + enough_ones_corpus()
+              + [refdata.LINEAR, refdata.BUMPED, refdata.MIXED_TAILS, refdata.ZIGZAG]):
+        reach = 500 if psi(q, (-4, 4)).m2_class.kind == "empty" else 10**9
+        view = FriezeView(q)
+        for mid in (0, log_offset(rng, reach)):
+            lo, hi = mid - 4, mid + 4
+            tri = psi(q, (lo, hi)).triangulation
+            for i in range(lo - 1, hi + 2):
+                for j in range(i, hi + 2):
+                    assert _counts(tri, i, j) == (view.entry(i, j),) * 2, (q, lo, i, j)
+
+
+def test_a_strip_missing_one_arc_never_counts_wrong():
+    """With any one materialized arc dropped, a pair counts its entry or
+    raises CutError: a missing side or chord shows in the cut's checks."""
+    outcomes = Counter()
+    for q in bijection_corpus()[:12] + [refdata.MIXED_TAILS, refdata.ZIGZAG]:
+        t = psi(q, (-5, 5)).triangulation
+        view = FriezeView(q)
+        per, bri = t.peripheral_arcs, t.bridging_arcs
+        dropped = [(per[:k] + per[k + 1:], bri) for k in range(len(per))]
+        dropped += [(per, bri[:k] + bri[k + 1:]) for k in range(len(bri))]
+        for arcs in dropped:
+            s = StripTriangulation.from_pairs(t.window, t.margin, t.m2_class, *arcs)
+            for i in range(-6, 5):
+                for j in range(i + 2, min(i + 7, 7)):
+                    got = _counts(s, i, j)
+                    outcomes[got is CutError] += 1
+                    assert got in ((view.entry(i, j),) * 2, CutError), (q, arcs, i, j)
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_star_cut_does_not_grow_with_the_window():
+    # zigzag nests its peripheral arcs around the core, so an enclosing arc
+    # over t(200, 204) spans the window: 410 vertices at +-400
+    sizes = set()
+    for w, i in ((64, 32), (400, 200)):
+        tri = psi(refdata.ZIGZAG, (-w, w)).triangulation
+        sizes.add(cut_polygon(tri, i + 1, i + 3).polygon.n)
+        assert bci_entry(tri, i, i + 4) == FriezeView(refdata.ZIGZAG).entry(i, i + 4)
+    assert sizes == {10}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from friezes import FriezeView, bci_entry, cc_entry, has_enough_ones, psi
+from friezes import FriezeView, QuiddityDescriptor, bci_entry, cc_entry, has_enough_ones, psi
 
 from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
 from oracles import transfer_entry
@@ -79,3 +79,20 @@ def test_far_windows_translate_by_whole_tail_periods():
             assert b.bridging_arcs == tuple((i + d, u + shift) for i, u in a.bridging_arcs), q
             pairs[shift != 0] += 1
     assert pairs[True] >= 10 and pairs[False] >= 50, pairs
+
+
+def test_wide_cuts_count_their_entries():
+    """Star cuts of 10^3 to 10^4 vertices count what the recurrence gives:
+    t(0, 3000) on constant 3 (a 1254-digit entry), and spans drawn
+    log-uniform from 10^3 to 10^4 on constant 2, where t(i, j) = j - i."""
+    c3 = QuiddityDescriptor.constant(3)
+    tri = psi(c3, (-2, 3002)).triangulation
+    assert cc_entry(tri, 0, 3000) == bci_entry(tri, 0, 3000) == FriezeView(c3).entry(0, 3000)
+    rng = random.Random(6113)
+    c2 = QuiddityDescriptor.constant(2)
+    lo, hi = -6000, 6000
+    tri, view = psi(c2, (lo, hi)).triangulation, FriezeView(c2)
+    for _ in range(4):
+        span = round(10 ** rng.uniform(3, 4))
+        i = rng.randint(lo - 1, hi + 1 - span)
+        assert cc_entry(tri, i, i + span) == bci_entry(tri, i, i + span) == view.entry(i, i + span) == span

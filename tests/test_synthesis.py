@@ -8,7 +8,7 @@ import random
 import pytest
 
 from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bci_entry, bridging, cc_entry, cli, cut_polygon,
+                     StripTriangulation, bci_entry, bridging, cc_entry, cli,
                      peripheral, psi, run_step_a, step_a_pass, step_b, validate)
 from friezes.serialize import dumps, quiddity_to_json
 from friezes.strip import M2_EMPTY
@@ -16,7 +16,7 @@ from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim,
 
 import refdata
 from corpus import W68, enough_ones_corpus, fan_word, polygon_word
-from oracles import trim_loop
+from oracles import cut_polygon_oracle, trim_loop
 
 # MIXED_TAILS reflected: nat_right, with its closed end on the left
 MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
@@ -337,7 +337,7 @@ def test_margin_is_the_smallest_holding_the_window_cut():
     for q in bijection_corpus()[:16] + [MIRROR_TAILS, refdata.ZIGZAG]:
         for lo, hi in ((-4, 4), (-43, -37), (37, 43)):
             tri = psi(q, (lo, hi)).triangulation
-            cut = cut_polygon(tri, lo - 1, hi + 1)
+            cut = cut_polygon_oracle(tri, lo - 1, hi + 1)
             assert tri.margin == max(lo - min(cut.lower_map), max(cut.lower_map) - hi), (q, lo)
 
 
