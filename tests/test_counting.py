@@ -73,6 +73,25 @@ def test_three_way_agreement(q):
             assert bci_entry(tri, i, j) == want, (i, j)
 
 
+def test_cut_invariance_between_cut_kinds():
+    # pairs inside (-3, 0) have a peripheral cut (along that arc), a bridging
+    # cut (fountains at -3 and 0) and the star cut; the counts must not
+    # depend on which one holds them
+    tri = psi(refdata.MIXED_TAILS, (-8, 8)).triangulation
+    view = FriezeView(refdata.MIXED_TAILS)
+    for i, j in [(-2, -1), (-2, -2), (-1, -1)]:
+        per = cut_polygon_oracle(tri, i, j, "peripheral")
+        bri = cut_polygon_oracle(tri, i, j, "bridging")
+        assert per.upper_map == {} and bri.upper_map != {}
+        assert per.polygon.n != bri.polygon.n
+        want = view.entry(i, j)
+        for cut in (per, bri, cut_polygon(tri, i, j)):
+            labels = cut.polygon.cc_labels(cut.lower_map[i])
+            assert labels[cut.lower_map[j]] == want
+            walk = [cut.lower_map[k] for k in range(i, j + 1)]
+            assert cut.polygon.bci_count(walk) == want
+
+
 def test_cut_error_when_nothing_flanks():
     bare = StripTriangulation((-2, 2), 1, M2_BI_INFINITE,
                               frozenset({bridging(0, 0), bridging(0, 1)}))
@@ -146,11 +165,11 @@ def _counts(t: StripTriangulation, i: int, j: int):
         return CutError
 
 
-def test_star_cut_counts_match_the_enclosing_cut_routes():
+def test_cut_polygon_matches_scanning_oracle():
     """On corpus strips moved by up to 10^3, and on pairs reaching past the
-    window, the star cut answers wherever the oracle's peripheral or
-    bridging cut does, with the same counts as both and as FriezeView.
-    Where it answers alone, it still counts right."""
+    window, the star cut answers wherever the arc-scanning oracle's
+    peripheral or bridging cut does, with the same counts as both and as
+    FriezeView.  Where it answers alone, it still counts right."""
     rng = random.Random(4417)
     answered = Counter()
     for q in bijection_corpus() + enough_ones_corpus():
