@@ -15,8 +15,10 @@ its argument parser once, on the first call.
 column count, with an empty range counting as one (its labels still print),
 and at most MAX_GRID_DIGITS digits, the cell count times the digit bound of
 the widest span (quiddity.digit_bound); a larger grid is a schema error
-naming --rows/--cols, raised before any entry is evaluated.  A reversed
---rows or --cols is an empty range.  `synthesize` and `roundtrip` take a
+naming --rows/--cols, raised before any entry is evaluated.  An entry of
+more digits than a nonzero sys.get_int_max_str_digits() is a schema error
+too, naming its cell and the limit.  A reversed --rows or --cols is an
+empty range.  `synthesize` and `roundtrip` take a
 --window of LO <= HI and at most MAX_WINDOW points, and `count` takes
 --i <= --j; anything else is a schema error naming the flag, raised before
 any synthesis or counting.
@@ -261,7 +263,21 @@ def _cmd_frieze(args) -> int:
         raise SchemaError(f"--rows/--cols: a grid of {n_rows} x {n_cols} cells of up to "
                           f"{math.ceil(digits)} digits is more than {MAX_GRID_DIGITS} "
                           f"digits, got {args.rows!r} and {args.cols!r}")
-    print(render_frieze(FriezeView(q), rows, cols), end="")
+    view = FriezeView(q)
+    try:
+        grid = render_frieze(view, rows, cols)
+    except ValueError:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        least = 10**limit if limit else math.inf  # the least int of limit + 1 digits
+        for r in range(r_lo, r_hi + 1):
+            for c, entry in enumerate(view.row(r, c_lo, c_hi), c_lo):
+                if abs(entry) >= least:
+                    raise SchemaError(
+                        f"--rows/--cols: t({r}, {c}) has more than {limit} digits, Python's "
+                        f"limit for printing an int (PYTHONINTMAXSTRDIGITS raises it), got "
+                        f"{args.rows!r} and {args.cols!r}")
+        raise
+    print(grid, end="")
     return EXIT_OK
 
 

@@ -98,10 +98,11 @@ class PolygonTriangulation:
     @cached_property
     def _faces(self) -> tuple[tuple[int, int, int], ...]:
         # A face's other two vertices are consecutive among the neighbours
-        # above its least vertex v (the polygon is convex), so walking v upward
-        # yields each face once, in sorted order.
+        # above its least vertex v (the polygon is convex), so walking v from
+        # n down yields each face once, and every face after the faces under
+        # its chords: the order in which bci_count closes them.
         out: list[tuple[int, int, int]] = []
-        for v in range(1, self.n + 1):
+        for v in range(self.n, 0, -1):
             nbrs = self._neighbours[v]
             upper = nbrs[bisect_right(nbrs, v):]
             out += ((v, w, x) for w, x in zip(upper, upper[1:]))
@@ -109,7 +110,7 @@ class PolygonTriangulation:
 
     def faces(self) -> list[tuple[int, int, int]]:
         """The n - 2 triangular faces, each as a sorted vertex triple, in sorted order."""
-        return list(self._faces)
+        return sorted(self._faces)
 
     def quiddity(self) -> list[int]:
         """Triangle count at each vertex 1..n; always sums to 3n - 6."""
@@ -142,9 +143,6 @@ class PolygonTriangulation:
                     queue.append(new)
         return labels
 
-    def cc(self, a: int, b: int) -> int:
-        return self.cc_labels(a)[b]
-
     def boundary_walk(self, a: int, b: int, direction: int = 1) -> list[int]:
         """The boundary walk from a to b stepping by +1 or -1 (mod n)."""
         if direction not in (1, -1):
@@ -172,8 +170,9 @@ class PolygonTriangulation:
         between a and c from the faces of the sub-polygon a, a+1, ..., c
         (which holds all their faces), keyed by the faces given to a and to
         c.  The face (a, b, c) joins the tables of (a, b) and (b, c) and
-        settles b.  Faces go narrowest first; the cost is O(n log n) for a
-        boundary walk, whatever the count.
+        settles b.  Faces come in _faces order, each after the faces under
+        its chords; the cost is O(n log n) for a boundary walk, whatever the
+        count.
         """
         if not walk:
             raise PolygonError("empty walk")
@@ -193,7 +192,7 @@ class PolygonTriangulation:
             need[v] += 1
         idle = {(0, 0): 1}  # a side, or a chord with no walk vertex under it
         tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        for a, b, c in sorted(self._faces, key=lambda face: face[2] - face[0]):
+        for a, b, c in self._faces:
             left, right = tables.pop((a, b), idle), tables.pop((b, c), idle)
             if left is right is idle and not (need[a] or need[b] or need[c]):
                 continue

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
-from itertools import accumulate, chain, starmap
+from itertools import chain, starmap
 from operator import itemgetter, lt, sub
 from typing import Iterable, NamedTuple
 
@@ -326,25 +326,27 @@ class StripTriangulation:
     def check_window_maximality(self) -> None:
         """No compatible arc with both endpoints inside the window is missing.
 
-        Candidate peripheral arcs range over window index pairs, candidate
-        bridging arcs over window lower points and materialized upper labels;
-        the first candidate (peripheral by (i, j), then bridging by (i, u))
-        that is absent and crosses no arc is reported.  Sound because every
-        arc meeting the window is materialized, so a candidate that crosses
-        nothing here crosses nothing at all.
+        Only noncrossing arcs can be part of a triangulation, so a crossing
+        raises check_pairwise_noncrossing's error first.  Candidate peripheral
+        arcs range over window index pairs, candidate bridging arcs over
+        window lower points and materialized upper labels; the first
+        candidate (peripheral by (i, j), then bridging by (i, u)) that is
+        absent and crosses no arc is reported.  Sound because every arc
+        meeting the window is materialized.
 
-        "Crosses nothing" is read off tables built once, as `cross` restated:
-        a peripheral (i, j) is free when no lower point strictly inside it is
-        a bridging foot, starts an arc ending beyond j or ends one starting
-        before i; a bridging (i, u) is free when i lies strictly under no
-        peripheral arc and u is at least every upper label of a foot left of
-        i and at most every one right of i.  O(W^2 + W*U + A log A) for
-        window width W, U materialized upper labels and A arcs.
+        The peripheral candidates from i that cross nothing are i's visible
+        points: after v (from v = i + 1) comes the far end of the longest arc
+        starting at v, or v + 1.  The walk stops at a bridging foot, at the
+        end of an arc from left of i, or past the window; each visible point
+        must end an arc at i, so row i costs O(deg i + 1).  A bridging (i, u)
+        crosses nothing when i is strictly under no peripheral arc and u lies
+        between the labels of the nearest feet on each side of i, as labels
+        rise with the feet.  O(W + A log A) for window width W and A arcs.
         """
+        self.check_pairwise_noncrossing()
         lo, hi = self.window
         width = hi - lo + 1
         bridging_arcs = self.bridging_arcs
-        feet = [i for i, _ in bridging_arcs]
         reach_right = [lo - 1] * width  # farthest end of an arc starting at p
         reach_left = [hi + 1] * width   # nearest start of an arc ending at p
         under = [0] * (width + 1)       # difference array: p strictly under an arc
@@ -357,32 +359,26 @@ class StripTriangulation:
             if a <= b:
                 under[a - lo] += 1
                 under[b - lo + 1] -= 1
-        peripherals, footed = set(self.peripheral_arcs), set(feet)
+        peripherals, footed = set(self.peripheral_arcs), {i for i, _ in bridging_arcs}
         for i in range(lo, hi - 1):
-            right, left = lo - 1, hi + 1
-            for j in range(i + 2, hi + 1):
-                p = j - 1 - lo
-                right = max(right, reach_right[p])
-                left = min(left, reach_left[p])
-                if j - 1 in footed or left < i:
-                    break  # every longer candidate from i crosses the same arc
-                if right <= j and (i, j) not in peripherals:
-                    raise StripError(f"window not maximal: {peripheral(i, j)} could be added")
+            v = i + 1
+            while v not in footed and reach_left[v - lo] >= i:
+                v = max(v + 1, reach_right[v - lo])
+                if v > hi:
+                    break
+                if (i, v) not in peripherals:
+                    raise StripError(f"window not maximal: {peripheral(i, v)} could be added")
 
-        uppers = self.materialized_upper_labels()
         bridgings = set(bridging_arcs)
-        labels = [u for _, u in bridging_arcs]
-        before = [None, *accumulate(labels, max)]              # max label of feet [:k]
-        after = [*accumulate(reversed(labels), min)][::-1] + [None]  # min label of feet [k:]
+        labels = [u for _, u in bridging_arcs]  # nondecreasing, as no two arcs cross
         covered = 0
         for i in range(lo, hi + 1):
             covered += under[i - lo]
-            if covered:
+            if covered or not labels:
                 continue
-            u_lo, u_hi = before[bisect_left(feet, i)], after[bisect_right(feet, i)]
-            start = 0 if u_lo is None else bisect_left(uppers, u_lo)
-            stop = len(uppers) if u_hi is None else bisect_right(uppers, u_hi)
-            for u in uppers[start:stop]:
+            k, m = bisect_left(bridging_arcs, (i,)), bisect_left(bridging_arcs, (i + 1,))
+            u_lo, u_hi = labels[max(k - 1, 0)], labels[min(m, len(labels) - 1)]
+            for u in range(u_lo, u_hi + 1):
                 if (i, u) not in bridgings:
                     raise StripError(f"window not maximal: {bridging(i, u)} could be added")
 

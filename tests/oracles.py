@@ -22,14 +22,16 @@ The scanning phase-A oracle stops a recurring run only once an arc it
 recorded spans the range, and the cut oracle takes the tightest recorded
 arc over it.  The enough-ones oracle
 searches frieze entries for 1s out to a depth and re-checks the pairs it
-leaves uncovered against every peripheral arc of the window's strip.
+leaves uncovered against every peripheral arc of the window's strip.  The
+reach maximality oracle walks every j from each i over per-point reach
+tables, and bounds bridging labels by running extremes of the feet's labels.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, compress, count
 
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
                      StripError, ValidationReport, bridging, cross, peripheral, psi)
@@ -329,6 +331,63 @@ def maximality_oracle(t) -> None:
             continue
         if not any(cross(cand, a) for a in arcs):
             raise StripError(f"window not maximal: {cand} could be added")
+
+
+def maximality_reach_oracle(t) -> None:
+    """StripTriangulation.check_window_maximality on a noncrossing strip, from
+    reach tables and a walk over every j from each i.
+
+    "Crosses nothing" is `cross` restated: a peripheral (i, j) is free when
+    no lower point strictly inside it is a bridging foot, starts an arc ending
+    beyond j or ends one starting before i; a bridging (i, u) is free when i
+    lies strictly under no peripheral arc and u is at least every upper label
+    of a foot left of i and at most every one right of i.  O(W^2 + W*U +
+    A log A) for window width W, U materialized upper labels and A arcs.
+    """
+    lo, hi = t.window
+    width = hi - lo + 1
+    bridging_arcs = t.bridging_arcs
+    feet = [i for i, _ in bridging_arcs]
+    reach_right = [lo - 1] * width  # farthest end of an arc starting at p
+    reach_left = [hi + 1] * width   # nearest start of an arc ending at p
+    under = [0] * (width + 1)       # difference array: p strictly under an arc
+    for i, j in t.peripheral_arcs:
+        if lo <= i <= hi:
+            reach_right[i - lo] = max(reach_right[i - lo], j)
+        if lo <= j <= hi:
+            reach_left[j - lo] = min(reach_left[j - lo], i)
+        a, b = max(i + 1, lo), min(j - 1, hi)
+        if a <= b:
+            under[a - lo] += 1
+            under[b - lo + 1] -= 1
+    peripherals, footed = set(t.peripheral_arcs), set(feet)
+    for i in range(lo, hi - 1):
+        right, left = lo - 1, hi + 1
+        for j in range(i + 2, hi + 1):
+            p = j - 1 - lo
+            right = max(right, reach_right[p])
+            left = min(left, reach_left[p])
+            if j - 1 in footed or left < i:
+                break  # every longer candidate from i crosses the same arc
+            if right <= j and (i, j) not in peripherals:
+                raise StripError(f"window not maximal: {peripheral(i, j)} could be added")
+
+    uppers = t.materialized_upper_labels()
+    bridgings = set(bridging_arcs)
+    labels = [u for _, u in bridging_arcs]
+    before = [None, *accumulate(labels, max)]              # max label of feet [:k]
+    after = [*accumulate(reversed(labels), min)][::-1] + [None]  # min label of feet [k:]
+    covered = 0
+    for i in range(lo, hi + 1):
+        covered += under[i - lo]
+        if covered:
+            continue
+        u_lo, u_hi = before[bisect_left(feet, i)], after[bisect_right(feet, i)]
+        start = 0 if u_lo is None else bisect_left(uppers, u_lo)
+        stop = len(uppers) if u_hi is None else bisect_right(uppers, u_hi)
+        for u in uppers[start:stop]:
+            if (i, u) not in bridgings:
+                raise StripError(f"window not maximal: {bridging(i, u)} could be added")
 
 
 def admissibility_oracle(t) -> bool:

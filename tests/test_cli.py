@@ -397,6 +397,37 @@ def test_digit_bound_is_checked_before_any_entry(qfile, capsys, monkeypatch):
     assert _json_out(capsys)["error"]["kind"] == "schema"
 
 
+def test_entry_past_the_int_to_str_limit_is_schema_error(qfile, tmp_path, capsys):
+    # constant 3's t(0, c) = F_2c has 3762 digits at c = 9000, 4293 at 10270,
+    # 4300 at 10288, 4301 at 10289 and 4305 at 10300, against a limit of 4300
+    # digits; the digit bound (6183 digits at 10270) decides nothing here
+    q = qfile(QuiddityDescriptor.constant(3))
+    view = FriezeView(QuiddityDescriptor.constant(3))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for c in (9000, 10270, 10288):
+            assert main(["frieze", "print", "--rows=0..0", f"--cols={c}..{c}", q]) == 0
+            assert capsys.readouterr().out.split()[-1] == str(view.entry(0, c))
+        # the first entry past the limit in row-major order is named
+        for rows, cols, cell in (("0..0", "10289..10289", "t(0, 10289)"),
+                                 ("0..0", "10300..10300", "t(0, 10300)"),
+                                 ("-1..0", "10286..10289", "t(-1, 10288)")):
+            assert main(["frieze", "print", f"--rows={rows}", f"--cols={cols}", q]) == 3
+            assert _json_out(capsys)["error"] == {"kind": "schema", "message": (
+                f"--rows/--cols: {cell} has more than 4300 digits, Python's limit for "
+                f"printing an int (PYTHONINTMAXSTRDIGITS raises it), got {rows!r} and "
+                f"{cols!r}")}
+    finally:
+        sys.set_int_max_str_digits(old)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONINTMAXSTRDIGITS": "4400"}
+    raised = subprocess.run([sys.executable, "-m", "friezes", "frieze", "print", "--rows=0..0",
+                             "--cols=10300..10300", q], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert raised.returncode == 0, raised.stderr
+    assert len(raised.stdout.split()[-1]) == 4305
+
+
 def test_polygon_render_draws_any_finite_scale(input_for, tmp_path, capsys, monkeypatch):
     # the labels sit 12 units past the circle at every scale, with no overflow on the way
     monkeypatch.chdir(tmp_path)

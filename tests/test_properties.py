@@ -16,8 +16,8 @@ from friezes.serialize import strip_dumps, strip_from_json, strip_to_json
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus, log_offset, random_corpus
 from oracles import (cut_region, det_bareiss, enough_ones_two_step, maximality_oracle,
-                     noncrossing_oracle, step_a_scanning_arcs, step_b_walk, transfer_entry,
-                     tridiagonal_matrix)
+                     maximality_reach_oracle, noncrossing_oracle, step_a_scanning_arcs,
+                     step_b_walk, transfer_entry, tridiagonal_matrix)
 
 
 def _random_descriptor(rng: random.Random) -> QuiddityDescriptor:
@@ -261,7 +261,8 @@ def test_strip_checks_match_pairwise_oracles():
     Over corpus strips at three windows and seeded perturbations of each
     (one arc dropped, one random peripheral or bridging arc added): the same
     noncrossing verdict, a named crossing pair that `cross` confirms, and the
-    same maximality message (the first addable candidate).
+    same maximality message (the first addable candidate), which on a
+    crossing strip is the noncrossing check's message.
     """
     rng = random.Random(4099)
     seen = Counter()
@@ -292,9 +293,33 @@ def test_strip_checks_match_pairwise_oracles():
                     x, y = (named[s] for s in crossing.removeprefix("arcs cross: ").split(" and "))
                     assert cross(x, y), crossing
                 missing = _strip_error(t.check_window_maximality)
-                assert missing == _strip_error(lambda: maximality_oracle(t)), t
+                assert missing == (crossing or _strip_error(lambda: maximality_oracle(t))), t
                 seen[crossing is None, missing is None] += 1
-    assert min(seen[True, True], seen[False, True], seen[True, False]) >= 100, seen
+    assert min(seen[True, True], seen[False, False], seen[True, False]) >= 100, seen
+
+
+def test_maximality_matches_reach_oracle_on_wide_windows():
+    """On zigzag at +-60..+-480 and constant 3 at +-1000, each with 0-3 arcs
+    dropped from the window, the same message as the reach-table oracle
+    (the all-pairs oracle is cubic at these widths)."""
+    rng = random.Random(5171)
+    seen = Counter()
+    cases = [(refdata.ZIGZAG, w) for w in (60, 120, 240, 480)]
+    cases.append((QuiddityDescriptor.constant(3), 1000))
+    for q, w in cases:
+        base = psi(q, (-w, w)).triangulation
+        per = [arc for arc in base.peripheral_arcs if arc[1] >= -w and arc[0] <= w]
+        bri = [arc for arc in base.bridging_arcs if -w <= arc[0] <= w]
+        for dropped in range(4):
+            gone = set(rng.sample(per + bri, dropped))
+            t = StripTriangulation.from_pairs(
+                base.window, base.margin, base.m2_class,
+                [arc for arc in base.peripheral_arcs if arc not in gone],
+                [arc for arc in base.bridging_arcs if arc not in gone])
+            missing = _strip_error(t.check_window_maximality)
+            assert missing == _strip_error(lambda: maximality_reach_oracle(t)), (w, gone)
+            seen[missing is None] += 1
+    assert seen[True] >= 5 and seen[False] >= 10, seen
 
 
 def test_wider_window_soak():
