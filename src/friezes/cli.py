@@ -94,12 +94,15 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read {path}: {e}")
-    return serialize.loads(text)
+
+
+def _read_json(path: str):
+    return serialize.loads(_read_text(path))
 
 
 def _open_untruncated(path: str, flags: int) -> int:
@@ -304,7 +307,7 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_strip(args) -> int:
-    t = serialize.strip_from_json(_read_json(args.file))
+    t = serialize.strip_loads(_read_text(args.file))
     if args.subcommand == "phi":
         quid = t.quiddity_of()
         lo, hi = t.window
@@ -319,7 +322,7 @@ def _cmd_strip(args) -> int:
         else:
             print(doc, end="")
     elif args.subcommand == "check":
-        # strip_from_json has already rejected crossing arcs
+        # strip_loads has already rejected crossing arcs
         specials = [p.index for p in t.special_upper_points()]
         out = {"noncrossing": True,
                "admissible_window": t.is_admissible_window(),
@@ -355,7 +358,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_count(args) -> int:
     if args.i > args.j:
         raise SchemaError(f"--i/--j: need i <= j, got {args.i} and {args.j}")
-    t = serialize.strip_from_json(_read_json(args.file))
+    t = serialize.strip_loads(_read_text(args.file))
     fn = counting.cc_entry if args.method == "cc" else counting.bci_entry
     value = fn(t, args.i, args.j)
     print(serialize.dumps({"method": args.method, "i": args.i, "j": args.j,

@@ -29,6 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
+from operator import itemgetter
 
 
 class PolygonError(ValueError):
@@ -49,8 +50,11 @@ def interleaved_pair(pairs: Iterable[tuple[int, int]]
     (left end, -right end) order keeps the chain of intervals still open at
     the current left end, innermost on top; O(P log P) for P pairs.
     """
+    # (left, -right) order by two stable sorts on C-level keys
+    order = sorted(pairs, key=itemgetter(1), reverse=True)
+    order.sort(key=itemgetter(0))
     stack: list[tuple[int, int]] = []
-    for a, b in sorted(pairs, key=lambda pair: (pair[0], -pair[1])):
+    for a, b in order:
         while stack and stack[-1][1] <= a:
             stack.pop()
         if stack and b > stack[-1][1]:

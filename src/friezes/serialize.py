@@ -20,11 +20,25 @@ same foot; `strip_dumps` writes exactly those bytes from templates, without
 the pure-Python encoder that indent=2 forces on `json.dumps`.  Parsing
 validates structure and the type invariants and raises SchemaError with the
 offending field.
+
+`strip_loads` is the mirror of `strip_dumps`: text to strip, with the cyclic
+garbage collector paused across decoding and building.  A decoded document
+holds no reference cycles and reference counting frees it once its pairs
+are read, yet allocating its hundreds of thousands of lists and dicts
+triggers collections that walk every one still alive; pausing only around
+`json.loads` defers those walks into the build.  `strip_from_json` checks
+the common arc entry, {"a": ["L", i], "b": ["L" | "U", j]}, inline, and
+sorts the pairs only when the document did not list them in order; any
+other entry takes the field-by-field checks, so an error names the same
+fault either way.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
+from operator import lt
 from typing import Any
 
 from .polygon import FriezePattern, PolygonError, PolygonTriangulation
@@ -146,9 +160,23 @@ def strip_from_json(d: Any) -> StripTriangulation:
     raw = _require(d, "arcs", "strip")
     if not isinstance(raw, list):
         raise SchemaError("strip.arcs: expected a list")
-    window, pairs = (window[0], window[1]), {LOWER: [], UPPER: []}
+    window, per, bri = (window[0], window[1]), [], []
+    pairs = {LOWER: per, UPPER: bri}
     try:
         for entry in raw:
+            try:  # the common entry, {"a": ["L", i], "b": ["L" | "U", j]}, inline
+                a, b = entry["a"], entry["b"]
+                (x, i), (y, j) = a, b
+            except (TypeError, KeyError, ValueError):
+                pass
+            else:
+                if type(a) is type(b) is list and type(i) is type(j) is int and x == LOWER:
+                    if y == UPPER:
+                        bri.append((i, j))
+                        continue
+                    if y == LOWER:
+                        per.append((i, j) if i < j else (j, i))
+                        continue
             a = _point_from_json(_require(entry, "a", "strip.arcs[]"))
             b = _point_from_json(_require(entry, "b", "strip.arcs[]"))
             if b < a:  # a document may list either end first
@@ -157,7 +185,8 @@ def strip_from_json(d: Any) -> StripTriangulation:
                 StripTriangulation(window, margin, m2, [Arc(MarkedPoint(*a), MarkedPoint(*b))])
             pairs[b[0]].append((a[1], b[1]))
         t = StripTriangulation.from_pairs(  # sorted, and an arc listed twice kept once
-            window, margin, m2, *(dict.fromkeys(sorted(p)) for p in pairs.values()))
+            window, margin, m2, *(p if all(map(lt, p, p[1:])) else dict.fromkeys(sorted(p))
+                                  for p in (per, bri)))
         t.check_pairwise_noncrossing()
     except StripError as e:
         raise SchemaError(f"strip: {e}") from e
@@ -196,5 +225,20 @@ def dumps(obj: dict) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or int() refusing a literal past the digit limit
+        if "integer string conversion" in str(e):
+            raise SchemaError(
+                f"an integer in the JSON has more than {sys.get_int_max_str_digits()} digits, "
+                f"Python's limit for reading an int (PYTHONINTMAXSTRDIGITS raises it)") from e
         raise SchemaError(f"malformed JSON: {e}") from e
+
+
+def strip_loads(text: str) -> StripTriangulation:
+    """strip_from_json(loads(text)), with the cyclic collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return strip_from_json(loads(text))
+    finally:
+        if enabled:
+            gc.enable()

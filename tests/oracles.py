@@ -25,6 +25,8 @@ searches frieze entries for 1s out to a depth and re-checks the pairs it
 leaves uncovered against every peripheral arc of the window's strip.  The
 reach maximality oracle walks every j from each i over per-point reach
 tables, and bounds bridging labels by running extremes of the feet's labels.
+The loader oracle reads a strip document one arc entry at a time through the
+field and point checks, and always sorts the pairs it collects.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from itertools import accumulate, compress, count
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
                      StripError, ValidationReport, bridging, cross, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
-from friezes.strip import M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, m2_finite
+from friezes.serialize import SchemaError, _int_list, _point_from_json, _require, m2_from_str
+from friezes.strip import (M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, Arc, MarkedPoint,
+                           StripTriangulation, m2_finite)
 from friezes.synthesis import (DEFAULT_CAP, Residual, StepAResult, StepBResult,
                                _collapsed_signature, _normalize, _primitive)
 
@@ -307,6 +311,40 @@ def strip_rules_oracle(window: tuple[int, int], margin: int, m2, arcs) -> None:
             raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
         if b_end == "U" and not m2.contains_label(j):
             raise StripError(f"bridging arc to upper {j} outside class {m2}")
+
+
+def strip_from_json_oracle(d):
+    """serialize.strip_from_json as one loop body per arc entry.
+
+    Every entry goes through the field and point checks, the smaller end
+    first, and both pair lists are always sorted and deduplicated.
+    """
+    window = _int_list(_require(d, "window", "strip"), "strip.window")
+    if len(window) != 2:
+        raise SchemaError("strip.window: expected [lo, hi]")
+    margin = _require(d, "margin", "strip")
+    if not isinstance(margin, int) or isinstance(margin, bool):
+        raise SchemaError("strip.margin: expected an integer")
+    m2 = m2_from_str(_require(d, "m2_class", "strip"))
+    raw = _require(d, "arcs", "strip")
+    if not isinstance(raw, list):
+        raise SchemaError("strip.arcs: expected a list")
+    window, pairs = (window[0], window[1]), {"L": [], "U": []}
+    try:
+        for entry in raw:
+            a = _point_from_json(_require(entry, "a", "strip.arcs[]"))
+            b = _point_from_json(_require(entry, "b", "strip.arcs[]"))
+            if b < a:
+                a, b = b, a
+            if a[0] != "L" or b[0] not in pairs:
+                StripTriangulation(window, margin, m2, [Arc(MarkedPoint(*a), MarkedPoint(*b))])
+            pairs[b[0]].append((a[1], b[1]))
+        t = StripTriangulation.from_pairs(
+            window, margin, m2, *(dict.fromkeys(sorted(p)) for p in pairs.values()))
+        t.check_pairwise_noncrossing()
+    except StripError as e:
+        raise SchemaError(f"strip: {e}") from e
+    return t
 
 
 def noncrossing_oracle(t) -> None:

@@ -428,6 +428,36 @@ def test_entry_past_the_int_to_str_limit_is_schema_error(qfile, tmp_path, capsys
     assert len(raised.stdout.split()[-1]) == 4305
 
 
+def test_input_integer_past_the_str_to_int_limit_is_schema_error(tmp_path, capsys):
+    big = "9" * 4301
+    quid = tmp_path / "q.json"
+    quid.write_text('{"left_period": [3], "core": [], "right_period": [3], "core_start": %s}'
+                    % big)
+    strip = tmp_path / "s.json"
+    strip.write_text('{"window": [-2, 2], "margin": 1, "m2_class": "empty", '
+                     '"arcs": [{"a": ["L", %s], "b": ["L", 2]}]}' % big)
+    message = ("an integer in the JSON has more than 4300 digits, Python's limit for reading "
+               "an int (PYTHONINTMAXSTRDIGITS raises it)")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (["quiddity", "validate", str(quid)], ["strip", "check", str(strip)],
+                     ["count", "cc", "--i=0", "--j=1", str(strip)]):
+            assert main(argv) == 3
+            assert _json_out(capsys)["error"] == {"kind": "schema", "message": message}
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_undecodable_input_file_is_schema_error(tmp_path, capsys):
+    # 0xff is no UTF-8; under another locale encoding the JSON decoder refuses it instead
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"left_period": [3], "core": [], "right_period": [3], "core_start": \xff}')
+    for argv in (["quiddity", "validate", str(path)], ["strip", "check", str(path)]):
+        assert main(argv) == 3
+        assert _json_out(capsys)["error"]["kind"] == "schema"
+
+
 def test_polygon_render_draws_any_finite_scale(input_for, tmp_path, capsys, monkeypatch):
     # the labels sit 12 units past the circle at every scale, with no overflow on the way
     monkeypatch.chdir(tmp_path)
