@@ -2,7 +2,8 @@
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
 Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
-pass cap was hit), 3 I/O or schema error (a malformed command line too),
+pass cap, which counts only passes before recurrence, was hit before the run
+terminated or recurred), 3 I/O or schema error (a malformed command line too),
 4 internal error (an exception the program does not expect, which is a
 bug).  Failures print one JSON object {"error": {"kind", "message"}}.
 
@@ -221,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True,
                    help=f"lower index range LO..HI, at most {MAX_WINDOW} points")
     p.add_argument("--cap", type=int, default=None,
-                   help=f"phase-A pass cap (env FRIEZE_CAP, default {synthesis.DEFAULT_CAP})")
+                   help="phase-A passes allowed before termination or recurrence "
+                        f"(env FRIEZE_CAP, default {synthesis.DEFAULT_CAP})")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("file")

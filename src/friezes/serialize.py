@@ -38,7 +38,6 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from operator import lt
 from typing import Any
 
 from .polygon import FriezePattern, PolygonError, PolygonTriangulation
@@ -184,9 +183,11 @@ def strip_from_json(d: Any) -> StripTriangulation:
             if a[0] != LOWER or b[0] not in pairs:  # the constructor names the broken rule
                 StripTriangulation(window, margin, m2, [Arc(MarkedPoint(*a), MarkedPoint(*b))])
             pairs[b[0]].append((a[1], b[1]))
-        t = StripTriangulation.from_pairs(  # sorted, and an arc listed twice kept once
-            window, margin, m2, *(p if all(map(lt, p, p[1:])) else dict.fromkeys(sorted(p))
-                                  for p in (per, bri)))
+        try:  # from_pairs checks the order once; only a refused order is sorted
+            t = StripTriangulation.from_pairs(window, margin, m2, per, bri)
+        except StripError:  # its other rules do not depend on the order, so they refuse again
+            t = StripTriangulation.from_pairs(  # sorted, and an arc listed twice kept once
+                window, margin, m2, *(dict.fromkeys(sorted(p)) for p in (per, bri)))
         t.check_pairwise_noncrossing()
     except StripError as e:
         raise SchemaError(f"strip: {e}") from e

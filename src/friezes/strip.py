@@ -261,6 +261,8 @@ class StripTriangulation:
         for x, y in zip(bridging_arcs, bridging_arcs[1:]):
             if y[1] < x[1]:
                 raise StripError(f"arcs cross: {bridging(*x)} and {bridging(*y)}")
+        if not (self.peripheral_arcs and bridging_arcs):
+            return  # no foot to lie under an arc
         feet = [i for i, _ in bridging_arcs]
         for i, j in self.peripheral_arcs:
             k = bisect_right(feet, i)

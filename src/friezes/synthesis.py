@@ -42,22 +42,30 @@ zeros, as the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is
 with an all-zero side, which has no end for its arc.  These rules decide
 validity: a run that trips none builds a strip whose triangle counts are q,
 so psi needs no separate positivity check.  A window's cut is read off the
-survivors, as zeroed positions never revive.  Each pass's 1s and arcs are
-recorded once and kept over the cut; the residual after a pass is rebuilt
-from the recorded changes only when read.  Nontermination of phase A is
-detected by recurrence, up to translation, of the residual with its zeros
-collapsed away (zero positions are inert, and the gaps between survivors
-grow, so the uncollapsed residual never recurs).  Signatures are compared
-only between passes whose collapsed cores are as long.
+survivors, as zeroed positions never revive.  Each pass's 1s are recorded
+once and read over the cut when asked for; the residual after a pass is
+rebuilt from the recorded changes only when read.  Nontermination of phase
+A is detected by recurrence, up to translation, of the residual with its
+zeros collapsed away (zero positions are inert, and the gaps between
+survivors grow, so the uncollapsed residual never recurs).  Signatures are
+compared only between passes whose collapsed cores are as long.  The pass
+cap counts only passes before recurrence.  After it the run checks that
+the survivors came back translated over the period just stepped, else over
+the next: those left of the growing zero run moved by one shift, the rest
+by another.  The pass rule reads only nearest nonzero neighbours, so every
+later pass is then an earlier one translated; the passes that consume the
+window are found by bisection and read off the translation, so a recurring
+run costs the same at any distance from the core.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, cycle, islice
+from math import inf
 from operator import ne
 from typing import NoReturn
 
@@ -272,6 +280,17 @@ class _Survivors:
         k = _agreement(vals, n, a)
         return n - k - _agreement(islice(reversed(vals), n - k), n - k, b[::-1])
 
+    def moved(self, dl: int, dr: int, x: int) -> "_Survivors":
+        """A copy whose positions below x move by dl and the rest by dr; the
+        left tail moves with cs by dl and the right tail with ce by dr."""
+        t = object.__new__(_Survivors)
+        t.left, t.right, t.cs, t.ce = self.left, self.right, self.cs + dl, self.ce + dr
+        k = bisect_left(self.pos, x)
+        t.pos = [i + dl for i in self.pos[:k]] + [i + dr for i in self.pos[k:]]
+        t.vals = self.vals[:]
+        t.ones = [i + (dl if i < x else dr) for i in self.ones]
+        return t
+
     def has_one(self) -> bool:
         return bool(self.ones) or 1 in self.left or 1 in self.right
 
@@ -439,10 +458,13 @@ def _over(found, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
     order of their 1s."""
     core, (lp, lones), (rp, rones) = found
     L, R = len(lp), len(rp)
-    left = sorted((i - t * L, (p - t * L, n - t * L)) for i, (p, n) in lones
-                  for t in range(max(0, -((hi + L - i) // L)), (i - lo + L) // L + 1))
-    right = sorted((i + t * R, (p + t * R, n + t * R)) for i, (p, n) in rones
-                   for t in range(max(0, -((i - lo + R) // R)), (hi + R - i) // R + 1))
+    left = right = ()
+    if lones:
+        left = sorted((i - t * L, (p - t * L, n - t * L)) for i, (p, n) in lones
+                      for t in range(max(0, -((hi + L - i) // L)), (i - lo + L) // L + 1))
+    if rones:
+        right = sorted((i + t * R, (p + t * R, n + t * R)) for i, (p, n) in rones
+                       for t in range(max(0, -((i - lo + R) // R)), (hi + R - i) // R + 1))
     ones, arcs = [], []
     for i, (p, n) in chain(left, core, right):
         if lo <= i <= hi:
@@ -471,15 +493,116 @@ def step_a_pass(res: Residual) -> Residual:
     return s.residual()
 
 
+def _at_least(y: int, d: int, t: int) -> tuple[float, float]:
+    """The integers m with y + m*d >= t, as bounds (low, high); d != 0."""
+    return (-((y - t) // d), inf) if d > 0 else (-inf, (y - t) // -d)
+
+
+class _Jump:
+    """The passes of a recurring run past a certified translation T.
+
+    T moves positions below x by dl and the rest by dr (dl < 0 < dr), and
+    S(b + p) == T(S(b)) was checked.  So pass b + m*p + r, 0 <= r < p, is
+    pass b + r moved m times: states[r] and the core 1s found[r], each
+    position moved by its own front's shift.  Every state is zero on
+    (g, x), g the last nonzero position below x, or None.
+    """
+
+    def __init__(self, b: int, states: list[_Survivors], found: list, dl: int, dr: int,
+                 x: int, g: int | None):
+        self.b, self.states, self.found = b, states, found
+        self.dl, self.dr, self.x, self.g = dl, dr, x, g
+
+    @classmethod
+    def certify(cls, states: list[_Survivors], found: list, s: _Survivors, b: int):
+        """The translation from states[0] (after pass b) to s, one period of
+        len(states) passes later, if S(b + p) == T(S(b)) holds exactly and
+        the shapes keep T a shift of canonical survivors; else None."""
+        a = states[0]
+        dl, dr = s.cs - a.cs, s.ce - a.ce
+        if not dl < 0 < dr or a.vals != s.vals:
+            return None
+        j = next((k for k, (u, v) in enumerate(zip(a.pos, s.pos)) if v - u != dl), len(a.pos))
+        ends = _nonzero_ends(a.right)
+        x = a.pos[j] if j < len(a.pos) else a.ce + (ends[0] if ends else 0)
+        g = a.prev_nonzero(x)
+        t = a.moved(dl, dr, x)
+        if (t.left, t.cs, t.pos, t.ce, t.right) != (s.left, s.cs, s.pos, s.ce, s.right):
+            return None
+        # cs stays left of the gap and ce right of it, so trims move with their fronts;
+        # tails hold no 1 (a tail 1 would shrink its period for good)
+        if any(u.cs >= x or u.cs >= u.ce or (g is not None and u.ce - 1 <= g) for u in states):
+            return None
+        if any(lones or rones for _, (_, lones), (_, rones) in found):
+            return None
+        return cls(b, states, [core for core, _, _ in found], dl, dr, x, g)
+
+    def _where(self, n: int) -> tuple[int, int, int]:
+        m, r = divmod(n - self.b, len(self.states))
+        return r, m * self.dl, m * self.dr
+
+    def state(self, n: int) -> _Survivors:
+        """The survivors after n passes."""
+        r, dl, dr = self._where(n)
+        return self.states[r].moved(dl, dr, self.x)
+
+    def zero_on(self, n: int, lo: int, hi: int) -> bool:
+        """Whether lo..hi is zero after n passes: the part left of x + dl is
+        states[r]'s moved by dl, the part from x + dr on moved by dr, and
+        between them lies the gap."""
+        r, dl, dr = self._where(n)
+        s, x = self.states[r], self.x
+        return s.zero_on(lo - dl, min(hi - dl, x - 1)) and s.zero_on(max(lo - dr, x), hi - dr)
+
+    def first(self, start: int, lo: int, hi: int) -> int:
+        """The first pass count n >= start after which lo..hi is zero.
+
+        Zeros never revive, so this is a bisection; from the m on for which
+        (g + m*dl, x + m*dr) holds lo..hi, every state is zero there.
+        """
+        m = max(0, (hi - self.x) // self.dr + 1,
+                (self.g - lo) // -self.dl + 1 if self.g is not None else 0)
+        end = max(start, self.b + m * len(self.states))
+        return start + bisect_left(range(start, end + 1), True,
+                                   key=lambda n: self.zero_on(n, lo, hi))
+
+    def arcs(self, lo: int, hi: int, end: int) -> list[tuple[int, int]]:
+        """The arcs of the moved passes n < end that meet lo..hi.  An arc
+        (u, v) of pass b + r meets it in pass b + m*p + r while v + m*dv >= lo
+        and u + m*du <= hi, one range of m per arc."""
+        p, x = len(self.states), self.x
+        out = []
+        for r, core in enumerate(self.found):
+            last = (end - 1 - self.b - r) // p
+            for _, (u, v) in core:
+                du, dv = (self.dl if u < x else self.dr), (self.dl if v < x else self.dr)
+                a1, b1 = _at_least(v, dv, lo)
+                a2, b2 = _at_least(-u, -du, -hi)
+                out += ((u + m * du, v + m * dv)
+                        for m in range(max(1, a1, a2), min(last, b1, b2) + 1))
+        return out
+
+    def found_at(self, n: int):
+        """Pass n's 1s with their arcs, as _Survivors.step gives them."""
+        r, dl, dr = self._where(n)
+        s, x = self.states[r], self.x
+        move = lambda y: y + (dl if y < x else dr)
+        core = [(move(i), (move(u), move(v))) for i, (u, v) in self.found[r]]
+        return core, (s.left, []), (s.right, [])
+
+
 class _History:
-    """The survivors before the first pass and each pass's changes: the
-    residual after any pass is rebuilt from them when it is read."""
+    """The survivors before the first pass and each stepped pass's changes:
+    the residual after any pass is rebuilt from them when it is read, or,
+    past the stepped passes, moved off the run's _Jump."""
 
     def __init__(self, s: _Survivors):
         self._first = dict(zip(s.pos, s.vals))
         self._shapes = [(s.left, s.cs, s.ce, s.right)]
         self._changes: list[tuple[tuple[int, int], ...]] = []
         self._cursor = 0, dict(self._first)
+        self._live = s  # the state after the last stepped pass
+        self.jump: _Jump | None = None
 
     def add(self, s: _Survivors, changes: tuple[tuple[int, int], ...]) -> None:
         self._shapes.append((s.left, s.cs, s.ce, s.right))
@@ -487,6 +610,8 @@ class _History:
 
     def residual(self, k: int) -> Residual:
         """The residual after k passes."""
+        if k >= len(self._changes):
+            return (self._live if k == len(self._changes) else self.jump.state(k)).residual()
         at, held = self._cursor
         if k < at:
             at, held = 0, dict(self._first)
@@ -522,23 +647,68 @@ class PassRecord:
         return self._history.residual(self.index + 1)
 
 
+class _Trace(Sequence):
+    """One PassRecord per pass, built when read: a stepped pass's from the
+    1s it found, a moved pass's off the run's _Jump."""
+
+    def __init__(self, found: list, history: _History, cut: tuple[int, int], length: int):
+        self._found, self._history, self._cut, self._length = found, history, cut, length
+
+    def _read(self, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+        found = self._found[n] if n < len(self._found) else self._history.jump.found_at(n)
+        return _over(found, *self._cut)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(map(self.__getitem__, range(*n.indices(self._length))))
+        if n < 0:
+            n += self._length
+        if not 0 <= n < self._length:
+            raise IndexError("pass index out of range")
+        ones, arcs = self._read(n)
+        return PassRecord(n, tuple(ones), tuple(arcs), self._history)
+
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every pass's arcs over the cut, sorted; the moved passes' are read
+        off the translation arc by arc, not pass by pass."""
+        jump = self._history.jump
+        arcs = [arc for n in range(len(self._found)) for arc in self._read(n)[1]]
+        if jump:
+            arcs += jump.arcs(*self._cut, self._length)
+        return tuple(sorted(arcs))
+
+
 @dataclass(frozen=True)
 class StepAResult:
-    """A phase-A run; its 1s and arcs are recorded once per pass, over the
-    cut, which is read off the survivors and holds mat_lo..mat_hi."""
+    """A phase-A run.  Its cut is read off the survivors and holds
+    mat_lo..mat_hi; its 1s and arcs are recorded once per pass and read
+    over the cut, and like the final residual they are built when read."""
 
     verdict: str  # "terminated" | "nonterminating" | "cap_reached"
     passes: int
-    residual: Residual
-    arcs: tuple[tuple[int, int], ...]  # sorted; every arc that meets the cut
-    trace: tuple[PassRecord, ...]
+    trace: Sequence[PassRecord]
     cut: tuple[int, int]  # (r_lo, r_hi), the lower span of the cut polygon
-    detected_at: int | None = None  # pass index where recurrence was seen
+    detected_at: int | None  # pass index where recurrence was seen
+    _history: _History = field(repr=False, compare=False)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted: every arc that meets the cut."""
+        return self.trace.arcs()
+
+    @cached_property
+    def residual(self) -> Residual:
+        """The residual after the last pass."""
+        return self._history.residual(self.passes)
 
 
 def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
                cap: int = DEFAULT_CAP) -> StepAResult:
-    """Iterate phase-A passes until no 1 remains, recurrence, or the cap.
+    """Iterate phase-A passes until no 1 remains, or recurrence consumes
+    mat_lo..mat_hi, or the cap is reached before either.
 
     The residual is held as survivors: the nonzero core positions with their
     values, between two tail periods.  A pass finds the neighbours of its 1s
@@ -546,21 +716,51 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     the tail values it changes there, and trims what continues the new
     periods, so its cost grows with its 1s and the periods, not with the
     core.  Recurrence is looked for among passes whose collapsed cores are
-    as long, so a long core that never recurs is never copied.
+    as long, so a long core that never recurs is never copied.  The cap
+    counts only passes before recurrence.
 
-    On recurrence of the collapsed residual the run is known nonterminating;
-    passes continue until mat_lo..mat_hi is zero, so that window queries see
-    final data.  The cut is read off the survivors: the nearest nonzero
-    positions around mat_lo + 1..mat_hi - 1 after the first pass that zeroes
-    it (positions never revive), or after the last.  That pass removes the
-    range's one nonzero value, a 1 whose arc is the cut: its ends stay
-    nonzero, no earlier arc spans the 1 and no later one lies inside.  So the
-    cut is the tightest arc (p, n) with p <= mat_lo and mat_hi <= n, or else
-    the ends of the nearest bridging arcs.  This needs no 0 in the range
-    before the first pass, as for every QuiddityDescriptor; a Residual with
-    zeros there is out of scope.  Each pass's 1s and arcs are recorded once,
-    and kept over the cut; its residual_after is rebuilt only when read, and
-    the final residual is built once.
+    On recurrence of the collapsed residual at pass d against pass i, the
+    run is known nonterminating, and window queries need the passes until
+    mat_lo..mat_hi is zero.  With p = d - i, the run checks that
+    S(b + p) == T(S(b)) exactly (positions, values and both periods) for
+    the base b = i, the period it has just stepped, and failing that for
+    b = d, d + p, ..., each after stepping one period more.  T moves the
+    survivors below a split x (the first whose shift is not dl) by
+    dl = cs(b + p) - cs(b), the rest by dr = ce(b + p) - ce(b), each tail
+    with its end of the core, and dl < 0 < dr, so S(b) is zero on (g, x)
+    and T keeps survivors in order; no pass of the period may find a 1 in
+    a tail.  One check is enough.  A pass reads only each nonzero
+    position's value and its nearest nonzero neighbours, and zeros are
+    inert, so pass(T(S)) = T(pass(S)) on the word whenever T keeps the
+    nonzero positions in order, arcs and changed values each moving with
+    their own front; zeros never revive, so every later state is zero on
+    (g, x) too.  The survivors are the canonical trim of the word: cs is its
+    first position off the left period's pattern and ce - 1 its last off
+    the right's.  Each state of the period has cs < x and ce - 1 > g,
+    checked, so these move with T as well (a zero in the gap mismatches a
+    pattern that is nonzero there), and T(S) as survivors is the survivors
+    of T(S) as a word.  By induction S(b + m*p + r) = T^m(S(b + r)) for all
+    m and r.
+
+    Past a certified period nothing is stepped: the first pass that zeroes
+    mat_lo + 1..mat_hi - 1, and the one that zeroes mat_lo..mat_hi, are
+    bisected over moved states.  So the run costs and keeps O(survivors +
+    period) at any distance from the core.  Trace records, arcs and
+    residuals are built when read: a moved pass's 1s off the translation,
+    and the moved arcs that meet the cut per arc of the certified period,
+    from the range of m over which its image meets the cut.
+
+    The cut is read off the survivors: the nearest nonzero positions around
+    mat_lo + 1..mat_hi - 1 after the first pass that zeroes it (positions
+    never revive), or after the last.  That pass removes the range's one
+    nonzero value, a 1 whose arc is the cut: its ends stay nonzero, no
+    earlier arc spans the 1 and no later one lies inside.  So the cut is
+    the tightest arc (p, n) with p <= mat_lo and mat_hi <= n, or else the
+    ends of the nearest bridging arcs.  This needs no 0 in the range before
+    the first pass, as for every QuiddityDescriptor; a Residual with zeros
+    there is out of scope.  Each pass's 1s and arcs are recorded once, and
+    read over the cut; its residual_after is rebuilt only when read, and so
+    is the final residual.
     """
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
@@ -573,15 +773,24 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     found = []
     cut = None
     detected: int | None = None
+    period = 0
+    since: list[_Survivors] = []  # the states of the period being checked
     while True:
         if cut is None and s.zero_on(mat_lo + 1, mat_hi - 1):
             cut = s.prev_nonzero(mat_lo + 1), s.next_nonzero(mat_hi - 1)
         k = len(found)
         verdict = ("terminated" if not s.has_one()
                    else "nonterminating" if detected is not None and s.zero_on(mat_lo, mat_hi)
-                   else "cap_reached" if k >= cap else None)
+                   else "cap_reached" if detected is None and k >= cap else None)
         if verdict:
             break
+        if period:
+            if len(since) == period:
+                history.jump = _Jump.certify(since, found[k - period:], s, k - period)
+                if history.jump:
+                    break
+                since = []
+            since.append(s.moved(0, 0, 0))
         ones, changes = s.step()
         found.append(ones)
         history.add(s, changes)
@@ -592,17 +801,22 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
                 for i in same:
                     if i not in signatures:
                         signatures[i] = _collapsed_signature(history.residual(i))
-                if signatures[k + 1] in (signatures[i] for i in same):
-                    detected = k + 1
+                match = [i for i in same if signatures[i] == signatures[k + 1]]
+                if match:  # the period just stepped is the first one checked
+                    detected, period = k + 1, k + 1 - match[-1]
+                    since = [_Survivors(history.residual(i)) for i in range(match[-1], k + 1)]
             same.append(k + 1)
-    if cut is None:
+    jump = history.jump
+    if jump:
+        start = k + 1
+        if cut is None:
+            start = jump.first(start, mat_lo + 1, mat_hi - 1)
+            t = jump.state(start)
+            cut = t.prev_nonzero(mat_lo + 1), t.next_nonzero(mat_hi - 1)
+        verdict, k = "nonterminating", jump.first(start, mat_lo, mat_hi)
+    elif cut is None:
         cut = s.prev_nonzero(mat_lo + 1), s.next_nonzero(mat_hi - 1)
-    trace, arcs = [], []
-    for i, ones in enumerate(found):
-        ones, new_arcs = _over(ones, *cut)
-        arcs += new_arcs
-        trace.append(PassRecord(i, tuple(ones), tuple(new_arcs), history))
-    return StepAResult(verdict, k, s.residual(), tuple(sorted(arcs)), tuple(trace), cut, detected)
+    return StepAResult(verdict, k, _Trace(found, history, cut, k), cut, detected, history)
 
 
 @dataclass(frozen=True)
@@ -668,9 +882,14 @@ class SynthesisOutcome:
     m2_class: M2Class
     step_a_verdict: str
     step_a_passes: int
-    residual: Residual
-    trace: tuple[PassRecord, ...]
+    trace: Sequence[PassRecord]
     anchor: int | None  # bi_infinite's, or the one given; else None
+    _step_a: StepAResult = field(repr=False, compare=False)
+
+    @property
+    def residual(self) -> Residual:
+        """Phase A's final residual, built when first read."""
+        return self._step_a.residual
 
 
 def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
@@ -705,10 +924,14 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     without tripping a pass rule is a strip triangulation whose triangle
     counts are q, so q is the quiddity sequence of an infinite frieze, and
     a valid q trips no rule.  Raises QuiddityError on invalid input,
-    InconclusiveError when phase A hits the pass cap, and StripError for a
-    window with lo > hi.  A tripped rule, or the cap before recurrence, is
-    a QuiddityError naming a nonpositive entry when validate finds one at
-    its default depth; after recurrence q is valid.
+    InconclusiveError when phase A hits the pass cap, which counts only
+    passes before recurrence, and StripError for a window with lo > hi.  A
+    tripped rule, or the cap, is a QuiddityError naming a nonpositive entry
+    when validate finds one at its default depth.  Past one certified
+    period a recurring run's passes are read off a translation, not
+    stepped, so phase A costs the same at any distance from the core; the
+    strip still holds the window's cut, which on the zigzag reaches back
+    across the core, about two arcs per position of distance.
     """
     lo, hi = window
     try:
@@ -716,18 +939,13 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     except QuiddityError as err:
         _refuse(q, err)
     if a.verdict == "cap_reached":
-        if a.detected_at is None:
-            _refuse(q, InconclusiveError(
-                f"phase A hit the {cap}-pass cap without terminating or recurring"))
-        raise InconclusiveError(
-            f"phase A hit the {cap}-pass cap before consuming the window; "
-            f"recurrence was seen at pass {a.detected_at}")
+        _refuse(q, InconclusiveError(
+            f"phase A hit the {cap}-pass cap without terminating or recurring"))
     r_lo, r_hi = a.cut
     margin = max(lo - r_lo, r_hi - hi)
     if a.verdict == "nonterminating":
         tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, a.arcs, ())
-        return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.residual,
-                                a.trace, None)
+        return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.trace, None, a)
     b = step_b(a.residual, window, r_lo, r_hi, anchor)
     tri = StripTriangulation.from_pairs(window, margin, b.m2, a.arcs, b.bridging_arcs)
-    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.residual, a.trace, b.anchor)
+    return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.trace, b.anchor, a)

@@ -41,7 +41,7 @@ from friezes.counting import CutError, PolygonCut
 from friezes.serialize import SchemaError, _int_list, _point_from_json, _require, m2_from_str
 from friezes.strip import (M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, Arc, MarkedPoint,
                            StripTriangulation, m2_finite)
-from friezes.synthesis import (DEFAULT_CAP, Residual, StepAResult, StepBResult,
+from friezes.synthesis import (DEFAULT_CAP, Residual, StepBResult,
                                _collapsed_signature, _normalize, _primitive)
 
 
@@ -713,11 +713,23 @@ class DensePassRecord:
     residual_after: Residual
 
 
-def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> StepAResult:
+@dataclass(frozen=True)
+class DenseStepAResult:
+    verdict: str
+    passes: int
+    residual: Residual
+    arcs: tuple[tuple[int, int], ...]
+    trace: tuple[DensePassRecord, ...]
+    cut: tuple[int, int]
+    detected_at: int | None
+
+
+def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> DenseStepAResult:
     """synthesis.run_step_a over dense residuals: every pass rewrites the whole
     core and is kept, recurrence is checked on every collapsed signature,
     the cut is found by bisect over the kept residuals, and each pass's 1s
-    and arcs are swept again over the cut."""
+    and arcs are swept again over the cut.  The cap counts every pass, so a
+    recurring run needs one above its pass count to finish."""
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
     res = _normalize(q)
@@ -747,7 +759,7 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Ste
         ones, new_arcs = dense_pass_arcs(before, *cut)
         arcs += new_arcs
         trace.append(DensePassRecord(i, tuple(ones), tuple(new_arcs), after))
-    return StepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
+    return DenseStepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
 
 
 def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):

@@ -199,7 +199,7 @@ def test_cut_polygon_matches_scanning_oracle():
 def test_every_pair_around_the_window_counts_its_entry():
     """Every pair with lo - 1 <= i <= j <= hi + 1 answers by CC and by BCI
     with FriezeView.entry, at the core and at a log-uniform offset out to
-    10^9 (500 on the empty class, whose pass cap bounds psi's distance)."""
+    10^9 (500 on the empty class, whose window cut grows with the distance)."""
     rng = random.Random(2609)
     for q in (bijection_corpus() + enough_ones_corpus()
               + [refdata.LINEAR, refdata.BUMPED, refdata.MIXED_TAILS, refdata.ZIGZAG]):

@@ -1,5 +1,6 @@
-"""Phase A on survivors against the dense oracle, on ear-grown cores, and its
-linear cost in the window width."""
+"""Phase A on survivors against the dense oracle, on ear-grown cores and on
+runs read off a translation past recurrence, and its linear cost in the
+window width."""
 
 from __future__ import annotations
 
@@ -67,21 +68,93 @@ def test_survivor_runs_match_the_dense_oracle():
     assert seen["wide"] >= 40 and seen["far"] >= 40, seen
 
 
+EATEN = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
+
+
 def test_recurring_runs_match_the_dense_oracle_far_out_and_past_the_cap():
-    eaten = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
-    empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1), eaten]
+    """The cap counts only passes before recurrence, so these runs answer
+    past it; the dense oracle counts every pass and gets a cap above them."""
+    empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1), EATEN]
     cases = [(q, hw, mid, cap) for q in empty
              for hw, mid, cap in ((0, 0, 1000), (256, 0, 1000), (8, 300, 1000), (8, 0, 3),
                                   (100, 100, 60))]
-    # recurrence is seen at once, but 1000 passes do not consume this window
-    cases.append((eaten, 8, -600, 1000))
+    # recurrence is seen at once, and 1000 passes do not consume this window
+    cases.append((EATEN, 8, -600, 1000))
     seen = Counter()
     for q, hw, mid, cap in cases:
         lo, hi = mid - hw - 2, mid + hw + 2
         got = _outcome(run_step_a, q, lo, hi, cap)
-        assert got == _outcome(dense_run_step_a, q, lo, hi, cap), (q, lo, hi, cap)
+        assert got == _outcome(dense_run_step_a, q, lo, hi, 2000), (q, lo, hi, cap)
         seen[got[0]] += 1
-    assert seen["nonterminating"] >= 9 and seen["cap_reached"] >= 7, seen
+        seen["past the cap"] += got[1] > cap
+    assert seen["nonterminating"] == len(cases) and seen["past the cap"] >= 7, seen
+
+
+def _empty_class_draws(rng: random.Random) -> list[QuiddityDescriptor]:
+    """The corpora's empty-class descriptors, EATEN, and ear-grown copies of
+    them, whose runs may settle into translation a period or two after
+    recurrence is seen."""
+    corpora = bijection_corpus() + enough_ones_corpus() + random_corpus()
+    empty = [q for q in corpora if psi(q, (-4, 4)).m2_class.kind == "empty"] + [EATEN]
+    return empty + [_grow_ears(rng, rng.choice(empty), rng.randint(1, 30)) for _ in range(8)]
+
+
+def test_translated_runs_match_the_dense_oracle_record_by_record():
+    """Past recurrence a run steps one period, checks it against a
+    translation and reads every later pass off it: each pass's 1s, arcs and
+    residual_after, and the verdict, passes, cut and final residual, are
+    the pass-by-pass oracle's, out to log-uniform offsets of +-10^3."""
+    rng = random.Random(90127)
+    seen = Counter()
+    draws = _empty_class_draws(rng)
+    for k, q in enumerate(draws):
+        far = [rng.choice((-1, 1)) * rng.randint(300, 1000)] if k < 2 else []
+        for mid in (0, log_offset(rng, 1000), *far):
+            hw = rng.randint(0, 6)
+            lo, hi = mid - hw - 2, mid + hw + 2
+            got = _outcome(run_step_a, q, lo, hi)
+            assert got[0] == "nonterminating", (q, lo, hi)
+            assert got == _outcome(dense_run_step_a, q, lo, hi, cap=got[1] + 1), (q, lo, hi)
+            a = run_step_a(q, lo, hi)
+            jump = a._history.jump
+            seen["moved"] += jump is not None
+            seen["retried"] += jump is not None and jump.b >= a.detected_at
+    assert seen["moved"] >= 20 and seen["retried"] >= 1, seen
+
+
+def test_zigzag_steps_as_many_passes_at_any_offset(monkeypatch):
+    """A +-8 zigzag window steps the same passes at offsets 0 to 10^9: the
+    rest are read off the translation, and the last pass's 1 and arc move
+    with their fronts, two positions per two passes.  psi's strip holds the
+    window's cut, about two arcs per position of distance, so it is checked
+    at 10^4: its triangle counts are q's and both strip checks hold, after
+    as many steps."""
+    steps = []
+    step = synthesis._Survivors.step
+
+    def counted(self):
+        steps[-1] += 1
+        return step(self)
+
+    monkeypatch.setattr(synthesis._Survivors, "step", counted)
+    runs = {}
+    for mid in (0, 10**3, 10**6, 10**9):
+        steps.append(0)
+        runs[mid] = run_step_a(refdata.ZIGZAG, mid - 10, mid + 10)
+    assert len(set(steps)) == 1 and steps[0] < 12, steps
+    for mid, a in runs.items():
+        assert (a.verdict, a.detected_at, a.passes) == ("nonterminating", 3, max(mid + 11, 12)), mid
+        assert a.cut == (-mid - 10, mid + 11) and len(a.trace) == a.passes, mid
+        if not mid:
+            continue  # the left front consumes a window around the core last
+        last = a.trace[-1]
+        assert (last.ones, last.arcs) == ((mid + 9,), ((-mid - 10, mid + 11),)), mid
+    steps.append(0)
+    tri = psi(refdata.ZIGZAG, (10**4 - 8, 10**4 + 8)).triangulation
+    assert steps[-1] == steps[0], steps
+    assert tri.quiddity_of() == dict(enumerate(refdata.ZIGZAG.values(*tri.window), tri.window[0]))
+    tri.check_pairwise_noncrossing()
+    tri.check_window_maximality()
 
 
 def _nested_ears(n: int) -> QuiddityDescriptor:

@@ -139,7 +139,7 @@ def test_synthesis_mirror_symmetry():
     labels reverse as u -> N + 1 - u (finite), u -> -u (nat), and up to a
     Dehn twist on a bi-infinite boundary.  The corpora take four windows
     near the core; random descriptors take one far window each, out to
-    10^9 (100 for the empty class, whose pass cap bounds the distance).
+    10^9 (100 for the empty class, whose window cut grows with the distance).
     """
     swap = {"nat_left": "nat_right", "nat_right": "nat_left"}
     seen = set()
@@ -211,7 +211,7 @@ def test_strip_dumps_matches_generic_encoder():
         near = psi(q, (-4, 4))
         strips = [near.triangulation, psi(q, (-16, 16)).triangulation]
         strips += [psi(q.shift(n), (-4 + n, 4 + n)).triangulation for n in (-1000, 1000)]
-        if near.m2_class.kind != "empty":  # far empty-class windows exhaust the pass cap
+        if near.m2_class.kind != "empty":  # far empty-class cuts grow with the distance
             strips += [psi(q, w).triangulation for w in ((996, 1004), (-1004, -996))]
         for t in strips:
             _assert_strip_dumps_canonical(t)

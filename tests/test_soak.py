@@ -3,10 +3,12 @@
 Every window drawn here must answer, with the class the descriptor has at
 its core, and must pass the checks a strip of the window promises.  Windows
 of non-empty classes are drawn out to 10^9 from the core; psi's windows of
-the empty class stay within 500 of it, as phase A consumes a window about
-one pass per position of distance and its 1000-pass cap bounds that.  The
-enough-ones verdict needs no strip of an empty-class window, so it is drawn
-out to 10^9 for every class, and is "yes" exactly on the empty class.
+the empty class out to 10^4.  Phase A reads those past one recurring period
+off a translation, at any distance, but the strip holds the window's cut,
+whose arcs reach back across the core: about two per position of distance
+on the zigzag.  The enough-ones verdict needs no strip of an empty-class
+window, so it is drawn out to 10^9 for every class, and is "yes" exactly on
+the empty class.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def test_far_windows_answer_and_pass_every_check():
     kinds = Counter()
     for q in bijection_corpus() + enough_ones_corpus() + random_corpus(90, seed=4421):
         kind = psi(q, (-4, 4)).m2_class.kind
-        reach = 500 if kind == "empty" else 10**9
+        reach = 10**4 if kind == "empty" else 10**9
         for k in range(3):
             hw = rng.randint(2, 6 if k == 0 else 12)
             mid = log_offset(rng, reach)

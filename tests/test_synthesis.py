@@ -16,7 +16,7 @@ from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim,
 
 import refdata
 from corpus import W68, enough_ones_corpus, fan_word, polygon_word
-from oracles import cut_polygon_oracle, trim_loop
+from oracles import cut_polygon_oracle, dense_run_step_a, trim_loop
 
 # MIXED_TAILS reflected: nat_right, with its closed end on the left
 MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
@@ -128,13 +128,16 @@ def test_zigzag_collapsed_recurrence_detected():
     assert result.detected_at is not None and result.detected_at <= 6
 
 
-def test_cap_message_names_the_recurrence_pass():
-    # zigzag recurs at pass 3, but 1000 passes do not consume a window 10^3 out
-    with pytest.raises(InconclusiveError,
-                       match=r"1000-pass cap before consuming the window; "
-                             r"recurrence was seen at pass 3$"):
-        psi(refdata.ZIGZAG, (992, 1008))
-    # two passes come before the recurrence, so none is named
+def test_cap_bounds_only_passes_before_recurrence():
+    # zigzag recurs at pass 3; its window 10^3 out takes 1011 passes, past the
+    # 1000-pass cap, and answers as the pass-by-pass run does
+    out = psi(refdata.ZIGZAG, (992, 1008))
+    dense = dense_run_step_a(refdata.ZIGZAG, 990, 1010, cap=2000)
+    assert (out.step_a_verdict, out.step_a_passes) == (dense.verdict, dense.passes) \
+        == ("nonterminating", 1011)
+    assert out.triangulation.peripheral_arcs == dense.arcs
+    assert out.triangulation.quiddity_of() == dict(enumerate(refdata.ZIGZAG.values(992, 1008), 992))
+    # two passes come before the recurrence
     with pytest.raises(InconclusiveError,
                        match=r"2-pass cap without terminating or recurring$"):
         psi(refdata.ZIGZAG, (992, 1008), cap=2)
