@@ -18,9 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import compress, count, cycle, islice
+from itertools import cycle, islice
 from math import log10
-from operator import sub
 from typing import ClassVar
 
 
@@ -129,12 +128,6 @@ class QuiddityDescriptor:
     def prev_nonzero(self, i: int) -> int | None:
         L = len(self.left_period)
         return self.scan(i, -1, min(self.footprint()[0], i - L) - L - 1)
-
-    def max_zero_gap(self) -> int:
-        """Upper bound on the distance from any position to a nonzero one."""
-        w = self.left_period * 2 + self.core + self.right_period * 2
-        nonzero = [-1, *compress(count(), w), len(w)]
-        return max(map(sub, nonzero[1:], nonzero))
 
     def has_value(self, v: int) -> bool:
         return v in self.left_period or v in self.core or v in self.right_period

@@ -16,10 +16,10 @@ The upper index class is a string: "empty", "finite:N", "nat_right",
 are sorted, keys are fixed, and `dumps` writes canonical JSON (indent=2,
 sorted keys, trailing newline).  A strip file is that canonical JSON with
 its arcs in lower-index order, a peripheral arc before a bridging one at the
-same foot; `strip_dumps` writes exactly those bytes from templates, without
-the pure-Python encoder that indent=2 forces on `json.dumps`.  Parsing
-validates structure and the type invariants and raises SchemaError with the
-offending field.
+same foot; `strip_dumps` writes exactly those bytes, one template fill per
+int pair in the strip's `foot_order`, without the pure-Python encoder that
+indent=2 forces on `json.dumps`.  Parsing validates structure and the type
+invariants and raises SchemaError with the offending field.
 
 `strip_loads` is the mirror of `strip_dumps`: text to strip, with the cyclic
 garbage collector paused across decoding and building.  A decoded document
@@ -137,13 +137,15 @@ def strip_to_json(t: StripTriangulation) -> dict:
 
 _STRIP_ARC = ('\n    {\n      "a": [\n        "L",\n        %d\n      ],'
               '\n      "b": [\n        "%s",\n        %d\n      ]\n    }')
+_PERIPHERAL, _BRIDGING = _STRIP_ARC.replace("%s", LOWER), _STRIP_ARC.replace("%s", UPPER)
 _STRIP_DOC = ('{\n  "arcs": [%s],\n  "m2_class": "%s",\n  "margin": %d,'
               '\n  "window": [\n    %d,\n    %d\n  ]\n}\n')
 
 
 def strip_dumps(t: StripTriangulation) -> str:
     """The bytes of dumps(strip_to_json(t)), one template fill per arc."""
-    arcs = ",".join([_STRIP_ARC % arc for arc in t.arc_triples])
+    arcs = ",".join(t.foot_order(list(map(_PERIPHERAL.__mod__, t.peripheral_arcs)),
+                                 list(map(_BRIDGING.__mod__, t.bridging_arcs))))
     arcs = arcs and arcs + "\n  "  # no arcs print as []
     return _STRIP_DOC % (arcs, m2_to_str(t.m2_class), t.margin, *t.window)
 

@@ -10,11 +10,12 @@ admissible when every lower point meets only finitely many arcs.
 
 A StripTriangulation stores its arcs as sorted int pairs, peripheral_arcs
 (i, j) with i < j and bridging_arcs (i, u), checks them once when it is
-built, and merges both as arc_triples (i, end, j).  An Arc is the tuple of
-two (boundary, index) marked points, lower endpoint first: (("L", i),
-("L", j)) or (("L", i), ("U", u)); Arc and MarkedPoint name the fields but
-add no behaviour.  Arcs are the constructor's input, the `arcs` view and
-what error messages name.
+built, and interleaves per-arc items of both in arc order by one stable
+sort on the feet (foot_order, read by arc_triples and the strip writer).
+An Arc is the tuple of two (boundary, index) marked points, lower endpoint
+first: (("L", i), ("L", j)) or (("L", i), ("U", u)); Arc and MarkedPoint
+name the fields but add no behaviour.  Arcs are the constructor's input,
+the `arcs` view and what error messages name.
 
 A full triangulation is infinite, so a StripTriangulation materializes only
 the arcs relevant to a finite window of lower indices plus a margin, and
@@ -28,7 +29,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import merge
 from itertools import chain, starmap
 from operator import itemgetter, lt, sub
 from typing import Iterable, NamedTuple
@@ -186,7 +186,8 @@ class StripTriangulation:
             raise StripError("peripheral arcs must span at least 2 (shorter is contractible)")
         if not (all(map(lt, per, per[1:])) and all(map(lt, bri, bri[1:]))):
             raise StripError("arcs must be sorted and hold no pair twice")
-        labels = list(map(itemgetter(1), bri))  # each class is an interval of labels
+        # each class is an interval of labels, and bi_infinite holds every label
+        labels = [] if m2_class.kind == "bi_infinite" else list(map(itemgetter(1), bri))
         for u in (min(labels), max(labels)) if labels else ():
             if not m2_class.contains_label(u):
                 raise StripError(f"bridging arc to upper {u} outside class {m2_class}")
@@ -199,15 +200,21 @@ class StripTriangulation:
         return frozenset([*starmap(peripheral, self.peripheral_arcs),
                           *starmap(bridging, self.bridging_arcs)])
 
+    def foot_order(self, per: list, bri: list) -> list:
+        """Items of the peripheral and the bridging arcs, in storage order,
+        interleaved as sorted(arcs) is: by foot, a peripheral arc first."""
+        if not (per and bri):
+            return per + bri
+        foot = itemgetter(0)
+        feet = chain(map(foot, self.peripheral_arcs), map(foot, self.bridging_arcs))
+        return list(map(itemgetter(1), sorted(zip(feet, per + bri), key=foot)))
+
     @cached_property
     def arc_triples(self) -> tuple[tuple[int, str, int], ...]:
-        """Every arc as (lower index, boundary of the other end, its index).
-
-        In the order of sorted(arcs): by lower index, a peripheral arc before
-        a bridging one at the same foot, then by the other end.
-        """
-        return tuple(merge(((i, LOWER, j) for i, j in self.peripheral_arcs),
-                           ((i, UPPER, u) for i, u in self.bridging_arcs)))
+        """Every arc as (lower index, boundary of the other end, its index),
+        in the order of sorted(arcs), by foot_order."""
+        return tuple(self.foot_order([(i, LOWER, j) for i, j in self.peripheral_arcs],
+                                     [(i, UPPER, u) for i, u in self.bridging_arcs]))
 
     @cached_property
     def peripheral_by_end(self) -> tuple[tuple[int, int], ...]:

@@ -20,8 +20,10 @@ a fully consumed position):
   leftmost point of a finite class, or from an anchor position of value
   > 2 on a bi-infinite boundary; a side with no further value > 2 position
   ends in a single fountain point serving its whole tail.  Excess sums over
-  whole tail periods are one period's excess times their number, so only
-  the window's cut is visited.
+  whole tail periods are one period's excess times their number, and each
+  whole period's fans are the previous one's shifted by the period's length
+  and excess, so only the window's cut is visited: its whole periods as one
+  block per side, its core and partial periods as single copies.
 
 The shape of the upper index set is read off from which phases terminate:
 phase A, then each side's fountain, endless on a tail with a value > 2.  Only
@@ -64,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, cycle, islice
+from itertools import chain, compress, count, cycle, islice, repeat
 from math import inf
 from operator import ne
 from typing import NoReturn
@@ -93,10 +95,6 @@ class Residual(QuiddityDescriptor):
     """
 
     MIN_VALUE = 0
-
-    @classmethod
-    def from_descriptor(cls, q: QuiddityDescriptor) -> "Residual":
-        return cls(**vars(q))
 
     def excess(self, lo: int, hi: int) -> int:
         """Sum of max(v - 2, 0) over indices lo..hi; 0 when lo > hi.
@@ -841,7 +839,10 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     (1, anchor) bi_infinite, for the footprint f_lo..f_hi.  The starting
     label is one excess sum over whole tail periods, and fans are recorded
     at lower indices in [mat_lo, mat_hi] only, so the cost does not grow
-    with the distance from the core or the anchor.
+    with the distance from the core or the anchor.  Each piece of the cut
+    (whole tail periods per side, partial periods at its ends, the core) has
+    its first copy planted position by position; later whole periods are it
+    shifted by (period length, excess), one C-level series per arc.
 
     The anchor, needed only on bi_infinite, defaults to the first value > 2
     from the window midpoint rightward; a given one must have value > 2.
@@ -868,11 +869,23 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     else:
         m2, first, at = m2_finite(1 + res.excess(f_lo, f_hi)), 1, f_lo
     top = first + (res.excess(at, mat_lo - 1) if at <= mat_lo else -res.excess(mat_lo, at - 1))
-    arcs: list[tuple[int, int]] = []
-    for i, v in enumerate(res.values(mat_lo, mat_hi), mat_lo):
-        if v >= 2:
-            arcs += [(i, u) for u in range(top, top + v - 1)]
-            top += v - 2
+    (lp, ln), core, (rp, rn) = res._pieces(mat_lo, mat_hi)
+    lw, rw = _rotate(res.left_period, lp), _rotate(res.right_period, rp)  # from the cut's phase
+    i, arcs = mat_lo, []
+    for word, copies in ((lw, ln // len(lw)), (lw[:ln % len(lw)], 1), (core, 1),
+                         (rw, rn // len(rw)), (rw[:rn % len(rw)], 1)):
+        if not copies:
+            continue
+        step, e, fans, u = len(word), _excess(word), [], top
+        for p, v in enumerate(word, i):  # the first copy's fans
+            if v >= 2:
+                fans += zip(repeat(p), range(u, u + v - 1))
+                u += v - 2
+        arcs += fans
+        if copies > 1:  # copy m is the first shifted by m * (step, e): one series per arc
+            arcs += chain.from_iterable(islice(zip(*[zip(count(p + step, step), count(w + e, e))
+                                                     for p, w in fans]), copies - 1))
+        i, top = i + copies * step, top + copies * e
     return StepBResult(tuple(arcs), anchor, m2)
 
 

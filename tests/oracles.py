@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
+from operator import sub
 
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
                      StripError, ValidationReport, bridging, cross, peripheral, psi)
@@ -247,9 +248,17 @@ def grows(q) -> bool:
     return False
 
 
+def max_zero_gap(res) -> int:
+    """Upper bound on the distance from any position of res to a nonzero one,
+    read off the nonzero positions of two tail periods around the core."""
+    w = res.left_period * 2 + res.core + res.right_period * 2
+    nonzero = [-1, *compress(count(), w), len(w)]
+    return max(map(sub, nonzero[1:], nonzero))
+
+
 def max_zero_gap_loop(res) -> int:
     """Longest run of zeros over two copies of each tail period around the
-    core, plus 1: the reference for QuiddityDescriptor.max_zero_gap."""
+    core, plus 1: the reference for max_zero_gap."""
     best = run = 0
     for v in res.left_period * 2 + res.core + res.right_period * 2:
         run = run + 1 if v == 0 else 0
@@ -683,7 +692,7 @@ def sweep(vals: list[int], base: int, lo: int, hi: int) -> tuple[list[int], list
 def dense_pass_arcs(res, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The 1s in lo..hi and the arcs meeting lo..hi of one pass, by one sweep
     over the 1s within max_zero_gap + 1 of lo..hi."""
-    gap = res.max_zero_gap()
+    gap = max_zero_gap(res)
     base = lo - 2 * gap - 1
     _, found = sweep(res.values(base, hi + 2 * gap + 1), base, lo - gap - 1, hi + gap + 1)
     return ([i for i, _ in found if lo <= i <= hi],
@@ -696,7 +705,7 @@ def dense_step_a_pass(res) -> Residual:
     become the new periods, which a sweep over three copies confirms."""
     L, R = len(res.left_period), len(res.right_period)
     w_lo, w_hi = res.core_start - 2 * L, res.core_start + len(res.core) + 2 * R - 1
-    gap = res.max_zero_gap()
+    gap = max_zero_gap(res)
     new, _ = sweep(res.values(w_lo - gap, w_hi + gap), w_lo - gap, w_lo, w_hi)
     left, core, right = new[:L], new[L:len(new) - R], new[len(new) - R:]
     for period, got in ((res.left_period, left), (res.right_period, right)):

@@ -1,6 +1,6 @@
 """Phase A on survivors against the dense oracle, on ear-grown cores and on
-runs read off a translation past recurrence, and its linear cost in the
-window width."""
+runs read off a translation past recurrence; its linear cost in the window
+width, and phase B's cost, flat in it."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import random
 import sys
 from collections import Counter
 
-from friezes import InconclusiveError, QuiddityDescriptor, QuiddityError, psi, run_step_a
+from friezes import (InconclusiveError, QuiddityDescriptor, QuiddityError, psi, run_step_a,
+                     step_b)
 from friezes import synthesis
 
 import refdata
@@ -206,8 +207,8 @@ def test_random_ear_insertions_keep_the_class():
     assert kinds["compared"] >= 4 and len(kinds) >= 3, kinds
 
 
-def _lines_run(hw: int) -> int:
-    """Lines of synthesis.py run by a zigzag phase-A run over -hw..hw."""
+def _lines_run(call) -> int:
+    """Lines of synthesis.py run during call()."""
     lines = 0
 
     def count(frame, event, arg):
@@ -222,7 +223,7 @@ def _lines_run(hw: int) -> int:
     before = sys.gettrace()
     sys.settrace(enter)
     try:
-        run_step_a(refdata.ZIGZAG, -hw - 2, hw + 2)
+        call()
     finally:
         sys.settrace(before)
     return lines
@@ -230,6 +231,19 @@ def _lines_run(hw: int) -> int:
 
 def test_zigzag_run_work_is_linear_in_the_window_width():
     # a run of about hw passes that each reread the core would take ~4x per doubling
-    work = {hw: _lines_run(hw) for hw in (128, 256, 512)}
+    work = {hw: _lines_run(lambda: run_step_a(refdata.ZIGZAG, -hw - 2, hw + 2))
+            for hw in (128, 256, 512)}
     assert work[512] < 2.3 * work[256] < 2.3 ** 2 * work[128], work
     assert work[512] < 400 * 1024, work
+
+
+def test_step_b_work_does_not_grow_with_the_window():
+    # each piece of the cut has its first copy planted position by position and its
+    # later whole tail periods emitted as C-level series, so the lines run are flat
+    for q in (QuiddityDescriptor.constant(3), refdata.BUMPED, refdata.MIXED_TAILS):
+        work = {}
+        for hw in (64, 512, 4096):
+            a = run_step_a(q, -hw - 2, hw + 2)
+            (r_lo, r_hi), res = a.cut, a.residual
+            work[hw] = _lines_run(lambda: step_b(res, (-hw, hw), r_lo, r_hi))
+        assert len(set(work.values())) == 1, (q, work)

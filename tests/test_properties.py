@@ -401,7 +401,7 @@ def test_symbolic_pass_matches_array_pass():
         shift = 0 if draw % 3 == 0 else rng.randint(-1000, 1000)
         q = _random_descriptor(rng).shift(shift)
         lo, hi = shift - mid, shift + mid
-        res = Residual.from_descriptor(q)
+        res = Residual(**vars(q))
         vals = res.values(shift - big, shift + big)
         for _pass in range(6):
             try:
@@ -474,41 +474,71 @@ def test_finite_class_counts_every_upper_point():
     assert used == set(range(1, out.m2_class.size + 1))
 
 
+def _cut_shape(res, r_lo: int, r_hi: int) -> list[str]:
+    """Which pieces of the residual the cut r_lo..r_hi holds, and whether a
+    tail period of the residual holds a zero."""
+    L, R = len(res.left_period), len(res.right_period)
+    cs, ce = res.core_start, res.core_start + len(res.core)
+    ln, rn = max(min(r_hi + 1, cs) - r_lo, 0), max(r_hi + 1 - max(r_lo, ce), 0)
+    return [name for name, hit in (
+        ("two whole periods per side", ln >= 2 * L and rn >= 2 * R),
+        ("partial left period", ln % L), ("partial right period", rn % R),
+        ("cut end in the core", cs <= r_lo < ce or cs <= r_hi < ce),
+        ("zero in a tail period", 0 in res.left_period + res.right_period)) if hit]
+
+
 def test_step_b_matches_walking_oracle():
     """step_b's prefix sums equal the walking fountain on the window's cut.
 
-    Corpora plus random descriptors with 1-bearing tails; windows of
-    half-width 0..12 near the core or at offsets up to +-3000; the default
-    anchor and explicit anchors within 150 of the window, inside and outside
-    the cut.  The walk also records fans beyond the cut, so its arcs are
-    compared on the cut's lower indices only.
+    Corpora plus random descriptors with 1-bearing tails.  Narrow windows
+    have half-width 0..12, near the core or at offsets up to +-3000.  Wide
+    ones have half-width 64..300, at offsets up to +-3000 or with one end
+    inside the core, and each is shifted through every phase of both tail
+    periods.  So the cuts hold two or more whole periods per side, partial
+    periods at either end, or end inside the core, and some residuals have
+    zeros inside a tail period.  Anchors: the default and explicit ones
+    within 150 of the window, inside and outside the cut.  The walk also
+    records fans beyond the cut, so its arcs are compared on the cut's
+    lower indices only.
     """
     rng = random.Random(6151)
-    seen = Counter()
+    seen, shapes = Counter(), Counter()
+    cases = []
     for q in bijection_corpus() + enough_ones_corpus() + random_corpus():
         if run_step_a(q, -2, 2).verdict != "terminated":
             continue  # phase B never runs
         for _ in range(4):
             hw = rng.randint(0, 12)
-            mid = rng.choice((rng.randint(-20, 20), rng.randint(-3000, 3000)))
-            lo, hi = mid - hw, mid + hw
-            a = run_step_a(q, lo - 2, hi + 2)
-            r_lo, r_hi = a.cut
-            res = a.residual
-            excess_at = [p for p, v in enumerate(res.values(lo - 150, hi + 150), lo - 150) if v > 2]
-            inside = [p for p in excess_at if r_lo <= p <= r_hi]
-            outside = [p for p in excess_at if not r_lo <= p <= r_hi]
-            anchors = [None] + [rng.choice(ps) for ps in (inside, outside) if ps]
-            for anchor in anchors:
-                got = step_b(res, (lo, hi), r_lo, r_hi, anchor)
-                want = step_b_walk(res, (lo, hi), r_lo, r_hi, anchor)
-                case = (q, lo, hi, anchor)
-                assert got.bridging_arcs == tuple(
-                    (i, u) for i, u in want.bridging_arcs if r_lo <= i <= r_hi), case
-                assert (got.m2, got.anchor) == (want.m2, want.anchor), case
-                seen[got.m2.kind] += 1
-                seen["explicit anchor" if anchor is not None else "default anchor"] += 1
+            cases.append((q, hw, rng.choice((rng.randint(-20, 20), rng.randint(-3000, 3000)))))
+        if rng.random() < 0.4:
+            hw = rng.randint(64, 300)
+            end = q.core_start + rng.randint(0, len(q.core))
+            mid = rng.choice((rng.randint(-3000, 3000), end + hw, end - hw))
+            phases = len(q.left_period) * len(q.right_period)
+            cases += [(q, hw, mid + k) for k in range(phases)]
+    for q, hw, mid in cases:
+        lo, hi = mid - hw, mid + hw
+        a = run_step_a(q, lo - 2, hi + 2)
+        r_lo, r_hi = a.cut
+        res = a.residual
+        excess_at = [p for p, v in enumerate(res.values(lo - 150, hi + 150), lo - 150) if v > 2]
+        inside = [p for p in excess_at if r_lo <= p <= r_hi]
+        outside = [p for p in excess_at if not r_lo <= p <= r_hi]
+        anchors = [None] + [rng.choice(ps) for ps in (inside, outside) if ps]
+        for anchor in anchors:
+            got = step_b(res, (lo, hi), r_lo, r_hi, anchor)
+            want = step_b_walk(res, (lo, hi), r_lo, r_hi, anchor)
+            case = (q, lo, hi, anchor)
+            assert got.bridging_arcs == tuple(
+                (i, u) for i, u in want.bridging_arcs if r_lo <= i <= r_hi), case
+            assert (got.m2, got.anchor) == (want.m2, want.anchor), case
+            seen[got.m2.kind] += 1
+            seen["explicit anchor" if anchor is not None else "default anchor"] += 1
+        if hw >= 64:
+            shapes.update(_cut_shape(res, r_lo, r_hi))
     assert min(seen.values()) >= 50 and len(seen) == 6, seen
+    assert shapes["two whole periods per side"] >= 50 and min(shapes.values()) >= 20 \
+        and len(shapes) == 5, shapes
 
 
 def test_cut_read_off_the_residuals_matches_the_arc_scan():

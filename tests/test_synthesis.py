@@ -144,7 +144,7 @@ def test_cap_bounds_only_passes_before_recurrence():
 
 
 def test_step_a_pass_simultaneous_update():
-    res = _normalize(Residual.from_descriptor(refdata.ZIGZAG))
+    res = _normalize(Residual(**vars(refdata.ZIGZAG)))
     after = step_a_pass(res)
     # the 5s between two 1s lose both slots in one pass
     assert after.values(-4, 4) == [3, 0, 3, 0, 1, 2, 0, 3, 0]
