@@ -18,7 +18,8 @@ and at most MAX_GRID_DIGITS digits, the cell count times the digit bound of
 the widest span (quiddity.digit_bound); a larger grid is a schema error
 naming --rows/--cols, raised before any entry is evaluated.  An entry of
 more digits than a nonzero sys.get_int_max_str_digits() is a schema error
-too, naming its cell and the limit.  A reversed --rows or --cols is an
+too, naming its cell and the limit, and so is a `count` value of more
+digits, naming --i/--j and the limit.  A reversed --rows or --cols is an
 empty range.  `synthesize` and `roundtrip` take a
 --window of LO <= HI and at most MAX_WINDOW points, and `count` takes
 --i <= --j; anything else is a schema error naming the flag, raised before
@@ -363,8 +364,13 @@ def _cmd_count(args) -> int:
     t = serialize.strip_loads(_read_text(args.file))
     fn = counting.cc_entry if args.method == "cc" else counting.bci_entry
     value = fn(t, args.i, args.j)
-    print(serialize.dumps({"method": args.method, "i": args.i, "j": args.j,
-                           "value": value}), end="")
+    try:
+        doc = serialize.dumps({"method": args.method, "i": args.i, "j": args.j, "value": value})
+    except ValueError:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        raise SchemaError(f"--i/--j: t({args.i}, {args.j}) has more than "
+                          f"{sys.get_int_max_str_digits()} digits, Python's limit for printing "
+                          f"an int (PYTHONINTMAXSTRDIGITS raises it), got {args.i} and {args.j}")
+    print(doc, end="")
     return EXIT_OK
 
 

@@ -14,17 +14,17 @@ faces.  Two counting procedures recover the associated rank-n frieze pattern:
 Both computations agree on every vertex pair; the finite polygon machinery
 here doubles as the oracle for entries of strip triangulations.
 
-Faces are read off the sorted neighbour lists of the vertices, without
-recursion.  CC labels spread from a queue of newly labelled vertices,
-settling each face once.  BCI is a dynamic program over the chords, each
-closing the sub-polygon under it, so its cost is near-linear in n and does
-not grow with the count.
+Faces come from one laminar sweep of the chords, without recursion: each
+chord's face is emitted as the sweep passes its right end, after the faces
+under it.  CC labels are set parents first by walking that order backwards,
+from the source relabelled as vertex 1.  BCI is a dynamic program over the
+chords in the same order, each closing the sub-polygon under it, so its
+cost is near-linear in n and does not grow with the count.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +63,29 @@ def interleaved_pair(pairs: Iterable[tuple[int, int]]
     return None
 
 
+def _post_order_faces(chords: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int, int]]:
+    """The faces (x, apex, y), x < apex < y, of a valid triangulation of the n-gon.
+
+    The sweep of interleaved_pair, from the side (1, n): a chord is popped,
+    and its face emitted, once the sweep passes its right end, so every face
+    follows the faces under its chords.  Its apex is the right end of its
+    first child if that starts at x, else the left end of its last child,
+    else x + 1; a child sets it on arrival, and the last one decides.
+    """
+    order = sorted(chords, key=itemgetter(1), reverse=True)
+    order.sort(key=itemgetter(0))
+    out: list[tuple[int, int, int]] = []
+    stack = [[1, 2, n]]  # open chords as [x, apex, y], innermost on top
+    for a, b in order:
+        while stack[-1][2] <= a:
+            out.append(tuple(stack.pop()))
+        top = stack[-1]
+        top[1] = b if a == top[0] else a
+        stack.append([a, a + 1, b])
+    out += map(tuple, reversed(stack))
+    return out
+
+
 @dataclass(frozen=True)
 class PolygonTriangulation:
     """A triangulated convex n-gon: vertices 1..n plus a maximal chord set."""
@@ -88,29 +111,9 @@ class PolygonTriangulation:
             raise PolygonError(f"chords {pair[0]} and {pair[1]} cross")
 
     @cached_property
-    def _neighbours(self) -> list[list[int]]:
-        """Sorted neighbours of each vertex 1..n along sides and chords (index 0 unused)."""
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.chords:
-            out[u].append(v)
-            out[v].append(u)
-        for v in range(1, self.n + 1):
-            out[v] += (v % self.n + 1, (v - 2) % self.n + 1)
-            out[v].sort()
-        return out
-
-    @cached_property
-    def _faces(self) -> tuple[tuple[int, int, int], ...]:
-        # A face's other two vertices are consecutive among the neighbours
-        # above its least vertex v (the polygon is convex), so walking v from
-        # n down yields each face once, and every face after the faces under
-        # its chords: the order in which bci_count closes them.
-        out: list[tuple[int, int, int]] = []
-        for v in range(self.n, 0, -1):
-            nbrs = self._neighbours[v]
-            upper = nbrs[bisect_right(nbrs, v):]
-            out += ((v, w, x) for w, x in zip(upper, upper[1:]))
-        return tuple(out)
+    def _faces(self) -> list[tuple[int, int, int]]:
+        # each face after the faces under its chords: the order in which bci_count closes them
+        return _post_order_faces(self.chords, self.n)
 
     def faces(self) -> list[tuple[int, int, int]]:
         """The n - 2 triangular faces, each as a sorted vertex triple, in sorted order."""
@@ -127,25 +130,22 @@ class PolygonTriangulation:
     def cc_labels(self, a: int) -> dict[int, int]:
         """CC counting from source vertex a; returns the full labeling.
 
-        Every newly labelled vertex v is queued once.  Its faces join v to
-        two neighbours consecutive in cyclic order after v; a face that now
-        has exactly two labels gives its third vertex their sum, so each face
-        is settled once.
+        Relabelled by v -> (v - a) mod n + 1, a is vertex 1, and the sweep's
+        faces walked backwards meet each face (x, apex, y) after its parent,
+        which labelled x and y: label[apex] = label[x] + label[y], from
+        label[1] = 0 and label[n] = 1.
         """
-        if not 1 <= a <= self.n:
+        n = self.n
+        if not 1 <= a <= n:
             raise PolygonError(f"vertex {a} out of range")
-        queue = list(self._neighbours[a])
-        labels = {a: 0, **dict.fromkeys(queue, 1)}
-        for v in queue:  # appended to while it is read
-            nbrs = self._neighbours[v]
-            k = bisect_right(nbrs, v)
-            ring = nbrs[k:] + nbrs[:k]
-            for w, x in zip(ring, ring[1:]):
-                if (w in labels) != (x in labels):
-                    new, known = (x, w) if w in labels else (w, x)
-                    labels[new] = labels[v] + labels[known]
-                    queue.append(new)
-        return labels
+        d = a - 1
+        chords = [(u - d, v - d) if u > d else (u + n - d, v + n - d) if v <= d
+                  else (v - d, u + n - d) for u, v in self.chords]
+        label = [0] * (n + 1)
+        label[n] = 1
+        for x, apex, y in reversed(_post_order_faces(chords, n)):
+            label[apex] = label[x] + label[y]
+        return dict(zip((*range(a, n + 1), *range(1, a)), label[1:]))
 
     def boundary_walk(self, a: int, b: int, direction: int = 1) -> list[int]:
         """The boundary walk from a to b stepping by +1 or -1 (mod n)."""

@@ -428,6 +428,27 @@ def test_entry_past_the_int_to_str_limit_is_schema_error(qfile, tmp_path, capsys
     assert len(raised.stdout.split()[-1]) == 4305
 
 
+def test_count_past_the_int_to_str_limit_is_schema_error(tmp_path, capsys):
+    # constant 3's t(0, j) = F_2j has 4300 digits at j = 10288 and 4301 at 10289
+    path = tmp_path / "c3.json"
+    path.write_text(strip_dumps(psi(QuiddityDescriptor.constant(3), (-10, 12010)).triangulation))
+    view = FriezeView(QuiddityDescriptor.constant(3))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for method in ("cc", "bci"):
+            for j in (10288,):
+                assert main(["count", method, "--i=0", f"--j={j}", str(path)]) == 0
+                assert _json_out(capsys)["value"] == view.entry(0, j)
+            for j in (10289, 12000):
+                assert main(["count", method, "--i=0", f"--j={j}", str(path)]) == 3
+                assert _json_out(capsys)["error"] == {"kind": "schema", "message": (
+                    f"--i/--j: t(0, {j}) has more than 4300 digits, Python's limit for "
+                    f"printing an int (PYTHONINTMAXSTRDIGITS raises it), got 0 and {j}")}
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_input_integer_past_the_str_to_int_limit_is_schema_error(tmp_path, capsys):
     big = "9" * 4301
     quid = tmp_path / "q.json"

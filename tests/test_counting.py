@@ -15,6 +15,7 @@ from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging, peripher
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus, log_offset
 from oracles import cut_polygon_oracle
+from workcount import lines_run
 
 
 def test_cut_through_single_fountain():
@@ -242,3 +243,12 @@ def test_star_cut_does_not_grow_with_the_window():
         sizes.add(cut_polygon(tri, i + 1, i + 3).polygon.n)
         assert bci_entry(tri, i, i + 4) == FriezeView(refdata.ZIGZAG).entry(i, i + 4)
     assert sizes == {10}
+
+
+def test_counting_work_is_linear_in_the_span():
+    # constant 2's star cut of 1..j-1 has j + 2 vertices and t(0, j) = j, so the
+    # work follows the span alone: per doubling it may grow by little more than 2x
+    tri = psi(QuiddityDescriptor.constant(2), (-10, 2010)).triangulation
+    for count in (cc_entry, bci_entry):
+        work = {j: lines_run(lambda: count(tri, 0, j)) for j in (1000, 2000)}
+        assert work[2000] < 2.3 * work[1000], (count.__name__, work)

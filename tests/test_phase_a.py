@@ -5,7 +5,6 @@ width, and phase B's cost, flat in it."""
 from __future__ import annotations
 
 import random
-import sys
 from collections import Counter
 
 from friezes import (InconclusiveError, QuiddityDescriptor, QuiddityError, psi, run_step_a,
@@ -16,6 +15,7 @@ import refdata
 from corpus import (bijection_corpus, enough_ones_corpus, log_offset, random_corpus,
                     random_descriptor)
 from oracles import dense_run_step_a
+from workcount import lines_run
 
 
 def _fields(res):
@@ -207,31 +207,9 @@ def test_random_ear_insertions_keep_the_class():
     assert kinds["compared"] >= 4 and len(kinds) >= 3, kinds
 
 
-def _lines_run(call) -> int:
-    """Lines of synthesis.py run during call()."""
-    lines = 0
-
-    def count(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count
-
-    def enter(frame, event, arg):
-        return count if frame.f_code.co_filename == synthesis.__file__ else None
-
-    before = sys.gettrace()
-    sys.settrace(enter)
-    try:
-        call()
-    finally:
-        sys.settrace(before)
-    return lines
-
-
 def test_zigzag_run_work_is_linear_in_the_window_width():
     # a run of about hw passes that each reread the core would take ~4x per doubling
-    work = {hw: _lines_run(lambda: run_step_a(refdata.ZIGZAG, -hw - 2, hw + 2))
+    work = {hw: lines_run(lambda: run_step_a(refdata.ZIGZAG, -hw - 2, hw + 2))
             for hw in (128, 256, 512)}
     assert work[512] < 2.3 * work[256] < 2.3 ** 2 * work[128], work
     assert work[512] < 400 * 1024, work
@@ -245,5 +223,5 @@ def test_step_b_work_does_not_grow_with_the_window():
         for hw in (64, 512, 4096):
             a = run_step_a(q, -hw - 2, hw + 2)
             (r_lo, r_hi), res = a.cut, a.residual
-            work[hw] = _lines_run(lambda: step_b(res, (-hw, hw), r_lo, r_hi))
+            work[hw] = lines_run(lambda: step_b(res, (-hw, hw), r_lo, r_hi))
         assert len(set(work.values())) == 1, (q, work)

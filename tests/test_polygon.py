@@ -13,6 +13,7 @@ from friezes import (PolygonError, PolygonTriangulation, all_triangulations,
 
 import refdata
 from oracles import bci_count_oracle, cc_labels_oracle, chords_cross, faces_oracle
+from workcount import lines_run
 
 
 def _heptagon() -> PolygonTriangulation:
@@ -143,6 +144,69 @@ def test_faces_cc_and_bci_match_oracles_exhaustively():
                     for direction in (1, -1):
                         walk = p.boundary_walk(a, b, direction)
                         assert p.bci_count(walk) == bci_count_oracle(p, walk), (p.chords, walk)
+
+
+def _zigzag(n: int) -> PolygonTriangulation:
+    """The n-gon cut along the path 1, n, 2, n - 1, 3, ...: each chord nests in the one before."""
+    path = [v for k in range(1, n // 2 + 2) for v in (k, n + 1 - k)][:n]
+    return PolygonTriangulation(n, frozenset(
+        (min(e), max(e)) for e in list(zip(path, path[1:]))[1:-1]))
+
+
+def _assert_post_order(p: PolygonTriangulation) -> None:
+    """One face (x, apex, y) per chord (x, y) and for the side (1, n), each
+    after the faces on the chords (x, apex) and (apex, y)."""
+    at = {(x, y): k for k, (x, _, y) in enumerate(p._faces)}
+    assert len(p._faces) == len(at) == p.n - 2 and set(at) == p.chords | {(1, p.n)}
+    for k, (x, apex, y) in enumerate(p._faces):
+        assert x < apex < y, (p.chords, k)
+        for u, v in ((x, apex), (apex, y)):
+            assert v == u + 1 or at.get((u, v), k) < k, (p.chords, k)
+
+
+def test_faces_come_after_the_faces_under_their_chords():
+    """The order in which bci_count closes the faces: every triangulation
+    with n <= 9, random ones up to n = 300 and the nested zigzag."""
+    for n in range(3, 10):
+        for p in all_triangulations(n):
+            _assert_post_order(p)
+    rng = random.Random(3217)
+    for _ in range(60):
+        _assert_post_order(random_triangulation(round(300 ** rng.uniform(0.25, 1)), rng))
+    _assert_post_order(_zigzag(301))
+
+
+def test_cc_labels_match_the_oracle_from_every_source():
+    rng = random.Random(4093)
+    for _ in range(80):
+        p = random_triangulation(rng.randint(4, 40), rng)
+        for a in range(1, p.n + 1):
+            assert p.cc_labels(a) == cc_labels_oracle(p, a), (p.chords, a)
+
+
+def test_cc_and_bci_agree_on_a_deeply_nested_polygon():
+    """2 * 10^4 vertices with every chord nested in the one before: the sweep
+    keeps them all open at once, and no step recurses.  Both counts equal the
+    frieze recurrence along the walk."""
+    n = 20000
+    p = _zigzag(n)
+    a, b = n // 3, n // 3 + n // 2
+    walk = p.boundary_walk(a, b)
+    quiddity = p.quiddity()
+    prev, entry = 0, 1
+    for v in walk[1:-1]:
+        prev, entry = entry, quiddity[v - 1] * entry - prev
+    assert p.cc_labels(a)[b] == p.bci_count(walk) == entry > 10 ** 100
+
+
+def test_cc_labels_work_is_linear_in_n():
+    # one sort, one sweep and one backwards walk over the faces: the lines run
+    # may grow by little more than 2x per doubling of n
+    work = {}
+    for n in (1000, 2000, 4000):
+        p = _zigzag(n)
+        work[n] = lines_run(lambda: p.cc_labels(n // 3))
+    assert work[4000] < 2.3 * work[2000] < 2.3 ** 2 * work[1000], work
 
 
 def test_bci_matches_backtracking_oracle_on_random_polygons():
