@@ -14,12 +14,12 @@ faces.  Two counting procedures recover the associated rank-n frieze pattern:
 Both computations agree on every vertex pair; the finite polygon machinery
 here doubles as the oracle for entries of strip triangulations.
 
-Faces come from one laminar sweep of the chords, without recursion: each
-chord's face is emitted as the sweep passes its right end, after the faces
-under it.  CC labels are set parents first by walking that order backwards,
-from the source relabelled as vertex 1.  BCI is a dynamic program over the
-chords in the same order, each closing the sub-polygon under it, so its
-cost is near-linear in n and does not grow with the count.
+The constructor sweeps the chords once, without recursion: it refuses a
+crossing pair and keeps each chord's face, emitted after the faces under it.
+CC walks those faces twice, children first over the source, then parents
+first.  BCI is a dynamic program over the chords in the same order, each
+closing the sub-polygon under it, so its cost is near-linear in n and does
+not grow with the count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, prod
 from operator import itemgetter
 
@@ -40,37 +39,15 @@ def _cyclically_adjacent(u: int, v: int, n: int) -> bool:
     return (u - v) % n in (1, n - 1)
 
 
-def interleaved_pair(pairs: Iterable[tuple[int, int]]
-                     ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Two of the pairs (a, b), (c, d), all with a < b, such that a < c < b < d.
-
-    None when no two pairs interleave, that is, when the intervals are
-    laminar: the noncrossing rule for polygon chords and for peripheral arcs
-    of the strip, where shared endpoints never cross.  One sweep in
-    (left end, -right end) order keeps the chain of intervals still open at
-    the current left end, innermost on top; O(P log P) for P pairs.
-    """
-    # (left, -right) order by two stable sorts on C-level keys
-    order = sorted(pairs, key=itemgetter(1), reverse=True)
-    order.sort(key=itemgetter(0))
-    stack: list[tuple[int, int]] = []
-    for a, b in order:
-        while stack and stack[-1][1] <= a:
-            stack.pop()
-        if stack and b > stack[-1][1]:
-            return stack[-1], (a, b)
-        stack.append((a, b))
-    return None
-
-
 def _post_order_faces(chords: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int, int]]:
-    """The faces (x, apex, y), x < apex < y, of a valid triangulation of the n-gon.
+    """The faces (x, apex, y), x < apex < y, of the n-gon cut along n - 3 chords.
 
-    The sweep of interleaved_pair, from the side (1, n): a chord is popped,
-    and its face emitted, once the sweep passes its right end, so every face
-    follows the faces under its chords.  Its apex is the right end of its
-    first child if that starts at x, else the left end of its last child,
-    else x + 1; a child sets it on arrival, and the last one decides.
+    Chords in range and nonadjacent, swept in (left, -right) order by two
+    stable sorts from the side (1, n).  An open chord is popped, and its face
+    emitted, once the sweep passes its right end, after the faces under it; a
+    chord ending past the open one on top crosses it (PolygonError).  A face's
+    apex is the right end of its first child if that starts at x, else the
+    left end of its last child, else x + 1; the last child to arrive decides.
     """
     order = sorted(chords, key=itemgetter(1), reverse=True)
     order.sort(key=itemgetter(0))
@@ -80,6 +57,8 @@ def _post_order_faces(chords: Iterable[tuple[int, int]], n: int) -> list[tuple[i
         while stack[-1][2] <= a:
             out.append(tuple(stack.pop()))
         top = stack[-1]
+        if b > top[2]:
+            raise PolygonError(f"chords {(top[0], top[2])} and {(a, b)} cross")
         top[1] = b if a == top[0] else a
         stack.append([a, a + 1, b])
     out += map(tuple, reversed(stack))
@@ -106,14 +85,8 @@ class PolygonTriangulation:
         if len(self.chords) != self.n - 3:
             raise PolygonError(
                 f"expected {self.n - 3} chords for n={self.n}, got {len(self.chords)}")
-        pair = interleaved_pair(self.chords)
-        if pair:
-            raise PolygonError(f"chords {pair[0]} and {pair[1]} cross")
-
-    @cached_property
-    def _faces(self) -> list[tuple[int, int, int]]:
         # each face after the faces under its chords: the order in which bci_count closes them
-        return _post_order_faces(self.chords, self.n)
+        object.__setattr__(self, "_faces", _post_order_faces(self.chords, self.n))
 
     def faces(self) -> list[tuple[int, int, int]]:
         """The n - 2 triangular faces, each as a sorted vertex triple, in sorted order."""
@@ -130,27 +103,38 @@ class PolygonTriangulation:
     def cc_labels(self, a: int) -> dict[int, int]:
         """CC counting from source vertex a; returns the full labeling.
 
-        Relabelled by v -> (v - a) mod n + 1, a is vertex 1, and the sweep's
-        faces walked backwards meet each face (x, apex, y) after its parent,
-        which labelled x and y: label[apex] = label[x] + label[y], from
-        label[1] = 0 and label[n] = 1.
+        label[a] = 0 (and 1 at the other end of the side (1, n) if a is on
+        it).  Children first, each face (x, apex, y) over a, x < a < y, labels
+        its vertex on the far side from a: 1 at x and y if a is the apex, else
+        Ptolemy's relation with three edges of label 1.  Parents first, every
+        other face has x and y labelled: label[apex] = label[x] + label[y].
         """
         n = self.n
         if not 1 <= a <= n:
             raise PolygonError(f"vertex {a} out of range")
-        d = a - 1
-        chords = [(u - d, v - d) if u > d else (u + n - d, v + n - d) if v <= d
-                  else (v - d, u + n - d) for u, v in self.chords]
         label = [0] * (n + 1)
-        label[n] = 1
-        for x, apex, y in reversed(_post_order_faces(chords, n)):
-            label[apex] = label[x] + label[y]
-        return dict(zip((*range(a, n + 1), *range(1, a)), label[1:]))
+        if a in (1, n):
+            label[n + 1 - a] = 1
+        for x, apex, y in self._faces:
+            if x < a < y:
+                if a == apex:
+                    label[x] = label[y] = 1
+                elif a < apex:
+                    label[y] = label[x] + label[apex]
+                else:
+                    label[x] = label[apex] + label[y]
+        for x, apex, y in reversed(self._faces):
+            if not x < a < y:
+                label[apex] = label[x] + label[y]
+        return dict(zip(range(1, n + 1), label[1:]))
 
     def boundary_walk(self, a: int, b: int, direction: int = 1) -> list[int]:
         """The boundary walk from a to b stepping by +1 or -1 (mod n)."""
         if direction not in (1, -1):
             raise PolygonError("direction must be +1 or -1")
+        for v in (a, b):
+            if not 1 <= v <= self.n:
+                raise PolygonError(f"vertex {v} out of range")
         walk = [a]
         v = a
         while v != b:
@@ -245,8 +229,6 @@ class FriezePattern:
         b = (j - 1) % self.n + 1
         if a > b:
             a, b = b, a
-        if a == b:
-            raise PolygonError("band position folds to a diagonal entry")
         return self.fundamental[(a, b)]
 
     def check(self) -> None:

@@ -10,8 +10,10 @@ admissible when every lower point meets only finitely many arcs.
 
 A StripTriangulation stores its arcs as sorted int pairs, peripheral_arcs
 (i, j) with i < j and bridging_arcs (i, u), checks them once when it is
-built, and interleaves per-arc items of both in arc order by one stable
-sort on the feet (foot_order, read by arc_triples and the strip writer).
+built (peripheral arcs by the laminar sweep of interleaved_pair; polygon
+chords have their own, in the polygon constructor), and interleaves per-arc
+items of both in arc order by one stable sort on the feet (foot_order, read
+by arc_triples and the strip writer).
 An Arc is the tuple of two (boundary, index) marked points, lower endpoint
 first: (("L", i), ("L", j)) or (("L", i), ("U", u)); Arc and MarkedPoint
 name the fields but add no behaviour.  Arcs are the constructor's input,
@@ -32,8 +34,6 @@ from functools import cached_property
 from itertools import chain, starmap
 from operator import itemgetter, lt, sub
 from typing import Iterable, NamedTuple
-
-from .polygon import interleaved_pair
 
 LOWER = "L"
 UPPER = "U"
@@ -76,6 +76,29 @@ def cross(x: Arc, y: Arc) -> bool:
     if y_end == LOWER:
         return k < i < l
     return (j - l) * (i - k) < 0
+
+
+def interleaved_pair(pairs: Iterable[tuple[int, int]]
+                     ) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Two of the pairs (a, b), (c, d), all with a < b, such that a < c < b < d.
+
+    None when no two pairs interleave, that is, when the intervals are
+    laminar: the noncrossing rule for peripheral arcs of the strip (and for
+    polygon chords), where shared endpoints never cross.  One sweep in
+    (left end, -right end) order keeps the chain of intervals still open at
+    the current left end, innermost on top; O(P log P) for P pairs.
+    """
+    # (left, -right) order by two stable sorts on C-level keys
+    order = sorted(pairs, key=itemgetter(1), reverse=True)
+    order.sort(key=itemgetter(0))
+    stack: list[tuple[int, int]] = []
+    for a, b in order:
+        while stack and stack[-1][1] <= a:
+            stack.pop()
+        if stack and b > stack[-1][1]:
+            return stack[-1], (a, b)
+        stack.append((a, b))
+    return None
 
 
 @dataclass(frozen=True)

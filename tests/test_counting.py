@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from friezes import FriezeView, QuiddityDescriptor, bci_entry, cc_entry, cut_polygon, psi
+from friezes import (FriezeView, QuiddityDescriptor, bci_entry, cc_entry, cli, cut_polygon,
+                     polygon, psi)
 from friezes.counting import CutError
 from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging, peripheral
 
@@ -53,6 +54,20 @@ def test_cc_entry_examples():
     zig = psi(refdata.ZIGZAG, (-5, 5)).triangulation
     assert bci_entry(zig, -5, -3) == 5
     assert cc_entry(zig, -5, -3) == 5
+
+
+def test_one_chord_sweep_per_count(monkeypatch):
+    """cc_entry, bci_entry and a roundtrip row each sweep their cut's chords once."""
+    calls = []
+    sweep = polygon._post_order_faces
+    monkeypatch.setattr(polygon, "_post_order_faces",
+                        lambda *args: calls.append(args) or sweep(*args))
+    tri = psi(refdata.MIXED_TAILS, (-8, 8)).triangulation
+    for count in (cc_entry, bci_entry, cli._counted_row):
+        for i, j in ((-6, -4), (-3, 4), (0, 6)):
+            calls.clear()
+            count(tri, i, j)
+            assert len(calls) == 1, (count.__name__, i, j)
 
 
 def test_quiddity_from_adjacent_band():

@@ -10,6 +10,7 @@ import pytest
 
 from friezes import (PolygonError, PolygonTriangulation, all_triangulations,
                      polygon_from_quiddity, random_triangulation)
+from friezes.strip import interleaved_pair
 
 import refdata
 from oracles import bci_count_oracle, cc_labels_oracle, chords_cross, faces_oracle
@@ -83,6 +84,27 @@ def test_chord_crossing_check_matches_pairwise_oracle():
     assert rejected >= 100
 
 
+def test_constructor_names_the_crossing_pair_of_interleaved_pair():
+    """The face sweep refuses the same pair, the first one the (left, -right)
+    sweep of strip.interleaved_pair finds, on random sets of n - 3 chords."""
+    rng = random.Random(5113)
+    crossing = 0
+    for _ in range(300):
+        n = rng.randint(5, 40)
+        every = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)
+                 if (a, b) != (1, n)]
+        chords = rng.sample(every, n - 3)
+        pair = interleaved_pair(chords)
+        if pair is None:
+            PolygonTriangulation(n, frozenset(chords))
+            continue
+        crossing += 1
+        with pytest.raises(PolygonError) as e:
+            PolygonTriangulation(n, frozenset(chords))
+        assert str(e.value) == f"chords {pair[0]} and {pair[1]} cross"
+    assert crossing >= 250
+
+
 def test_cc_labels_heptagon_rows():
     p = _heptagon()
     labels1 = p.cc_labels(1)
@@ -114,6 +136,14 @@ def test_bci_heptagon_examples():
     down = p.boundary_walk(1, 5, -1)
     assert up == [1, 2, 3, 4, 5] and down == [1, 7, 6, 5]
     assert p.bci_count(up) == p.bci_count(down) == 3  # equals CC(1, 5)
+
+
+def test_boundary_walk_refuses_vertices_out_of_range():
+    p = PolygonTriangulation(5, frozenset({(1, 3), (1, 4)}))
+    for a, b, bad in ((0, 3, 0), (7, 3, 7), (3, 6, 6), (2, -1, -1)):
+        with pytest.raises(PolygonError, match=f"^vertex {bad} out of range$"):
+            p.boundary_walk(a, b)
+    assert p.boundary_walk(5, 3, -1) == [5, 4, 3] and p.boundary_walk(4, 1) == [4, 5, 1]
 
 
 def test_bci_rejects_non_boundary_walk():
@@ -200,8 +230,8 @@ def test_cc_and_bci_agree_on_a_deeply_nested_polygon():
 
 
 def test_cc_labels_work_is_linear_in_n():
-    # one sort, one sweep and one backwards walk over the faces: the lines run
-    # may grow by little more than 2x per doubling of n
+    # two walks over the faces the constructor keeps: the lines run may grow
+    # by little more than 2x per doubling of n
     work = {}
     for n in (1000, 2000, 4000):
         p = _zigzag(n)
