@@ -43,7 +43,7 @@ import traceback
 from pathlib import Path
 from typing import NoReturn
 
-from . import counting, serialize, synthesis
+from . import counting, polygon, serialize, synthesis
 from .frieze import FriezeView
 from .quiddity import DEFAULT_DEPTH, QuiddityError, digit_bound, validate
 from .render import render_frieze, render_polygon_svg, render_strip_svg
@@ -414,14 +414,14 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _counted_row(tri, i: int, end: int) -> tuple[list[int], list[int]]:
-    """t(i, i..end) by CC and by BCI, both counted in one star cut of i+1..end-1."""
+    """t(i, i..end) by CC and by BCI, both counted on the faces of one star cut of i+1..end-1."""
     if end - i < 2:
         return [*range(end - i + 1)], [*range(end - i + 1)]
-    cut = counting.cut_polygon(tri, i + 1, end - 1)
-    walk = [cut.lower_map[k] for k in range(i, end + 1)]
-    labels = cut.polygon.cc_labels(walk[0])
+    faces = counting.star_faces(tri, i + 1, end - 1)[0]
+    labels = polygon.cc_over_faces(faces, i)
+    walk = range(i, end + 1)
     return ([labels[v] for v in walk],
-            [cut.polygon.bci_count(walk[:k]) for k in range(1, len(walk) + 1)])
+            [polygon.bci_over_faces(faces, walk[:k]) for k in range(1, len(walk) + 1)])
 
 
 def _print_roundtrip(checks: list[tuple[str, bool, str]]) -> None:

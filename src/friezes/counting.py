@@ -1,20 +1,21 @@
 """Frieze entries of a strip triangulation by counting inside star cuts.
 
-t(i, j) reads only the triangles at the lower points i+1..j-1: it is the
-continuant of their counts.  Their union is a triangulated polygon, the
-star cut, and both classical counts run there: Conway-Coxeter label
-propagation from i, and Broline-Crowe-Isaacs tuples of triangles along the
-lower walk i..j.  They agree with the recurrence, giving a fully independent
-cross-check of it, and the cut costs about j - i plus the degrees of
-i+1..j-1, whatever the strip's width.
+t(i, j) is the continuant of the triangle counts at i+1..j-1.  Those
+triangles tile a polygon, the star cut, read straight off the fans of the
+strip's sorted stars with each third side certified (star_faces): a strip
+missing arcs raises CutError, never a wrong count.  Conway-Coxeter labels
+from i and Broline-Crowe-Isaacs tuples along i..j count on its faces
+(polygon's cc_over_faces, bci_over_faces), cross-checking the recurrence.
+A cut costs about j - i plus the degrees of i..j, whatever the width.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import pairwise
 
-from .polygon import PolygonError, PolygonTriangulation
+from .polygon import PolygonTriangulation, bci_over_faces, cc_over_faces
 from .strip import StripTriangulation, StripError
 
 
@@ -36,64 +37,82 @@ def _has(arcs: tuple[tuple[int, int], ...], arc: tuple[int, int]) -> bool:
     return k < len(arcs) and arcs[k] == arc
 
 
-def cut_polygon(t: StripTriangulation, i: int, j: int) -> PolygonCut:
-    """The polygon of the triangles at lower points i..j: the star cut.
+def star_faces(t: StripTriangulation, i: int, j: int
+               ) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The triangles at lower points i..j, children first, and (hi, top).
 
-    Stars of neighbours k, k+1 share the triangle on the segment (k, k+1),
-    so the union does not pinch.  Its corners are i-1..j+1 and the far ends
-    of the arcs at i..j: the lower ones ascending, labelled from 1, then the
-    upper ones descending.  Both sides of an arc at a point of i..j are
-    triangles at that point, so those arcs are exactly the chords, and every
-    other side joins two corners outside i..j.
+    A lower point is its index, at most hi; an upper point u is top - u.
+    The fan of k runs k+1, the ends y of the arcs (k, y) ascending, the ends
+    u of the arcs (k, u) descending, the ends x < i of the arcs (x, k)
+    ascending (and i-1 at k = i): each consecutive pair (a, b) gives the
+    face (k, a, b), kept at its least lower point in i..j, so the fan of
+    k > i stops at c_k, before x_k, its least lower neighbour in [i, k).
+    From k = j down, each face (k, a, b) follows those across (k, a) and
+    (a, b): (k, b) is its parent side, and (i, i-1) the root side.
 
-    The cut certifies itself from the arcs alone, trusting no window or
-    margin.  Each side off the lower path must be a boundary segment
-    (adjacent lower indices or upper labels) or a materialized arc; the
-    polygon is then a union of true triangles, any arc in it is a chord of
-    its one triangulation, and its n - 3 chord check passes only when the
-    stars of i..j are complete.  Either failure raises CutError, so a strip
-    missing arcs never gives a wrong count.  The arcs are bisected out of
-    the sorted pairs: the cost follows the cut, not the strip.
+    Each third side (a, b) is certified.  With k < a <= j it must be the
+    side (a, c_a) that a's fan leaves open, with x_a = k; then, by induction
+    on a, every a in i+1..j is met.  Any other side joins two corners
+    outside i..j and must be a segment or a materialized arc, bisected out
+    of the sorted pairs.  So the faces glue into one polygon triangulated by
+    the arcs at i..j, as the polygon constructor would check.  An arc (k, c)
+    missing from a star crosses the third side of the face its fan shows
+    around c, so that side cannot be materialized, and CutError is raised.
     """
     if i > j:
         raise StripError("need i <= j")
     starting, ending, footed = t.stars(i, j)
-    left = sorted({x for x, _ in ending if x < i - 1})
-    right = sorted({y for _, y in starting if y > j + 1})
-    upper = sorted({u for _, u in footed})
     per, bri = t.peripheral_arcs, t.bridging_arcs
-    first, last = (left or [i - 1])[0], (right or [j + 1])[-1]
-    if upper:
-        closed = _has(bri, (last, upper[-1])) and _has(bri, (first, upper[0]))
-    else:
-        closed = _has(per, (first, last))
-    lower_sides = [*zip(left, [*left[1:], i - 1]), *zip([j + 1, *right], right)]
-    if not (closed and all(b == a + 1 or _has(per, (a, b)) for a, b in lower_sides)
-            and all(v == u + 1 for u, v in zip(upper, upper[1:]))):
-        raise CutError(f"a side of the star cut of {i}..{j} is not a materialized arc")
-    lower_map = {x: k for k, x in enumerate([*left, *range(i - 1, j + 2), *right], 1)}
-    top = len(lower_map) + len(upper)
-    upper_map = {u: top - k for k, u in enumerate(upper)}
-    chords = {(lower_map[x], lower_map[y]) for x, y in (*starting, *ending)}
-    chords |= {(lower_map[k], upper_map[u]) for k, u in footed}
-    try:
-        poly = PolygonTriangulation(top, frozenset(chords))
-    except PolygonError as e:
-        raise CutError(f"the star cut of {i}..{j} is not complete: {e}") from e
-    return PolygonCut(poly, lower_map, upper_map)
+    hi = max([j + 1, *(y for _, y in starting)])
+    top = hi + 1 + max((u for _, u in footed), default=0)
+    fans = [[k + 1] for k in range(i, j + 1)]
+    for x, y in starting:
+        fans[x - i].append(y)
+    for k, u in reversed(footed):
+        fans[k - i].append(top - u)
+    low = list(range(i - 1, j))  # x_k
+    for x, y in ending:
+        if x < i:
+            fans[y - i].append(x)
+        elif x < low[y - i]:
+            low[y - i] = x
+    fans[0].append(i - 1)
+    faces: list[tuple[int, int, int]] = []
+    for k, fan in zip(range(j, i - 1, -1), reversed(fans)):
+        for a, b in pairwise(fan):
+            faces.append((k, a, b))
+            if k < a <= j:
+                ok = low[a - i] == k and fans[a - i][-1] == b
+            elif a > hi or b > hi:  # upper points u, u - 1, or a bridging arc, lower end first
+                ok = a + 1 == b if min(a, b) > hi else _has(bri, (min(a, b), top - max(a, b)))
+            else:
+                ok = abs(a - b) == 1 or _has(per, (min(a, b), max(a, b)))
+            if not ok:
+                raise CutError(f"the star cut of {i}..{j} is not complete at lower point {k}")
+    return faces, hi, top
+
+
+def cut_polygon(t: StripTriangulation, i: int, j: int) -> PolygonCut:
+    """The star cut of i..j as a PolygonTriangulation, its corners labelled
+    from 1 in star_faces' order (lower ascending, then upper descending)."""
+    faces, hi, top = star_faces(t, i, j)
+    corners = sorted({v for face in faces for v in face})
+    label = {v: n for n, v in enumerate(corners, 1)}
+    chords = frozenset((label[k], label[b]) for k, _, b in faces[:-1])
+    return PolygonCut(PolygonTriangulation(len(corners), chords),
+                      {v: label[v] for v in corners if v <= hi},
+                      {top - v: label[v] for v in corners if v > hi})
 
 
 def cc_entry(t: StripTriangulation, i: int, j: int) -> int:
-    """t(i, j) by label propagation inside the star cut of i+1..j-1 (i <= j)."""
-    if i <= j <= i + 1:
-        return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
-    cut = cut_polygon(t, i + 1, j - 1)
-    return cut.polygon.cc_labels(cut.lower_map[i])[cut.lower_map[j]]
+    """t(i, j) by label propagation from i, the far end of the cut's root side."""
+    if i > j:
+        raise StripError(f"t({i}, {j}) needs i <= j")
+    return cc_over_faces(star_faces(t, i + 1, j - 1)[0], i)[j] if j - i > 1 else j - i
 
 
 def bci_entry(t: StripTriangulation, i: int, j: int) -> int:
     """t(i, j) by counting triangle tuples along the lower walk i, i+1, ..., j."""
-    if i <= j <= i + 1:
-        return j - i  # t(i, i) = 0 and t(i, i+1) = 1; cut_polygon refuses i > j
-    cut = cut_polygon(t, i + 1, j - 1)
-    return cut.polygon.bci_count([cut.lower_map[k] for k in range(i, j + 1)])
+    if i > j:
+        raise StripError(f"t({i}, {j}) needs i <= j")
+    return bci_over_faces(star_faces(t, i + 1, j - 1)[0], range(i, j + 1)) if j - i > 1 else j - i

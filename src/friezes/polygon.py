@@ -1,32 +1,27 @@
 """Triangulated convex polygons and the two classical counting methods.
 
-The n-gon has vertices 1..n in cyclic order; a triangulation is a maximal set
-of n-3 pairwise noncrossing chords, splitting the polygon into n-2 triangular
-faces.  Two counting procedures recover the associated rank-n frieze pattern:
+The n-gon has vertices 1..n in cyclic order; a triangulation is a maximal
+set of n - 3 pairwise noncrossing chords, cutting it into n - 2 faces.  Two
+counts recover its rank-n frieze pattern and agree on every vertex pair:
+Conway-Coxeter (CC) labels a source 0 and gives the third vertex of each
+face the sum of the other two; Broline-Crowe-Isaacs (BCI) counts tuples of
+distinct faces along a boundary walk A, P_1, ..., P_r, B, the i-th at P_i.
 
-* CC counting: label a source vertex 0, its side/chord neighbours 1, and
-  propagate the rule "whenever a triangle has two labeled vertices the third
-  gets their sum"; CC(A, B) is the resulting label at B.
-* BCI counting: for a boundary walk A, P_1, ..., P_r, B, count ordered
-  r-tuples of pairwise distinct triangles whose i-th member is incident to
-  P_i (with the conventions BCI = 0 for A = B and BCI = 1 for adjacent A, B).
-
-Both computations agree on every vertex pair; the finite polygon machinery
-here doubles as the oracle for entries of strip triangulations.
-
-The constructor sweeps the chords once, without recursion: it refuses a
-crossing pair and keeps each chord's face, emitted after the faces under it.
-CC walks those faces twice, children first over the source, then parents
-first.  BCI is a dynamic program over the chords in the same order, each
-closing the sub-polygon under it, so its cost is near-linear in n and does
-not grow with the count.
+The constructor sweeps the chords once, without recursion, refusing a
+crossing pair and keeping each chord's face after the faces under it.  CC
+and BCI are module functions over such a children-first face list
+(cc_over_faces, bci_over_faces), which the methods call and so do the star
+cuts of counting, whose faces come off the strip's fans.  Both are
+near-linear in the number of faces, whatever the count.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, prod
 from operator import itemgetter
 
@@ -65,6 +60,71 @@ def _post_order_faces(chords: Iterable[tuple[int, int]], n: int) -> list[tuple[i
     return out
 
 
+def cc_over_faces(faces: list[tuple[int, int, int]], a: int) -> dict[int, int]:
+    """CC labels from source vertex a over a triangulation's faces, children first.
+
+    A face (x, apex, y) has parent side (x, y); its child sides are polygon
+    sides or parent sides of earlier faces, the last face's is the root side.
+    label[a] = 0, and 1 at the root side's other end if a is on it.  The
+    faces with x < a < y, which must be those over a, label their vertex on
+    the far side from a, from a up: 1 at x and y if a is the apex, else by
+    Ptolemy's relation.  Then, parents first, label[apex] = label[x] + label[y].
+    """
+    x0, _, y0 = faces[-1]
+    label = {a: 0}
+    if a == x0 or a == y0:
+        label[y0 if a == x0 else x0] = 1
+    for x, apex, y in faces:
+        if x < a < y:
+            if a == apex:
+                label[x] = label[y] = 1
+            elif a < apex:
+                label[y] = label[x] + label[apex]
+            else:
+                label[x] = label[apex] + label[y]
+    for x, apex, y in reversed(faces):
+        if not x < a < y:
+            label[apex] = label[x] + label[y]
+    return label
+
+
+def bci_over_faces(faces: list[tuple[int, int, int]], walk: list[int]) -> int:
+    """BCI: ordered tuples of distinct faces along a walk [A, P_1, ..., P_r, B].
+
+    The i-th face meets P_i; the count is 0 for A = B, 1 for adjacent A, B.
+    Faces as for cc_over_faces.  A vertex met k times takes k distinct faces
+    in k! orders, and a dynamic program sums the disjoint face sets: the
+    table of a parent side (a, c) counts the ways to serve the walk vertices
+    under it, keyed by the faces given to a and to c; the face (a, b, c)
+    joins the tables of (a, b) and (b, c) and settles b.
+    """
+    if len(walk) < 3:
+        return len(walk) - 1
+    need = defaultdict(int, Counter(walk[1:-1]))  # 0 off the walk's inner vertices
+    idle = {(0, 0): 1}  # a side, or a chord with no walk vertex under it
+    tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for a, b, c in faces:
+        need_a, need_b, need_c = need[a], need[b], need[c]
+        left, right = tables.pop((a, b), idle), tables.pop((b, c), idle)
+        if left is right is idle and not (need_a or need_b or need_c):
+            continue
+        out: dict[tuple[int, int], int] = {}
+        for (at_a, at_b), ways_left in left.items():
+            for (more_at_b, at_c), ways_right in right.items():
+                ways = ways_left * ways_right
+                short = need_b - at_b - more_at_b  # 1: this face goes to b; 0: to a, c or none
+                if short == 0 or short == 1:
+                    out[at_a, at_c] = out.get((at_a, at_c), 0) + ways
+                if short == 0 and at_a < need_a:
+                    out[at_a + 1, at_c] = out.get((at_a + 1, at_c), 0) + ways
+                if short == 0 and at_c < need_c:
+                    out[at_a, at_c + 1] = out.get((at_a, at_c + 1), 0) + ways
+        tables[a, c] = out
+    x0, _, y0 = faces[-1]
+    total = tables.get((x0, y0), idle).get((need[x0], need[y0]), 0)
+    return total * prod(map(factorial, need.values()))
+
+
 @dataclass(frozen=True)
 class PolygonTriangulation:
     """A triangulated convex n-gon: vertices 1..n plus a maximal chord set."""
@@ -85,7 +145,7 @@ class PolygonTriangulation:
         if len(self.chords) != self.n - 3:
             raise PolygonError(
                 f"expected {self.n - 3} chords for n={self.n}, got {len(self.chords)}")
-        # each face after the faces under its chords: the order in which bci_count closes them
+        # each face after the faces under its chords: the children-first order the counts read
         object.__setattr__(self, "_faces", _post_order_faces(self.chords, self.n))
 
     def faces(self) -> list[tuple[int, int, int]]:
@@ -94,39 +154,14 @@ class PolygonTriangulation:
 
     def quiddity(self) -> list[int]:
         """Triangle count at each vertex 1..n; always sums to 3n - 6."""
-        counts = [0] * (self.n + 1)
-        for f in self.faces():
-            for v in f:
-                counts[v] += 1
-        return counts[1:]
+        counts = Counter(chain.from_iterable(self._faces))
+        return [counts[v] for v in range(1, self.n + 1)]
 
     def cc_labels(self, a: int) -> dict[int, int]:
-        """CC counting from source vertex a; returns the full labeling.
-
-        label[a] = 0 (and 1 at the other end of the side (1, n) if a is on
-        it).  Children first, each face (x, apex, y) over a, x < a < y, labels
-        its vertex on the far side from a: 1 at x and y if a is the apex, else
-        Ptolemy's relation with three edges of label 1.  Parents first, every
-        other face has x and y labelled: label[apex] = label[x] + label[y].
-        """
-        n = self.n
-        if not 1 <= a <= n:
+        """CC counting from source vertex a; returns the full labeling."""
+        if not 1 <= a <= self.n:
             raise PolygonError(f"vertex {a} out of range")
-        label = [0] * (n + 1)
-        if a in (1, n):
-            label[n + 1 - a] = 1
-        for x, apex, y in self._faces:
-            if x < a < y:
-                if a == apex:
-                    label[x] = label[y] = 1
-                elif a < apex:
-                    label[y] = label[x] + label[apex]
-                else:
-                    label[x] = label[apex] + label[y]
-        for x, apex, y in reversed(self._faces):
-            if not x < a < y:
-                label[apex] = label[x] + label[y]
-        return dict(zip(range(1, n + 1), label[1:]))
+        return cc_over_faces(self._faces, a)
 
     def boundary_walk(self, a: int, b: int, direction: int = 1) -> list[int]:
         """The boundary walk from a to b stepping by +1 or -1 (mod n)."""
@@ -135,33 +170,11 @@ class PolygonTriangulation:
         for v in (a, b):
             if not 1 <= v <= self.n:
                 raise PolygonError(f"vertex {v} out of range")
-        walk = [a]
-        v = a
-        while v != b:
-            v = (v - 1 + direction) % self.n + 1
-            walk.append(v)
-            if len(walk) > self.n:
-                raise PolygonError("walk failed to reach target")
-        return walk
+        n = self.n
+        return [(a - 1 + direction * s) % n + 1 for s in range(direction * (b - a) % n + 1)]
 
     def bci_count(self, walk: list[int]) -> int:
-        """Number of tuples of distinct triangles along a boundary walk.
-
-        walk = [A, P_1, ..., P_r, B]; consecutive entries must be adjacent on
-        the polygon boundary.  Counts ordered r-tuples of pairwise distinct
-        faces with the i-th face incident to P_i.
-
-        A vertex met k times among the P_i takes k distinct faces in k!
-        orders, so the count is a sum over disjoint face sets times those
-        factorials.  A dynamic program over chords sums it: the table of a
-        chord (a, c), a < c, counts the ways to serve every vertex strictly
-        between a and c from the faces of the sub-polygon a, a+1, ..., c
-        (which holds all their faces), keyed by the faces given to a and to
-        c.  The face (a, b, c) joins the tables of (a, b) and (b, c) and
-        settles b.  Faces come in _faces order, each after the faces under
-        its chords; the cost is O(n log n) for a boundary walk, whatever the
-        count.
-        """
+        """BCI counting (bci_over_faces) along a walk of adjacent boundary vertices."""
         if not walk:
             raise PolygonError("empty walk")
         for v in walk:
@@ -170,45 +183,13 @@ class PolygonTriangulation:
         for u, v in zip(walk, walk[1:]):
             if not _cyclically_adjacent(u, v, self.n):
                 raise PolygonError(f"walk step {u} -> {v} is not a boundary side")
-        if len(walk) == 1:
-            return 0
-        interior = walk[1:-1]
-        if not interior:
-            return 1
-        need = [0] * (self.n + 1)
-        for v in interior:
-            need[v] += 1
-        idle = {(0, 0): 1}  # a side, or a chord with no walk vertex under it
-        tables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        for a, b, c in self._faces:
-            left, right = tables.pop((a, b), idle), tables.pop((b, c), idle)
-            if left is right is idle and not (need[a] or need[b] or need[c]):
-                continue
-            out: dict[tuple[int, int], int] = {}
-            for (at_a, at_b), ways_left in left.items():
-                for (more_at_b, at_c), ways_right in right.items():
-                    ways = ways_left * ways_right
-                    short = need[b] - at_b - more_at_b  # only this face can still go to b
-                    if short == 1:
-                        out[at_a, at_c] = out.get((at_a, at_c), 0) + ways
-                    elif short == 0:
-                        out[at_a, at_c] = out.get((at_a, at_c), 0) + ways
-                        if at_a < need[a]:
-                            out[at_a + 1, at_c] = out.get((at_a + 1, at_c), 0) + ways
-                        if at_c < need[c]:
-                            out[at_a, at_c + 1] = out.get((at_a, at_c + 1), 0) + ways
-            tables[a, c] = out
-        total = tables.get((1, self.n), idle).get((need[1], need[self.n]), 0)
-        return total * prod(factorial(k) for k in need)
+        return bci_over_faces(self._faces, walk)
 
     def frieze_pattern(self) -> "FriezePattern":
         """The rank-n frieze pattern whose fundamental region is the CC table."""
-        fundamental: dict[tuple[int, int], int] = {}
-        for a in range(1, self.n + 1):
-            labels = self.cc_labels(a)
-            for b in range(a + 1, self.n + 1):
-                fundamental[(a, b)] = labels[b]
-        return FriezePattern(self.n, fundamental)
+        n = self.n
+        labels = {a: self.cc_labels(a) for a in range(1, n + 1)}
+        return FriezePattern(n, {(a, b): labels[a][b] for a in labels for b in labels if a < b})
 
 
 @dataclass(frozen=True)

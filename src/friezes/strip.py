@@ -157,8 +157,8 @@ class StripTriangulation:
     every arc of the window cut, the polygon enclosing those stars along
     the tightest peripheral arc over (lo-2, hi+2) or else between the
     nearest bridging arcs, whose lower span lies in [lo - margin, hi +
-    margin] (psi takes the least such margin).  Counting reads only stars
-    (see counting.cut_polygon), which certify themselves; other queries
+    margin] (psi takes the least such margin).  Counting reads only stars,
+    whose fans certify themselves (counting.star_faces); other queries
     about points outside the window may be answered from partial data and
     raise StripError where that would be unsound.  `peripheral_by_end` is
     built on first use, as `arcs` is.

@@ -11,7 +11,9 @@ certificate proves every entry positive from tail growth alone, with no
 phase A; and the zero-gap oracle counts zero runs one value at a time.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
 labels by rescanning every face, count BCI tuples by backtracking, and cut
-strips by scanning every arc.  The phase-B oracle walks the fountain position
+strips by scanning every arc; the star-cut oracle relabels the arcs at a
+cut's lower points into a polygon and lets the polygon constructor check it.
+The phase-B oracle walks the fountain position
 by position from the anchor to the closed end of each terminating side,
 labels the upper points it planted by rank, and reads the class off the
 tails itself.  The strip rules oracle checks a strip's arcs one Arc tuple
@@ -39,6 +41,7 @@ from operator import sub
 from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
                      StripError, ValidationReport, bridging, cross, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
+from friezes.polygon import PolygonError
 from friezes.serialize import SchemaError, _int_list, _point_from_json, _require, m2_from_str
 from friezes.strip import (M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, Arc, MarkedPoint,
                            StripTriangulation, m2_finite)
@@ -572,6 +575,47 @@ def cut_polygon_oracle(t, i: int, j: int, route: str = "auto") -> PolygonCut:
             f"cut region has {len(chords)} chords but needs {n - 3}; "
             "the strip does not materialize this cut completely")
     poly = PolygonTriangulation(n, frozenset(chords))
+    return PolygonCut(poly, lower_map, upper_map)
+
+
+def star_cut_oracle(t, i: int, j: int) -> PolygonCut:
+    """The star cut of lower points i..j by relabelling and the polygon constructor.
+
+    Its corners are i-1..j+1 and the far ends of the arcs at i..j (the lower
+    ones ascending, then the upper ones descending); every side off the
+    lower path must be a boundary segment or a materialized arc, and the
+    arcs at i..j, relabelled, must be the n - 3 noncrossing chords of the
+    polygon, else CutError.  This was counting.cut_polygon before the cut's
+    faces came off the fans: star_faces must raise exactly where it does and
+    keep its faces.
+    """
+    if i > j:
+        raise StripError("need i <= j")
+    per, bri = t.peripheral_arcs, t.bridging_arcs
+    starting = [(x, y) for x, y in per if i <= x <= j]
+    ending = [(x, y) for x, y in per if i <= y <= j]
+    footed = [(k, u) for k, u in bri if i <= k <= j]
+    left = sorted({x for x, _ in ending if x < i - 1})
+    right = sorted({y for _, y in starting if y > j + 1})
+    upper = sorted({u for _, u in footed})
+    first, last = (left or [i - 1])[0], (right or [j + 1])[-1]
+    if upper:
+        closed = (last, upper[-1]) in bri and (first, upper[0]) in bri
+    else:
+        closed = (first, last) in per
+    lower_sides = [*zip(left, [*left[1:], i - 1]), *zip([j + 1, *right], right)]
+    if not (closed and all(b == a + 1 or (a, b) in per for a, b in lower_sides)
+            and all(v == u + 1 for u, v in zip(upper, upper[1:]))):
+        raise CutError(f"a side of the star cut of {i}..{j} is not a materialized arc")
+    lower_map = {x: k for k, x in enumerate([*left, *range(i - 1, j + 2), *right], 1)}
+    top = len(lower_map) + len(upper)
+    upper_map = {u: top - k for k, u in enumerate(upper)}
+    chords = {(lower_map[x], lower_map[y]) for x, y in (*starting, *ending)}
+    chords |= {(lower_map[k], upper_map[u]) for k, u in footed}
+    try:
+        poly = PolygonTriangulation(top, frozenset(chords))
+    except PolygonError as e:
+        raise CutError(f"the star cut of {i}..{j} is not complete: {e}") from e
     return PolygonCut(poly, lower_map, upper_map)
 
 

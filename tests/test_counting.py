@@ -10,12 +10,13 @@ import pytest
 
 from friezes import (FriezeView, QuiddityDescriptor, bci_entry, cc_entry, cli, cut_polygon,
                      polygon, psi)
-from friezes.counting import CutError
-from friezes.strip import M2_BI_INFINITE, StripTriangulation, bridging, peripheral
+from friezes.counting import CutError, star_faces
+from friezes.strip import (M2_BI_INFINITE, StripError, StripTriangulation, bridging,
+                           interleaved_pair, peripheral)
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus, log_offset
-from oracles import cut_polygon_oracle
+from oracles import cut_polygon_oracle, star_cut_oracle
 from workcount import lines_run
 
 
@@ -56,18 +57,30 @@ def test_cc_entry_examples():
     assert cc_entry(zig, -5, -3) == 5
 
 
-def test_one_chord_sweep_per_count(monkeypatch):
-    """cc_entry, bci_entry and a roundtrip row each sweep their cut's chords once."""
-    calls = []
-    sweep = polygon._post_order_faces
-    monkeypatch.setattr(polygon, "_post_order_faces",
-                        lambda *args: calls.append(args) or sweep(*args))
+def test_counts_read_the_stars_once_and_build_no_polygon(monkeypatch):
+    """cc_entry, bci_entry and a roundtrip row each read the strip's stars
+    once and count on the star faces, constructing no PolygonTriangulation."""
+    stars, built = [], []
+    read = StripTriangulation.stars
+    monkeypatch.setattr(StripTriangulation, "stars",
+                        lambda self, *args: stars.append(args) or read(self, *args))
+    monkeypatch.setattr(polygon.PolygonTriangulation, "__post_init__",
+                        lambda self: built.append(self))
     tri = psi(refdata.MIXED_TAILS, (-8, 8)).triangulation
+    view = FriezeView(refdata.MIXED_TAILS)
     for count in (cc_entry, bci_entry, cli._counted_row):
         for i, j in ((-6, -4), (-3, 4), (0, 6)):
-            calls.clear()
+            stars.clear()
+            got = count(tri, i, j)
+            want = view.entry(i, j) if count is not cli._counted_row else (view.row(i, i, j),) * 2
+            assert (got, len(stars), built) == (want, 1, []), (count.__name__, i, j)
+
+
+def test_entries_refuse_a_reversed_pair_by_name():
+    tri = psi(refdata.LINEAR, (-6, 6)).triangulation
+    for count, i, j in ((cc_entry, 3, 2), (bci_entry, 5, 1), (cc_entry, 0, -5)):
+        with pytest.raises(StripError, match=rf"^t\({i}, {j}\) needs i <= j$"):
             count(tri, i, j)
-            assert len(calls) == 1, (count.__name__, i, j)
 
 
 def test_quiddity_from_adjacent_band():
@@ -267,3 +280,104 @@ def test_counting_work_is_linear_in_the_span():
     for count in (cc_entry, bci_entry):
         work = {j: lines_run(lambda: count(tri, 0, j)) for j in (1000, 2000)}
         assert work[2000] < 2.3 * work[1000], (count.__name__, work)
+
+
+def _strip_faces(t: StripTriangulation, i: int, j: int):
+    """The star faces of i..j as sets of strip points, or CutError."""
+    try:
+        faces, hi, top = star_faces(t, i, j)
+    except CutError:
+        return CutError
+    return {frozenset(("L", v) if v <= hi else ("U", top - v) for v in face) for face in faces}
+
+
+def _polygon_faces(cut, near=None):
+    """The faces of a PolygonCut as sets of strip points; with near, only
+    those with a lower point in near."""
+    point = {k: ("L", x) for x, k in cut.lower_map.items()}
+    point.update({k: ("U", u) for u, k in cut.upper_map.items()})
+    faces = {frozenset(map(point.get, face)) for face in cut.polygon.faces()}
+    return faces if near is None else {f for f in faces if any(p in near for p in f)}
+
+
+def _oracle_faces(oracle, t: StripTriangulation, i: int, j: int):
+    try:
+        return _polygon_faces(oracle(t, i, j))
+    except CutError:
+        return CutError
+
+
+def test_star_faces_match_the_polygon_oracles_on_the_corpora():
+    """Every cut of i..j, j - i <= 8, inside and just outside the window of
+    each corpus strip: the faces off the fans are those of the relabelled
+    polygon (star_cut_oracle), which raises CutError exactly where star_faces
+    does, and those of the arc-scanning cut (cut_polygon_oracle) at i..j;
+    both counts of t(i - 1, j + 1) on them equal FriezeView.entry."""
+    seen = Counter()
+    for q in bijection_corpus() + enough_ones_corpus():
+        t = psi(q, (-6, 6)).triangulation
+        view = FriezeView(q)
+        for i in range(-9, 10):
+            for j in range(i, i + 9):
+                faces = _strip_faces(t, i, j)
+                assert faces == _oracle_faces(star_cut_oracle, t, i, j), (q, i, j)
+                seen[faces is CutError] += 1
+                if faces is CutError:
+                    continue
+                assert _counts(t, i - 1, j + 1) == (view.entry(i - 1, j + 1),) * 2, (q, i, j)
+                try:
+                    scanned = cut_polygon_oracle(t, i, j)
+                except CutError:
+                    continue
+                seen["scanned"] += 1
+                near = {("L", k) for k in range(i, j + 1)}
+                assert faces == _polygon_faces(scanned, near), (q, i, j)
+    assert all(seen[k] for k in (True, False, "scanned")), seen
+
+
+def _broken_strips(t: StripTriangulation, rng: random.Random):
+    """t with one arc removed, and t with one arc added: the added ones
+    mostly cross an arc of t."""
+    per, bri = list(t.peripheral_arcs), list(t.bridging_arcs)
+    for k in range(len(per)):
+        yield per[:k] + per[k + 1:], bri
+    for k in range(len(bri)):
+        yield per, bri[:k] + bri[k + 1:]
+    labels = [u for _, u in bri] or [0]
+    for _ in range(12):
+        x = rng.randint(-9, 7)
+        arc = (x, x + rng.randint(2, 7))
+        if arc not in per:
+            yield sorted(per + [arc]), bri
+        arc = (rng.randint(-9, 9), rng.randint(min(labels) - 1, max(labels) + 1))
+        if arc not in bri and t.m2_class.contains_label(arc[1]):
+            yield per, sorted(bri + [arc])
+
+
+def test_star_faces_raise_where_the_polygon_check_does():
+    """On strips with one arc removed or one (mostly crossing) arc added,
+    star_faces raises CutError on exactly the cuts where the relabelled
+    polygon does, and otherwise gives the same faces."""
+    rng = random.Random(6121)
+    seen = Counter()
+    for q in bijection_corpus()[::4] + enough_ones_corpus()[::2] + [refdata.ZIGZAG]:
+        base = psi(q, (-5, 5)).triangulation
+        for arcs in _broken_strips(base, rng):
+            t = StripTriangulation.from_pairs(base.window, base.margin, base.m2_class, *arcs)
+            crossing = interleaved_pair(t.peripheral_arcs) is not None
+            for i in range(-7, 8):
+                for j in range(i, i + 5):
+                    faces = _strip_faces(t, i, j)
+                    assert faces == _oracle_faces(star_cut_oracle, t, i, j), (q, arcs, i, j)
+                    seen[crossing, faces is CutError] += 1
+    assert all(seen[key] for key in ((True, True), (True, False), (False, True))), seen
+
+
+def test_bci_entry_work_follows_the_cut_not_the_strip():
+    # constant 3's cut of 1..11 is the same at +-64 and at +-4096: so is the work
+    work = set()
+    for w in (64, 4096):
+        tri = psi(QuiddityDescriptor.constant(3), (-w, w)).triangulation
+        assert bci_entry(tri, 0, 12) == 46368  # F_24
+        work.add(lines_run(lambda: bci_entry(tri, 0, 12)))
+    assert len(work) == 1, work
