@@ -16,6 +16,7 @@ is a ValueError.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 from .frieze import FriezeView
 from .polygon import PolygonTriangulation
@@ -34,8 +35,8 @@ def render_frieze(view: FriezeView, rows: tuple[int, int],
     table = [header]
     for r in range(r_lo, r_hi + 1):
         table.append([f"({r})", *map(str, view.row(r, c_lo, c_hi))])
-    width = max((len(s) for row in table for s in row), default=0)
-    return "\n".join(" ".join(s.rjust(width) for s in row).rstrip()
+    width = max(map(len, chain.from_iterable(table)), default=0)
+    return "\n".join(" ".join(map(str.rjust, row, repeat(width))).rstrip()
                      for row in table) + "\n"
 
 

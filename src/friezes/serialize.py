@@ -16,8 +16,8 @@ The upper index class is a string: "empty", "finite:N", "nat_right",
 are sorted, keys are fixed, and `dumps` writes canonical JSON (indent=2,
 sorted keys, trailing newline).  A strip file is that canonical JSON with
 its arcs in lower-index order, a peripheral arc before a bridging one at the
-same foot; `strip_dumps` writes exactly those bytes, one template fill per
-int pair in the strip's `foot_order`, without the pure-Python encoder that
+same foot; `strip_dumps` writes exactly those bytes, one f-string per int
+pair in the strip's `foot_order`, without the pure-Python encoder that
 indent=2 forces on `json.dumps`.  Parsing validates structure and the type
 invariants and raises SchemaError with the offending field.
 
@@ -137,17 +137,19 @@ def strip_to_json(t: StripTriangulation) -> dict:
 
 _STRIP_ARC = ('\n    {\n      "a": [\n        "L",\n        %d\n      ],'
               '\n      "b": [\n        "%s",\n        %d\n      ]\n    }')
-_PERIPHERAL, _BRIDGING = _STRIP_ARC.replace("%s", LOWER), _STRIP_ARC.replace("%s", UPPER)
+_HEAD, _MID, _TAIL = _STRIP_ARC.split("%d")  # split once, at import
+_MID_L, _MID_U = _MID.replace("%s", LOWER), _MID.replace("%s", UPPER)
 _STRIP_DOC = ('{\n  "arcs": [%s],\n  "m2_class": "%s",\n  "margin": %d,'
               '\n  "window": [\n    %d,\n    %d\n  ]\n}\n')
+_DOC_HEAD, _DOC_TAIL = _STRIP_DOC.split("%s", 1)  # joined around the arcs by one copy
 
 
 def strip_dumps(t: StripTriangulation) -> str:
-    """The bytes of dumps(strip_to_json(t)), one template fill per arc."""
-    arcs = ",".join(t.foot_order(list(map(_PERIPHERAL.__mod__, t.peripheral_arcs)),
-                                 list(map(_BRIDGING.__mod__, t.bridging_arcs))))
-    arcs = arcs and arcs + "\n  "  # no arcs print as []
-    return _STRIP_DOC % (arcs, m2_to_str(t.m2_class), t.margin, *t.window)
+    """The bytes of dumps(strip_to_json(t)), one f-string per arc (int ends print as %d)."""
+    arcs = ",".join(t.foot_order([f"{_HEAD}{i}{_MID_L}{j}{_TAIL}" for i, j in t.peripheral_arcs],
+                                 [f"{_HEAD}{i}{_MID_U}{u}{_TAIL}" for i, u in t.bridging_arcs]))
+    tail = ("\n  " if arcs else "") + _DOC_TAIL % (m2_to_str(t.m2_class), t.margin, *t.window)
+    return "".join((_DOC_HEAD, arcs, tail))  # no arcs print as []
 
 
 def strip_from_json(d: Any) -> StripTriangulation:

@@ -12,8 +12,8 @@ A StripTriangulation stores its arcs as sorted int pairs, peripheral_arcs
 (i, j) with i < j and bridging_arcs (i, u), checks them once when it is
 built (peripheral arcs by the laminar sweep of interleaved_pair; polygon
 chords have their own, in the polygon constructor), and interleaves per-arc
-items of both in arc order by one stable sort on the feet (foot_order, read
-by arc_triples and the strip writer).
+items of both in arc order, splicing runs found by bisection on the feet
+(foot_order, read by arc_triples and the strip writer).
 An Arc is the tuple of two (boundary, index) marked points, lower endpoint
 first: (("L", i), ("L", j)) or (("L", i), ("U", u)); Arc and MarkedPoint
 name the fields but add no behaviour.  Arcs are the constructor's input,
@@ -182,25 +182,16 @@ class StripTriangulation:
                     raise StripError("upper-upper arcs do not occur here")
                 raise StripError(f"arc endpoints must be sorted, lower first: {arc}")
             pairs[b_end].append((i, j))
-        self._store(window, margin, m2_class, tuple(sorted(pairs[LOWER])),
-                    tuple(sorted(pairs[UPPER])))
+        vars(self).update(vars(self.from_pairs(window, margin, m2_class, sorted(pairs[LOWER]),
+                                               sorted(pairs[UPPER]))))
 
     @classmethod
     def from_pairs(cls, window: tuple[int, int], margin: int, m2_class: M2Class,
                    peripheral_arcs: Iterable[tuple[int, int]],
                    bridging_arcs: Iterable[tuple[int, int]]) -> "StripTriangulation":
         """A strip from its pairs, each sequence sorted and without repeats."""
-        t = cls.__new__(cls)
-        t._store(window, margin, m2_class, tuple(peripheral_arcs), tuple(bridging_arcs))
-        return t
-
-    def _store(self, window, margin, m2_class, per, bri) -> None:
-        """Check every strip rule, then set the fields."""
-        lo, hi = window
-        if lo > hi:
-            raise StripError("window lo must be <= hi")
-        if margin < 0:
-            raise StripError("margin must be >= 0")
+        per, bri = tuple(peripheral_arcs), tuple(bridging_arcs)
+        t = cls._from_sorted(window, margin, m2_class, per, bri)
         if per and min(map(sub, map(itemgetter(1), per), map(itemgetter(0), per))) < 2:
             i, j = next((i, j) for i, j in per if j - i < 2)
             if i > j:
@@ -210,12 +201,24 @@ class StripTriangulation:
         if not (all(map(lt, per, per[1:])) and all(map(lt, bri, bri[1:]))):
             raise StripError("arcs must be sorted and hold no pair twice")
         # each class is an interval of labels, and bi_infinite holds every label
-        labels = [] if m2_class.kind == "bi_infinite" else list(map(itemgetter(1), bri))
-        for u in (min(labels), max(labels)) if labels else ():
-            if not m2_class.contains_label(u):
-                raise StripError(f"bridging arc to upper {u} outside class {m2_class}")
-        vars(self).update(window=window, margin=margin, m2_class=m2_class,
-                          peripheral_arcs=per, bridging_arcs=bri)
+        if bri and m2_class.kind != "bi_infinite":
+            for u in min(map(itemgetter(1), bri)), max(map(itemgetter(1), bri)):
+                if not m2_class.contains_label(u):
+                    raise StripError(f"bridging arc to upper {u} outside class {m2_class}")
+        return t
+
+    @classmethod
+    def _from_sorted(cls, window, margin, m2_class, per, bri) -> "StripTriangulation":
+        """from_pairs without its pair checks, for pairs that pass them by construction."""
+        lo, hi = window
+        if lo > hi:
+            raise StripError("window lo must be <= hi")
+        if margin < 0:
+            raise StripError("margin must be >= 0")
+        t = cls.__new__(cls)
+        vars(t).update(window=window, margin=margin, m2_class=m2_class,
+                       peripheral_arcs=per, bridging_arcs=bri)
+        return t
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
@@ -225,12 +228,16 @@ class StripTriangulation:
 
     def foot_order(self, per: list, bri: list) -> list:
         """Items of the peripheral and the bridging arcs, in storage order,
-        interleaved as sorted(arcs) is: by foot, a peripheral arc first."""
-        if not (per and bri):
-            return per + bri
-        foot = itemgetter(0)
-        feet = chain(map(foot, self.peripheral_arcs), map(foot, self.bridging_arcs))
-        return list(map(itemgetter(1), sorted(zip(feet, per + bri), key=foot)))
+        interleaved as sorted(arcs) is: by foot, a peripheral arc first.
+        Runs of either side are spliced whole, their ends found by bisection."""
+        P, B = self.peripheral_arcs, self.bridging_arcs
+        out, k, b = [], 0, 0
+        while k < len(P):  # the bridging arcs before P[k]'s foot, then the peripheral up to B[c]'s
+            c = bisect_left(B, P[k][:1], b)  # (foot,) sorts before every pair at that foot
+            e = bisect_left(P, (B[c][0] + 1,), k) if c < len(B) else len(P)
+            out += bri[b:c] + per[k:e]
+            k, b = e, c
+        return out + bri[b:]
 
     @cached_property
     def arc_triples(self) -> tuple[tuple[int, str, int], ...]:

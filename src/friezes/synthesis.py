@@ -29,8 +29,8 @@ The shape of the upper index set is read off from which phases terminate:
 phase A, then each side's fountain, endless on a tail with a value > 2.  Only
 a bi-infinite boundary has an anchor, the one free choice (a twist class).
 Residuals stay eventually periodic throughout, so passes are computed as
-exact descriptor rewrites.  Phase A holds the residual as survivors: its two
-tail periods and the sorted nonzero core positions with their values.  A
+exact descriptor rewrites.  Both phases hold the residual as survivors: its
+two tail periods and the sorted nonzero core positions with their values.  A
 pass finds the nearest nonzero neighbours of its 1s by bisect, or by period
 arithmetic in a tail, and touches only the 1s, their neighbours and the
 tail values a front consumes; so a run costs about as much as its 1s, not
@@ -96,16 +96,6 @@ class Residual(QuiddityDescriptor):
 
     MIN_VALUE = 0
 
-    def excess(self, lo: int, hi: int) -> int:
-        """Sum of max(v - 2, 0) over indices lo..hi; 0 when lo > hi.
-
-        Whole tail periods count as one period's excess times their number,
-        so the cost does not grow with hi - lo.
-        """
-        (lp, ln), core, (rp, rn) = self._pieces(lo, hi)
-        return (_tail_excess(self.left_period, lp, ln) + _excess(core)
-                + _tail_excess(self.right_period, rp, rn))
-
 
 def _excess(values) -> int:
     return sum(v - 2 for v in values if v > 2)
@@ -150,16 +140,6 @@ def _trim(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...],
     return _rotate(left, k), core[k:len(core) - j], _rotate(right, -j), start + k
 
 
-def _normalize(res: QuiddityDescriptor) -> Residual:
-    """The descriptor as a Residual, with its fields passed through _trim."""
-    return Residual(*_trim(res.left_period, res.core, res.right_period, res.core_start))
-
-
-def _collapsed(res: Residual) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    drop = lambda w: tuple(v for v in w if v)
-    return drop(res.left_period), drop(res.core), drop(res.right_period)
-
-
 def _signature(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, ...]):
     """Canonical form, up to index translation, of a zero-free residual word."""
     a, c, b, _ = _trim(left, core, right, 0)
@@ -167,11 +147,6 @@ def _signature(left: tuple[int, ...], core: tuple[int, ...], right: tuple[int, .
         rotations = [a[i:] + a[:i] for i in range(len(a))]
         return ("pure", min(rotations))
     return ("mixed", a, c, b)
-
-
-def _collapsed_signature(res: Residual):
-    """Canonical form of the zero-collapsed residual, up to index translation."""
-    return _signature(*_collapsed(res))
 
 
 def _rule(triples) -> tuple[list[tuple[int, int]], list[tuple[int, tuple[int, int]]]]:
@@ -252,13 +227,16 @@ class _Survivors:
     reaches them.
     """
 
-    def __init__(self, res: Residual):
-        self.left, self.right = res.left_period, res.right_period
-        self.cs = res.core_start
-        self.ce = res.core_start + len(res.core)
-        self.pos = list(compress(count(self.cs), res.core))
-        self.vals = list(filter(None, res.core))
+    def __init__(self, left: tuple, core: Sequence[int], right: tuple, start: int):
+        self.left, self.right = left, right
+        self.cs, self.ce = start, start + len(core)
+        self.pos = list(compress(count(start), core))
+        self.vals = list(filter(None, core))
         self.ones = [i for i, v in zip(self.pos, self.vals) if v == 1]
+
+    @classmethod
+    def of(cls, res: QuiddityDescriptor) -> "_Survivors":
+        return cls(res.left_period, res.core, res.right_period, res.core_start)
 
     def residual(self) -> Residual:
         core = [0] * (self.ce - self.cs)
@@ -267,7 +245,7 @@ class _Survivors:
         return Residual(self.left, core, self.right, self.cs)
 
     def signature(self):
-        """_collapsed_signature of residual(), read off the survivors."""
+        """_signature of residual() with its zeros collapsed away."""
         return _signature(tuple(filter(None, self.left)), tuple(self.vals),
                           tuple(filter(None, self.right)))
 
@@ -291,6 +269,24 @@ class _Survivors:
 
     def has_one(self) -> bool:
         return bool(self.ones) or 1 in self.left or 1 in self.right
+
+    def pieces(self, lo: int, hi: int) -> tuple[tuple[int, int], slice, tuple[int, int]]:
+        """lo..hi split as residual()._pieces splits it, (phase, count) per
+        tail, but with the core as the slice of pos and vals in lo..hi."""
+        first = max(lo, self.ce)  # a count is 0 where lo..hi misses that tail
+        return (((lo - self.cs) % len(self.left), max(min(hi + 1, self.cs) - lo, 0)),
+                slice(bisect_left(self.pos, lo), bisect_right(self.pos, hi)),
+                ((first - self.ce) % len(self.right), max(hi + 1 - first, 0)))
+
+    def excess(self, lo: int, hi: int) -> int:
+        """Sum of max(v - 2, 0) over indices lo..hi; 0 when lo > hi.
+
+        Whole tail periods count as one period's excess times their number,
+        so the cost does not grow with hi - lo.
+        """
+        (lp, ln), core, (rp, rn) = self.pieces(lo, hi)
+        return (_tail_excess(self.left, lp, ln) + _excess(self.vals[core])
+                + _tail_excess(self.right, rp, rn))
 
     def prev_nonzero(self, i: int) -> int | None:
         """The nearest nonzero position below i; None when there is none."""
@@ -320,16 +316,9 @@ class _Survivors:
 
     def zero_on(self, lo: int, hi: int) -> bool:
         """Whether every value at lo..hi is 0."""
-        k = bisect_left(self.pos, lo)
-        if k < len(self.pos) and self.pos[k] <= hi:
-            return False
-        for period, anchor, a, b in ((self.left, self.cs, lo, min(hi, self.cs - 1)),
-                                     (self.right, self.ce, max(lo, self.ce), hi)):
-            n = len(period)
-            if a <= b and any(period if b - a >= n else
-                              (period[(y - anchor) % n] for y in range(a, b + 1))):
-                return False
-        return True
+        (lp, ln), core, (rp, rn) = self.pieces(lo, hi)
+        return not (core.start < core.stop or any(_rotate(self.left, lp)[:ln])
+                    or any(_rotate(self.right, rp)[:rn]))
 
     def step(self):
         """One simultaneous pass, with the descriptor rewrite's result.
@@ -475,7 +464,7 @@ def _over(found, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
 def pass_arcs(res: Residual, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The value-1 positions in [lo, hi], and the peripheral arcs of one pass
     that meet [lo, hi], in the order of their 1s.  Raises as step_a_pass."""
-    found, _ = _Survivors(res).step()
+    found, _ = _Survivors.of(res).step()
     return _over(found, lo, hi)
 
 
@@ -483,10 +472,10 @@ def step_a_pass(res: Residual) -> Residual:
     """Apply one simultaneous pass to the residual descriptor.
 
     Tail values that the pass changes next to the core join it; the rest
-    see pure tail context and follow the rewritten periods.  The result is
-    normalized as _normalize does.
+    see pure tail context and follow the rewritten periods.  The result's
+    fields are trimmed as _trim trims them.
     """
-    s = _Survivors(res)
+    s = _Survivors.of(res)
     s.step()
     return s.residual()
 
@@ -591,8 +580,8 @@ class _Jump:
 
 class _History:
     """The survivors before the first pass and each stepped pass's changes:
-    the residual after any pass is rebuilt from them when it is read, or,
-    past the stepped passes, moved off the run's _Jump."""
+    the survivors after any pass are rebuilt from them when they are read,
+    or, past the stepped passes, moved off the run's _Jump."""
 
     def __init__(self, s: _Survivors):
         self._first = dict(zip(s.pos, s.vals))
@@ -606,25 +595,22 @@ class _History:
         self._shapes.append((s.left, s.cs, s.ce, s.right))
         self._changes.append(changes)
 
-    def residual(self, k: int) -> Residual:
-        """The residual after k passes."""
+    def state(self, k: int) -> _Survivors:
+        """The survivors after k passes (the live state after the last one)."""
         if k >= len(self._changes):
-            return (self._live if k == len(self._changes) else self.jump.state(k)).residual()
+            return self._live if k == len(self._changes) else self.jump.state(k)
         at, held = self._cursor
         if k < at:
             at, held = 0, dict(self._first)
         for changes in self._changes[at:k]:
-            for i, v in changes:
-                if v:
-                    held[i] = v
-                else:
-                    del held[i]
+            held.update(changes)  # 0 for a position no longer held, maybe outside the core
         self._cursor = k, held
         left, cs, ce, right = self._shapes[k]
         core = [0] * (ce - cs)
         for i, v in held.items():
-            core[i - cs] = v
-        return Residual(left, core, right, cs)
+            if v:
+                core[i - cs] = v
+        return _Survivors(left, core, right, cs)
 
 
 @dataclass(frozen=True)
@@ -642,7 +628,7 @@ class PassRecord:
 
     @property
     def residual_after(self) -> Residual:
-        return self._history.residual(self.index + 1)
+        return self._history.state(self.index + 1).residual()
 
 
 class _Trace(Sequence):
@@ -700,7 +686,7 @@ class StepAResult:
     @cached_property
     def residual(self) -> Residual:
         """The residual after the last pass."""
-        return self._history.residual(self.passes)
+        return self._history.state(self.passes).residual()
 
 
 def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
@@ -762,7 +748,7 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     """
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
-    s = _Survivors(_normalize(q))
+    s = _Survivors(*_trim(q.left_period, q.core, q.right_period, q.core_start))
     history = _History(s)
     # passes by the length of their collapsed core; signatures are built
     # only for passes whose lengths meet, as only those can be equal
@@ -798,11 +784,11 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
                 signatures[k + 1] = s.signature()
                 for i in same:
                     if i not in signatures:
-                        signatures[i] = _collapsed_signature(history.residual(i))
+                        signatures[i] = history.state(i).signature()
                 match = [i for i in same if signatures[i] == signatures[k + 1]]
                 if match:  # the period just stepped is the first one checked
                     detected, period = k + 1, k + 1 - match[-1]
-                    since = [_Survivors(history.residual(i)) for i in range(match[-1], k + 1)]
+                    since = [history.state(i) for i in range(match[-1], k + 1)]
             same.append(k + 1)
     jump = history.jump
     if jump:
@@ -824,9 +810,9 @@ class StepBResult:
     m2: M2Class
 
 
-def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
+def step_b(res: Residual | _Survivors, window: tuple[int, int], mat_lo: int, mat_hi: int,
            anchor: int | None = None) -> StepBResult:
-    """Plant upper marked points and bridging arcs on a terminated residual.
+    """Plant upper marked points and bridging arcs on a terminated residual's survivors.
 
     The class comes from the tails holding a value > 2: both give
     bi_infinite, the left alone nat_left, the right alone nat_right, and
@@ -847,40 +833,44 @@ def step_b(res: Residual, window: tuple[int, int], mat_lo: int, mat_hi: int,
     The anchor, needed only on bi_infinite, defaults to the first value > 2
     from the window midpoint rightward; a given one must have value > 2.
     """
-    if res.has_value(1):
+    s = _Survivors.of(res) if isinstance(res, QuiddityDescriptor) else res
+    if s.has_one():
         raise QuiddityError("phase B requires a residual with no 1s")
-    f_lo, f_hi = res.footprint()
-    if not any(res.values(f_lo, f_hi)):
+    L, R = len(s.left), len(s.right)
+    f_lo, f_hi = s.cs - L, s.ce + R - 1  # the footprint: the core and one period per side
+    if not (s.pos or any(s.left) or any(s.right)):
         raise QuiddityError("residual vanished entirely; a valid frieze cannot reach this state")
-    if anchor is not None and res.value_at(anchor) <= 2:
+    if anchor is not None and not s.excess(anchor, anchor):  # excess(y, y) > 0: value > 2
         raise QuiddityError(f"anchor {anchor} does not have residual value > 2")
 
-    left = any(v > 2 for v in res.left_period)
-    right = any(v > 2 for v in res.right_period)
+    left, right = _excess(s.left) > 0, _excess(s.right) > 0
     if left and right:
-        if anchor is None:
-            mid = sum(window) // 2
-            anchor = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+        if anchor is None:  # within a period past the core, as the right tail has a value > 2
+            anchor = next(y for y in count(sum(window) // 2) if s.excess(y, y))
         m2, first, at = M2_BI_INFINITE, 1, anchor
     elif left:
         m2, first, at = M2_NAT_LEFT, 0, f_hi + 1
     elif right:
         m2, first, at = M2_NAT_RIGHT, 0, f_lo
     else:
-        m2, first, at = m2_finite(1 + res.excess(f_lo, f_hi)), 1, f_lo
-    top = first + (res.excess(at, mat_lo - 1) if at <= mat_lo else -res.excess(mat_lo, at - 1))
-    (lp, ln), core, (rp, rn) = res._pieces(mat_lo, mat_hi)
-    lw, rw = _rotate(res.left_period, lp), _rotate(res.right_period, rp)  # from the cut's phase
+        m2, first, at = m2_finite(1 + s.excess(f_lo, f_hi)), 1, f_lo
+    top = first + (s.excess(at, mat_lo - 1) if at <= mat_lo else -s.excess(mat_lo, at - 1))
+    (lp, ln), core, (rp, rn) = s.pieces(mat_lo, mat_hi)
+    lw, rw = _rotate(s.left, lp), _rotate(s.right, rp)  # from the cut's phase
     i, arcs = mat_lo, []
-    for word, copies in ((lw, ln // len(lw)), (lw[:ln % len(lw)], 1), (core, 1),
-                         (rw, rn // len(rw)), (rw[:rn % len(rw)], 1)):
+    for offsets, word, step, copies in (  # offsets from the piece's start
+            (range(L), lw, L, ln // L), (range(ln % L), lw, ln % L, 1),
+            ([p - mat_lo - ln for p in s.pos[core]], s.vals[core],
+             mat_hi + 1 - mat_lo - ln - rn, 1),
+            (range(R), rw, R, rn // R), (range(rn % R), rw, rn % R, 1)):
         if not copies:
             continue
-        step, e, fans, u = len(word), _excess(word), [], top
-        for p, v in enumerate(word, i):  # the first copy's fans
+        fans, u = [], top
+        for p, v in zip(offsets, word):  # the first copy's fans
             if v >= 2:
-                fans += zip(repeat(p), range(u, u + v - 1))
+                fans += zip(repeat(i + p), range(u, u + v - 1))
                 u += v - 2
+        e = u - top  # the piece's excess, as no value is 1
         arcs += fans
         if copies > 1:  # copy m is the first shifted by m * (step, e): one series per arc
             arcs += chain.from_iterable(islice(zip(*[zip(count(p + step, step), count(w + e, e))
@@ -957,8 +947,8 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     r_lo, r_hi = a.cut
     margin = max(lo - r_lo, r_hi - hi)
     if a.verdict == "nonterminating":
-        tri = StripTriangulation.from_pairs(window, margin, M2_EMPTY, a.arcs, ())
+        tri = StripTriangulation._from_sorted(window, margin, M2_EMPTY, a.arcs, ())
         return SynthesisOutcome(tri, M2_EMPTY, a.verdict, a.passes, a.trace, None, a)
-    b = step_b(a.residual, window, r_lo, r_hi, anchor)
-    tri = StripTriangulation.from_pairs(window, margin, b.m2, a.arcs, b.bridging_arcs)
+    b = step_b(a._history.state(a.passes), window, r_lo, r_hi, anchor)
+    tri = StripTriangulation._from_sorted(window, margin, b.m2, a.arcs, b.bridging_arcs)
     return SynthesisOutcome(tri, b.m2, a.verdict, a.passes, a.trace, b.anchor, a)

@@ -45,8 +45,24 @@ from friezes.polygon import PolygonError
 from friezes.serialize import SchemaError, _int_list, _point_from_json, _require, m2_from_str
 from friezes.strip import (M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, Arc, MarkedPoint,
                            StripTriangulation, m2_finite)
-from friezes.synthesis import (DEFAULT_CAP, Residual, StepBResult,
-                               _collapsed_signature, _normalize, _primitive)
+from friezes.synthesis import DEFAULT_CAP, Residual, StepBResult, _primitive, _signature, _trim
+
+
+def normalize(res: QuiddityDescriptor) -> Residual:
+    """The descriptor as a Residual, with its fields passed through _trim."""
+    return Residual(*_trim(res.left_period, res.core, res.right_period, res.core_start))
+
+
+def collapsed(res: Residual) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The residual's three words with their zeros dropped."""
+    drop = lambda w: tuple(v for v in w if v)
+    return drop(res.left_period), drop(res.core), drop(res.right_period)
+
+
+def collapsed_signature(res: Residual):
+    """Canonical form of the zero-collapsed residual, up to index translation:
+    what phase A's survivors compute without building the residual."""
+    return _signature(*collapsed(res))
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
@@ -755,7 +771,7 @@ def dense_step_a_pass(res) -> Residual:
     for period, got in ((res.left_period, left), (res.right_period, right)):
         if got != sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
             raise AssertionError("tail rewrite deviated from its periodic context")
-    return _normalize(Residual(left, core, right, w_lo + L))
+    return normalize(Residual(left, core, right, w_lo + L))
 
 
 @dataclass(frozen=True)
@@ -785,8 +801,8 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Den
     recurring run needs one above its pass count to finish."""
     if cap < 1:
         raise QuiddityError("pass cap must be >= 1")
-    res = _normalize(q)
-    seen = {_collapsed_signature(res)}
+    res = normalize(q)
+    seen = {collapsed_signature(res)}
     residuals = [res]
     detected = None
     while True:
@@ -800,7 +816,7 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Den
         res = dense_step_a_pass(res)
         residuals.append(res)
         if detected is None:
-            sig = _collapsed_signature(res)
+            sig = collapsed_signature(res)
             detected = k + 1 if sig in seen else None
             seen.add(sig)
     zeroed = bisect_left(residuals, True,
@@ -823,8 +839,8 @@ def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
     has a <= mat_lo and mat_hi <= b.  Returns the pass count, the recorded
     arcs and the final residual.
     """
-    res = _normalize(q)
-    seen = {_collapsed_signature(res)}
+    res = normalize(q)
+    seen = {collapsed_signature(res)}
     arcs: list[tuple[int, int]] = []
     detected = False
     passes = 0
@@ -835,7 +851,7 @@ def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
         arcs += dense_pass_arcs(res, mat_lo, mat_hi)[1]
         res = dense_step_a_pass(res)
         passes += 1
-        sig = _collapsed_signature(res)
+        sig = collapsed_signature(res)
         detected = detected or sig in seen
         seen.add(sig)
     return passes, arcs, res

@@ -234,6 +234,53 @@ def test_strip_dumps_matches_generic_encoder():
         _assert_strip_dumps_canonical(t)
 
 
+def test_foot_order_is_the_order_of_sorted_arcs():
+    """foot_order splices runs of either side by bisection; on seeded random
+    pair sets (crossing or not) arc_triples and strip_dumps must list the
+    arcs as sorted(t.arcs) does: by foot, a peripheral arc first."""
+    rng = random.Random(6113)
+    seen = Counter()
+    for _ in range(1500):
+        base = rng.choice((0, -10**9, -10**9 - 3))
+        feet = [base + rng.randint(-4, rng.choice((4, 40))) for _ in range(rng.randint(1, 8))]
+        other = feet if rng.random() < 0.7 else [f + 41 for f in feet]  # shared feet or not
+        per = sorted({(i, i + rng.randint(2, 40))
+                      for i in rng.choices(feet, k=rng.choice((0, rng.randint(1, 30))))})
+        bri = sorted({(i, rng.randint(-20, 20))
+                      for i in rng.choices(other, k=rng.choice((0, rng.randint(1, 30))))})
+        t = StripTriangulation.from_pairs((base, base), 0, M2Class("bi_infinite"), per, bri)
+        want = [(a.index, b.boundary, b.index) for a, b in sorted(t.arcs)]
+        assert list(t.arc_triples) == want, (per, bri)
+        doc = {"window": [base, base], "margin": 0, "m2_class": "bi_infinite",
+               "arcs": [{"a": ["L", i], "b": [end, j]} for i, end, j in want]}
+        assert strip_dumps(t) == json.dumps(doc, indent=2, sort_keys=True) + "\n", (per, bri)
+        seen["one side empty" if not (per and bri) else "both"] += 1
+        seen["shared foot"] += bool({i for i, _ in per} & {i for i, _ in bri})
+        seen["3+ peripheral at a foot"] += max(Counter(i for i, _ in per).values(), default=0) >= 3
+        seen["near -10^9"] += base < 0
+    assert min(seen.values()) >= 100 and len(seen) == 5, seen
+
+
+def test_psi_hands_its_pairs_to_the_strip_unchecked_only_where_from_pairs_agrees():
+    """psi builds its strip without from_pairs' span, order and label scans,
+    as its pairs are sorted, spanning and in class by construction.  On the
+    corpora near the core and 10^3 away, from_pairs of the same pairs accepts
+    them and gives an equal strip with the same bytes; a window with lo > hi
+    is still refused."""
+    for q in bijection_corpus() + enough_ones_corpus():
+        runs = [(q, (-4, 4)), (q, (-16, 16))]
+        runs += [(q.shift(n), (n - 4, n + 4)) for n in (-1000, 1000)]
+        if psi(q, (-4, 4)).m2_class.kind != "empty":  # far empty-class cuts grow with the distance
+            runs += [(q, w) for w in ((996, 1004), (-1004, -996))]
+        for p, window in runs:
+            t = psi(p, window).triangulation
+            ref = StripTriangulation.from_pairs(t.window, t.margin, t.m2_class,
+                                                t.peripheral_arcs, t.bridging_arcs)
+            assert ref == t and strip_dumps(ref) == strip_dumps(t), (q, window)
+        with pytest.raises(StripError, match="lo must be <= hi"):
+            psi(q, (1, -1))
+
+
 def test_dehn_equivalent_rejects_class_mismatch():
     bi = psi(QuiddityDescriptor.constant(3), (-4, 4)).triangulation
     fin = psi(refdata.LINEAR, (-4, 4)).triangulation
@@ -392,7 +439,8 @@ def test_symbolic_pass_matches_array_pass():
     all-zero side).  Artifacts creep in from the array ends by a
     few positions per pass, so only the middle of the array is compared.
     """
-    from friezes.synthesis import Residual, _collapsed, pass_arcs, step_a_pass
+    from friezes.synthesis import Residual, pass_arcs, step_a_pass
+    from oracles import collapsed
 
     rng = random.Random(60901)
     big, mid, sound = 300, 40, 150
@@ -416,7 +464,7 @@ def test_symbolic_pass_matches_array_pass():
             assert ones == [i for i, _ in want_ones if lo <= i <= hi], case
             assert arcs == [(p, n) for _, (p, n) in want_ones if n >= lo and p <= hi], case
             arcs_compared += len(arcs)
-            left, _, right = _collapsed(res)
+            left, _, right = collapsed(res)
             if not left or not right:
                 break
             assert res.values(lo, hi) == vals[big - mid:big + mid + 1], case

@@ -12,11 +12,11 @@ from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, Quiddity
                      peripheral, psi, run_step_a, step_a_pass, step_b, validate)
 from friezes.serialize import dumps, quiddity_to_json
 from friezes.strip import M2_EMPTY
-from friezes.synthesis import Residual, _collapsed_signature, _normalize, _trim, pass_arcs
+from friezes.synthesis import Residual, _Survivors, _trim, pass_arcs
 
 import refdata
 from corpus import W68, enough_ones_corpus, fan_word, polygon_word
-from oracles import cut_polygon_oracle, dense_run_step_a, trim_loop
+from oracles import collapsed_signature, cut_polygon_oracle, dense_run_step_a, normalize, trim_loop
 
 # MIXED_TAILS reflected: nat_right, with its closed end on the left
 MIRROR_TAILS = QuiddityDescriptor((2,), (4, 2, 1, 6), (3,), core_start=-3)
@@ -144,7 +144,7 @@ def test_cap_bounds_only_passes_before_recurrence():
 
 
 def test_step_a_pass_simultaneous_update():
-    res = _normalize(Residual(**vars(refdata.ZIGZAG)))
+    res = normalize(Residual(**vars(refdata.ZIGZAG)))
     after = step_a_pass(res)
     # the 5s between two 1s lose both slots in one pass
     assert after.values(-4, 4) == [3, 0, 3, 0, 1, 2, 0, 3, 0]
@@ -209,11 +209,13 @@ def test_trim_matches_the_value_by_value_loop():
 
 
 def test_collapsed_signature_ignores_shift_and_zeros():
+    # phase A's survivors give the signature of the zero-collapsed residual
+    signature = lambda res: _Survivors.of(res).signature()
     a = Residual((3, 0), (1, 0, 0, 2), (0, 3), 0)
     b = Residual((3, 0), (1, 0, 0, 0, 0, 2), (0, 3), -7)
-    assert _collapsed_signature(a) == _collapsed_signature(b)
+    assert signature(a) == signature(b) == collapsed_signature(a) == collapsed_signature(b)
     c = Residual((3, 0), (2, 0, 0, 1), (0, 3), 0)
-    assert _collapsed_signature(a) != _collapsed_signature(c)
+    assert signature(a) != signature(c) == collapsed_signature(c)
 
 
 def test_psi_rejects_invalid_quiddity():
