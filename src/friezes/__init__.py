@@ -18,16 +18,16 @@ from .quiddity import (QuiddityDescriptor, QuiddityError, ValidationReport,
                        validate)
 from .strip import (Arc, M2Class, MarkedPoint, StripError, StripTriangulation,
                     bridging, cross, peripheral)
-from .synthesis import (InconclusiveError, Residual, SynthesisOutcome, psi,
-                        run_step_a, step_a_pass, step_b)
+from .synthesis import (Residual, SynthesisOutcome, psi, run_step_a, step_a_pass,
+                        step_b)
 
 __all__ = [
-    "Arc", "EnoughOnes", "FriezeError", "FriezePattern", "FriezeView",
-    "InconclusiveError", "M2Class", "MarkedPoint", "PolygonError",
-    "PolygonTriangulation", "QuiddityDescriptor", "QuiddityError", "Residual",
-    "StripError", "StripTriangulation", "SynthesisOutcome", "ValidationReport",
-    "all_triangulations", "bci_entry", "bridging", "cc_entry", "cross",
-    "cut_polygon", "entry_from_fg", "has_enough_ones", "peripheral",
-    "polygon_from_quiddity", "psi", "quiddity_from_f", "random_triangulation",
-    "run_step_a", "step_a_pass", "step_b", "validate",
+    "Arc", "EnoughOnes", "FriezeError", "FriezePattern", "FriezeView", "M2Class",
+    "MarkedPoint", "PolygonError", "PolygonTriangulation", "QuiddityDescriptor",
+    "QuiddityError", "Residual", "StripError", "StripTriangulation",
+    "SynthesisOutcome", "ValidationReport", "all_triangulations", "bci_entry",
+    "bridging", "cc_entry", "cross", "cut_polygon", "entry_from_fg",
+    "has_enough_ones", "peripheral", "polygon_from_quiddity", "psi",
+    "quiddity_from_f", "random_triangulation", "run_step_a", "step_a_pass",
+    "step_b", "validate",
 ]

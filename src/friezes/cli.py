@@ -1,16 +1,15 @@
 """Command line surface.
 
 Subcommands: quiddity, frieze, polygon, strip, synthesize, count, roundtrip.
-Exit codes: 0 success, 1 validation failure, 2 inconclusive (the phase-A
-pass cap, which counts only passes before recurrence, was hit before the run
-terminated or recurred), 3 I/O or schema error (a malformed command line too),
-4 internal error (an exception the program does not expect, which is a
-bug).  Failures print one JSON object {"error": {"kind", "message"}}.
+Exit codes: 0 success, 1 validation failure, 3 I/O or schema error (a
+malformed command line too), 4 internal error (an exception the program does
+not expect, which is a bug); 2 is not used.  Failures print one JSON object
+{"error": {"kind", "message"}}.
 
-Defaults for the validation depth and the pass cap may also come from the
-environment (FRIEZE_DEPTH, FRIEZE_CAP); an explicit flag wins over the
-environment.  main(argv) may be called repeatedly in one process; it builds
-its argument parser once, on the first call.
+The default validation depth may also come from the environment
+(FRIEZE_DEPTH); an explicit --depth wins over the environment.  main(argv)
+may be called repeatedly in one process; it builds its argument parser
+once, on the first call.
 
 `frieze print` prints at most MAX_GRID_CELLS cells, the row count times the
 column count, with an empty range counting as one (its labels still print),
@@ -52,7 +51,6 @@ from .strip import StripError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
@@ -61,22 +59,22 @@ MAX_GRID_DIGITS = 10**8  # most cells x digits per cell that `frieze print` rend
 MAX_WINDOW = 10**5  # most lower points a `synthesize` or `roundtrip` window holds
 
 
-def _setting(flag: int | None, option: str | None, env: str, default: int, least: int) -> int:
-    """The flag's value if given, else the environment's, else default; a
-    flag or variable below least is a SchemaError that names it."""
-    raw = os.environ.get(env)
+def _depth(flag: int | None) -> int:
+    """--depth if given, else FRIEZE_DEPTH, else DEFAULT_DEPTH; one below 2
+    is a SchemaError that names where it came from."""
+    raw = os.environ.get("FRIEZE_DEPTH")
     if flag is not None:
-        value, source = flag, option
+        value, source = flag, "--depth"
     elif raw is None:
-        return default
+        return DEFAULT_DEPTH
     else:
-        source = f"environment variable {env}"
+        source = "environment variable FRIEZE_DEPTH"
         try:
             value = int(raw)
         except ValueError:
             raise SchemaError(f"{source} must be an integer, got {raw!r}")
-    if value < least:
-        raise SchemaError(f"{source} must be >= {least}, got {value}")
+    if value < 2:
+        raise SchemaError(f"{source} must be >= 2, got {value}")
     return value
 
 
@@ -162,7 +160,7 @@ def _parse_window(spec: str) -> tuple[int, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:  # a usage error, not exit 2 (inconclusive)
+    def error(self, message: str) -> NoReturn:  # a usage error: exit 3, not argparse's 2
         raise SchemaError(message)
 
 
@@ -222,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="strip triangulation realizing a quiddity")
     p.add_argument("--window", required=True,
                    help=f"lower index range LO..HI, at most {MAX_WINDOW} points")
-    p.add_argument("--cap", type=int, default=None,
-                   help="phase-A passes allowed before termination or recurrence "
-                        f"(env FRIEZE_CAP, default {synthesis.DEFAULT_CAP})")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("file")
@@ -243,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_quiddity(args) -> int:
-    depth = _setting(args.depth, "--depth", "FRIEZE_DEPTH", DEFAULT_DEPTH, 2)
+    depth = _depth(args.depth)
     q = serialize.quiddity_from_json(_read_json(args.file))
     report = validate(q, depth)
     out = {"status": report.status, "depth": report.depth}
@@ -341,8 +336,7 @@ def _cmd_strip(args) -> int:
 def _cmd_synthesize(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     window = _parse_window(args.window)
-    cap = _setting(args.cap, "--cap", "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)
-    outcome = synthesis.psi(q, window, cap=cap)
+    outcome = synthesis.psi(q, window)
     doc = serialize.strip_dumps(outcome.triangulation)
     if args.output:
         _write_text(args.output, doc)
@@ -378,8 +372,7 @@ def _cmd_roundtrip(args) -> int:
     q = serialize.quiddity_from_json(_read_json(args.file))
     window = _parse_window(args.window)
     lo, hi = window
-    depth = _setting(None, None, "FRIEZE_DEPTH", DEFAULT_DEPTH, 2)
-    cap = _setting(None, None, "FRIEZE_CAP", synthesis.DEFAULT_CAP, 1)
+    depth = _depth(None)
     checks: list[tuple[str, bool, str]] = []
 
     report = validate(q, depth)
@@ -389,7 +382,7 @@ def _cmd_roundtrip(args) -> int:
         _print_roundtrip(checks)
         return EXIT_INVALID
 
-    outcome = synthesis.psi(q, window, cap=cap)
+    outcome = synthesis.psi(q, window)
     tri = outcome.triangulation
     quid = tri.quiddity_of()
     phi_ok = all(quid[i] == q.value_at(i) for i in range(lo, hi + 1))
@@ -447,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("schema", str(e), EXIT_IO)
     except QuiddityError as e:
         return _fail("invalid", str(e), EXIT_INVALID)
-    except synthesis.InconclusiveError as e:
-        return _fail("inconclusive", str(e), EXIT_INCONCLUSIVE)
     except (StripError, ValueError) as e:
         return _fail("invalid", str(e), EXIT_INVALID)
     except Exception as e:  # a bug: the traceback goes to stderr, the JSON error to stdout

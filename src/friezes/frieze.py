@@ -185,7 +185,7 @@ def has_enough_ones(t: FriezeView, window: tuple[int, int]) -> EnoughOnes:
     t(i, i+1) = 1.  One running maximum of the arc ends, bisected per row,
     finds the first pair (i ascending, then j) under no arc: "no" carries
     it.  O(A + W log A) for A arcs and W window points.  Raises FriezeError
-    when lo > hi, and psi's QuiddityError or InconclusiveError.
+    when lo > hi, and psi's QuiddityError.
     """
     lo, hi = window
     if lo > hi:

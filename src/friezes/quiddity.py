@@ -107,28 +107,6 @@ class QuiddityDescriptor:
         """Translate by n: shift(q, n).value_at(i) == q.value_at(i - n)."""
         return replace(self, core_start=self.core_start + n)
 
-    def footprint(self) -> tuple[int, int]:
-        """Index range holding the core plus one period of each tail."""
-        return (self.core_start - len(self.left_period),
-                self.core_start + len(self.core) + len(self.right_period) - 1)
-
-    def scan(self, i: int, step: int, bound: int, above: int = 0) -> int | None:
-        """First j past i in direction step (+1 or -1), up to bound inclusive,
-        whose value exceeds above; None when there is none."""
-        for j in range(i + step, bound + step, step):
-            if self.value_at(j) > above:
-                return j
-        return None
-
-    def next_nonzero(self, i: int) -> int | None:
-        # one whole right period past both the footprint and i
-        R = len(self.right_period)
-        return self.scan(i, 1, max(self.footprint()[1], i + R) + R + 1)
-
-    def prev_nonzero(self, i: int) -> int | None:
-        L = len(self.left_period)
-        return self.scan(i, -1, min(self.footprint()[0], i - L) - L - 1)
-
     def has_value(self, v: int) -> bool:
         return v in self.left_period or v in self.core or v in self.right_period
 
@@ -255,17 +233,17 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
     """Check t(i, j) >= 1 for all i < j with j - i <= depth.
 
     Phase A of the strip synthesis decides first, over the whole word.  A
-    run that trips no pass rule and terminates or recurs builds a strip
-    triangulation whose triangle counts are q, and by the bijection between
-    infinite friezes and admissible strip triangulations q is then the
-    quiddity sequence of an infinite frieze: every entry is positive, and
-    the answer is valid at any depth.  A 0 counts no triangles, so a
+    run that trips no pass rule ends, terminating or recurring, and builds
+    a strip triangulation whose triangle counts are q, and by the bijection
+    between infinite friezes and admissible strip triangulations q is then
+    the quiddity sequence of an infinite frieze: every entry is positive,
+    and the answer is valid at any depth.  A 0 counts no triangles, so a
     Residual holding one goes straight to the scan.
 
-    Otherwise, on a tripped rule or at the pass cap, the band scan
-    (_band_scan) names the first nonpositive entry up to depth, or reports
-    valid_to_depth when there is none.  Phase A accepts only what the scan
-    finds valid, so every report equals the scan's.
+    Otherwise, on a tripped rule, the band scan (_band_scan) names the first
+    nonpositive entry up to depth, or reports valid_to_depth when there is
+    none.  Phase A accepts only what the scan finds valid, so every report
+    equals the scan's.
     """
     from .synthesis import run_step_a  # synthesis imports this module, so not at the top
 
@@ -273,9 +251,8 @@ def validate(q: QuiddityDescriptor, depth: int = DEFAULT_DEPTH) -> ValidationRep
         raise QuiddityError("validation depth must be >= 2")
     if not q.has_value(0):
         with suppress(QuiddityError):  # a tripped pass rule: the scan names the witness
-            a = run_step_a(q, q.core_start, q.core_start)
-            if a.verdict == "terminated" or a.detected_at is not None:
-                return ValidationReport("valid_to_depth", depth)
+            run_step_a(q, q.core_start, q.core_start)
+            return ValidationReport("valid_to_depth", depth)
     return _band_scan(q, depth)
 
 

@@ -50,14 +50,15 @@ rebuilt from the recorded changes only when read.  Nontermination of phase
 A is detected by recurrence, up to translation, of the residual with its
 zeros collapsed away (zero positions are inert, and the gaps between
 survivors grow, so the uncollapsed residual never recurs).  Signatures are
-compared only between passes whose collapsed cores are as long.  The pass
-cap counts only passes before recurrence.  After it the run checks that
-the survivors came back translated over the period just stepped, else over
-the next: those left of the growing zero run moved by one shift, the rest
-by another.  The pass rule reads only nearest nonzero neighbours, so every
-later pass is then an earlier one translated; the passes that consume the
-window are found by bisection and read off the translation, so a recurring
-run costs the same at any distance from the core.
+compared only between passes whose collapsed cores are as long.  Every
+run ends: it terminates or recurs (run_step_a says why).  After recurrence
+the run checks that the survivors came back translated over the period just
+stepped, else over the next: those left of the growing zero run moved by
+one shift, the rest by another.  The pass rule reads only nearest nonzero
+neighbours, so every later pass is then an earlier one translated; the
+passes that consume the window are found by bisection and read off the
+translation, so a recurring run costs the same at any distance from the
+core.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ from .quiddity import (DEFAULT_DEPTH, QuiddityDescriptor, QuiddityError, _band_s
                        validate)
 from .strip import (M2Class, M2_BI_INFINITE, M2_EMPTY, M2_NAT_LEFT,
                     M2_NAT_RIGHT, StripTriangulation, m2_finite)
-
-DEFAULT_CAP = 1000
-
-
-class InconclusiveError(RuntimeError):
-    """A cap was reached before the synthesis could classify the input."""
-
 
 class Residual(QuiddityDescriptor):
     """Working copy of a quiddity sequence during synthesis.
@@ -671,7 +665,7 @@ class StepAResult:
     mat_lo..mat_hi; its 1s and arcs are recorded once per pass and read
     over the cut, and like the final residual they are built when read."""
 
-    verdict: str  # "terminated" | "nonterminating" | "cap_reached"
+    verdict: str  # "terminated" | "nonterminating"
     passes: int
     trace: Sequence[PassRecord]
     cut: tuple[int, int]  # (r_lo, r_hi), the lower span of the cut polygon
@@ -689,10 +683,9 @@ class StepAResult:
         return self._history.state(self.passes).residual()
 
 
-def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
-               cap: int = DEFAULT_CAP) -> StepAResult:
+def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> StepAResult:
     """Iterate phase-A passes until no 1 remains, or recurrence consumes
-    mat_lo..mat_hi, or the cap is reached before either.
+    mat_lo..mat_hi.
 
     The residual is held as survivors: the nonzero core positions with their
     values, between two tail periods.  A pass finds the neighbours of its 1s
@@ -700,8 +693,19 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     the tail values it changes there, and trims what continues the new
     periods, so its cost grows with its 1s and the periods, not with the
     core.  Recurrence is looked for among passes whose collapsed cores are
-    as long, so a long core that never recurs is never copied.  The cap
-    counts only passes before recurrence.
+    as long, so a long core that never recurs is never copied.
+
+    Every run that trips no rule ends, by termination or by recurrence:
+    (a) a tail period that holds a 1 loses at least one nonzero value per
+    pass, as its 1s are zeroed and the rule only decrements, so tails hold
+    1s in finitely many passes; (b) after that a position joins the
+    survivors only where a 1 at the core's edge consumes the tail value
+    next to it, and that 1 leaves, so the survivor count never grows,
+    except from 1 to 2 when a lone survivor 1 consumes both sides; (c)
+    values never grow.  So there are finitely many collapsed states up to
+    translation, and a run that neither trips a rule nor terminates repeats
+    a signature, which the run sees, as it compares each pass with every
+    earlier pass whose collapsed core is as long.
 
     On recurrence of the collapsed residual at pass d against pass i, the
     run is known nonterminating, and window queries need the passes until
@@ -746,8 +750,6 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
     read over the cut; its residual_after is rebuilt only when read, and so
     is the final residual.
     """
-    if cap < 1:
-        raise QuiddityError("pass cap must be >= 1")
     s = _Survivors(*_trim(q.left_period, q.core, q.right_period, q.core_start))
     history = _History(s)
     # passes by the length of their collapsed core; signatures are built
@@ -765,7 +767,7 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int,
         k = len(found)
         verdict = ("terminated" if not s.has_one()
                    else "nonterminating" if detected is not None and s.zero_on(mat_lo, mat_hi)
-                   else "cap_reached" if detected is None and k >= cap else None)
+                   else None)
         if verdict:
             break
         if period:
@@ -895,7 +897,7 @@ class SynthesisOutcome:
         return self._step_a.residual
 
 
-def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
+def _refuse(q: QuiddityDescriptor, err: QuiddityError) -> NoReturn:
     """Raise a QuiddityError naming validate(q)'s witness if it finds one, else err.
 
     Called once phase A has refused q, so only validate's band scan runs:
@@ -910,8 +912,8 @@ def _refuse(q: QuiddityDescriptor, err: Exception) -> NoReturn:
     ) from err
 
 
-def psi(q: QuiddityDescriptor, window: tuple[int, int],
-        cap: int = DEFAULT_CAP, anchor: int | None = None) -> SynthesisOutcome:
+def psi(q: QuiddityDescriptor, window: tuple[int, int], *,
+        anchor: int | None = None) -> SynthesisOutcome:
     """Full synthesis pipeline for a quiddity descriptor.
 
     Phase A runs once over the window plus two on each side (until that is
@@ -926,10 +928,9 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     Validity is decided by the construction itself: a run that finishes
     without tripping a pass rule is a strip triangulation whose triangle
     counts are q, so q is the quiddity sequence of an infinite frieze, and
-    a valid q trips no rule.  Raises QuiddityError on invalid input,
-    InconclusiveError when phase A hits the pass cap, which counts only
-    passes before recurrence, and StripError for a window with lo > hi.  A
-    tripped rule, or the cap, is a QuiddityError naming a nonpositive entry
+    a valid q trips no rule, and phase A always ends (run_step_a).  Raises
+    QuiddityError on invalid input and StripError for a window with
+    lo > hi.  A tripped rule is a QuiddityError naming a nonpositive entry
     when validate finds one at its default depth.  Past one certified
     period a recurring run's passes are read off a translation, not
     stepped, so phase A costs the same at any distance from the core; the
@@ -938,12 +939,9 @@ def psi(q: QuiddityDescriptor, window: tuple[int, int],
     """
     lo, hi = window
     try:
-        a = run_step_a(q, lo - 2, hi + 2, cap)
+        a = run_step_a(q, lo - 2, hi + 2)
     except QuiddityError as err:
         _refuse(q, err)
-    if a.verdict == "cap_reached":
-        _refuse(q, InconclusiveError(
-            f"phase A hit the {cap}-pass cap without terminating or recurring"))
     r_lo, r_hi = a.cut
     margin = max(lo - r_lo, r_hi - hi)
     if a.verdict == "nonterminating":

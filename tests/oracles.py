@@ -19,7 +19,8 @@ labels the upper points it planted by rank, and reads the class off the
 tails itself.  The strip rules oracle checks a strip's arcs one Arc tuple
 at a time, each label against its class.  The dense phase-A oracle reads
 every value of a range and rewrites the whole core on every pass, keeping
-each residual, where the library touches only the survivors near the 1s.
+each residual, where the library touches only the survivors near the 1s; it
+gives up at a pass bound of its own, as the library needs none.
 The scanning phase-A oracle stops a recurring run only once an arc it
 recorded spans the range, and the cut oracle takes the tightest recorded
 arc over it.  The enough-ones oracle
@@ -38,14 +39,14 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import sub
 
-from friezes import (FriezeView, InconclusiveError, PolygonTriangulation, QuiddityError,
-                     StripError, ValidationReport, bridging, cross, peripheral, psi)
+from friezes import (FriezeView, PolygonTriangulation, QuiddityError, StripError,
+                     ValidationReport, bridging, cross, peripheral, psi)
 from friezes.counting import CutError, PolygonCut
 from friezes.polygon import PolygonError
 from friezes.serialize import SchemaError, _int_list, _point_from_json, _require, m2_from_str
 from friezes.strip import (M2_BI_INFINITE, M2_NAT_LEFT, M2_NAT_RIGHT, Arc, MarkedPoint,
                            StripTriangulation, m2_finite)
-from friezes.synthesis import DEFAULT_CAP, Residual, StepBResult, _primitive, _signature, _trim
+from friezes.synthesis import Residual, StepBResult, _primitive, _signature, _trim
 
 
 def normalize(res: QuiddityDescriptor) -> Residual:
@@ -635,6 +636,32 @@ def star_cut_oracle(t, i: int, j: int) -> PolygonCut:
     return PolygonCut(poly, lower_map, upper_map)
 
 
+def footprint(res) -> tuple[int, int]:
+    """Index range holding the core plus one period of each tail."""
+    return (res.core_start - len(res.left_period),
+            res.core_start + len(res.core) + len(res.right_period) - 1)
+
+
+def scan(res, i: int, step: int, bound: int, above: int = 0) -> int | None:
+    """First j past i in direction step (+1 or -1), up to bound inclusive,
+    whose value exceeds above; None when there is none."""
+    for j in range(i + step, bound + step, step):
+        if res.value_at(j) > above:
+            return j
+    return None
+
+
+def next_nonzero(res, i: int) -> int | None:
+    # one whole right period past both the footprint and i
+    R = len(res.right_period)
+    return scan(res, i, 1, max(footprint(res)[1], i + R) + R + 1)
+
+
+def prev_nonzero(res, i: int) -> int | None:
+    L = len(res.left_period)
+    return scan(res, i, -1, min(footprint(res)[0], i - L) - L - 1)
+
+
 def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
                 anchor: int | None = None) -> StepBResult:
     """synthesis.step_b by walking the fountain from the anchor.
@@ -650,7 +677,7 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
     right_inf = any(v > 2 for v in res.right_period)
     left_inf = any(v > 2 for v in res.left_period)
     b1_term, b2_term = not right_inf, not left_inf
-    f_lo, f_hi = res.footprint()
+    f_lo, f_hi = footprint(res)
     n_value = 1 + sum(v - 2 for v in res.values(f_lo, f_hi) if v > 2)
     # a side whose tail holds a value > 2 runs its fountain forever
     m2 = {(True, True): m2_finite(n_value), (True, False): M2_NAT_LEFT,
@@ -660,9 +687,9 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
     mid = (lo + hi) // 2
     given = anchor
     if anchor is None:
-        anchor = res.scan(mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
+        anchor = scan(res, mid - 1, 1, max(mid, f_hi) + len(res.right_period), above=2)
         if anchor is None:
-            anchor = res.scan(mid, -1, min(mid, f_lo) - len(res.left_period), above=2)
+            anchor = scan(res, mid, -1, min(mid, f_lo) - len(res.left_period), above=2)
     elif res.value_at(anchor) <= 2:
         raise QuiddityError(f"anchor {anchor} does not have residual value > 2")
 
@@ -681,7 +708,7 @@ def step_b_walk(res, window: tuple[int, int], mat_lo: int, mat_hi: int,
 
         def grow(step: int, edge: int, fresh_at: int, stop: int) -> None:
             pos = anchor
-            while (nxt := res.scan(pos, step, stop, above=2)) is not None:
+            while (nxt := scan(res, pos, step, stop, above=2)) is not None:
                 arcs.extend((i, edge) for i in range(pos + step, nxt, step)
                             if mat_lo <= i <= mat_hi and res.value_at(i) == 2)
                 fresh = list(range(fresh_at, fresh_at + step * (res.value_at(nxt) - 2), step))
@@ -793,14 +820,16 @@ class DenseStepAResult:
     detected_at: int | None
 
 
-def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> DenseStepAResult:
+class PassBoundError(RuntimeError):
+    """A dense phase-A oracle reached its own pass bound before it ended."""
+
+
+def dense_run_step_a(q, mat_lo: int, mat_hi: int, bound: int = 2000) -> DenseStepAResult:
     """synthesis.run_step_a over dense residuals: every pass rewrites the whole
     core and is kept, recurrence is checked on every collapsed signature,
     the cut is found by bisect over the kept residuals, and each pass's 1s
-    and arcs are swept again over the cut.  The cap counts every pass, so a
-    recurring run needs one above its pass count to finish."""
-    if cap < 1:
-        raise QuiddityError("pass cap must be >= 1")
+    and arcs are swept again over the cut.  A run still going after bound
+    passes raises PassBoundError, as every pass costs the whole core."""
     res = normalize(q)
     seen = {collapsed_signature(res)}
     residuals = [res]
@@ -809,10 +838,11 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Den
         k = len(residuals) - 1
         verdict = ("terminated" if not res.has_value(1)
                    else "nonterminating" if detected is not None
-                   and not any(res.values(mat_lo, mat_hi))
-                   else "cap_reached" if k >= cap else None)
+                   and not any(res.values(mat_lo, mat_hi)) else None)
         if verdict:
             break
+        if k >= bound:
+            raise PassBoundError(f"dense phase A still running after {bound} passes")
         res = dense_step_a_pass(res)
         residuals.append(res)
         if detected is None:
@@ -822,7 +852,7 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Den
     zeroed = bisect_left(residuals, True,
                          key=lambda r: not any(r.values(mat_lo + 1, mat_hi - 1)))
     at = residuals[min(zeroed, k)]
-    cut = at.prev_nonzero(mat_lo + 1), at.next_nonzero(mat_hi - 1)
+    cut = prev_nonzero(at, mat_lo + 1), next_nonzero(at, mat_hi - 1)
     trace, arcs = [], []
     for i, (before, after) in enumerate(zip(residuals, residuals[1:])):
         ones, new_arcs = dense_pass_arcs(before, *cut)
@@ -831,20 +861,22 @@ def dense_run_step_a(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP) -> Den
     return DenseStepAResult(verdict, k, res, tuple(sorted(arcs)), tuple(trace), cut, detected)
 
 
-def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, cap: int = DEFAULT_CAP):
+def step_a_scanning_arcs(q, mat_lo: int, mat_hi: int, bound: int = 2000):
     """Phase A as synthesis.run_step_a runs it, with a two-clause stop rule.
 
     Each pass records the arcs that dense_pass_arcs finds over mat_lo..mat_hi; a
     recurring run stops once that range is zero and a recorded arc (a, b)
     has a <= mat_lo and mat_hi <= b.  Returns the pass count, the recorded
-    arcs and the final residual.
+    arcs and the final residual; PassBoundError after bound passes.
     """
     res = normalize(q)
     seen = {collapsed_signature(res)}
     arcs: list[tuple[int, int]] = []
     detected = False
     passes = 0
-    while res.has_value(1) and passes < cap:
+    while res.has_value(1):
+        if passes >= bound:
+            raise PassBoundError(f"scanning phase A still running after {bound} passes")
         if detected and not any(res.values(mat_lo, mat_hi)) \
                 and any(a <= mat_lo and mat_hi <= b for a, b in arcs):
             break
@@ -868,7 +900,7 @@ def cut_region(arcs, res, lo: int, hi: int) -> tuple[int, int]:
     over = [(i, j) for i, j in arcs if i <= lo - 2 and hi + 2 <= j]
     if over:
         return max(over, key=lambda arc: (arc[0], -arc[1]))
-    return res.prev_nonzero(lo - 1), res.next_nonzero(hi + 1)
+    return prev_nonzero(res, lo - 1), next_nonzero(res, hi + 1)
 
 
 def enough_ones_two_step(q, window: tuple[int, int], depth: int = 16):
@@ -878,7 +910,7 @@ def enough_ones_two_step(q, window: tuple[int, int], depth: int = 16):
     with i - depth <= s <= i and j <= e <= j + depth.  Pairs left uncovered
     are re-checked against every peripheral arc of psi's strip, which holds
     the 1-entries over window pairs; the first pair (i, then j) under none
-    is the witness.  "unknown" when psi hits its pass cap.
+    is the witness.
     """
     t = FriezeView(q)
     lo, hi = window
@@ -891,10 +923,7 @@ def enough_ones_two_step(q, window: tuple[int, int], depth: int = 16):
                  for j in range(i + 2, hi + 1) if not covered(i, j)]
     if not uncovered:
         return "yes", None
-    try:
-        arcs = psi(q, window).triangulation.peripheral_arcs
-    except InconclusiveError:
-        return "unknown", None
+    arcs = psi(q, window).triangulation.peripheral_arcs
     for m, n in uncovered:
         if not any(i <= m and n <= j for i, j in arcs):
             return "no", (m, n)

@@ -22,7 +22,7 @@ from friezes.serialize import dumps, quiddity_to_json
 
 import refdata
 from corpus import bijection_corpus, enough_ones_corpus
-from oracles import unimodular_ok
+from oracles import next_nonzero, unimodular_ok
 
 
 def _criterion(num: int, label: str, limit_s: float, body) -> None:
@@ -182,9 +182,9 @@ def test_criterion_6_dehn_invariance_and_equivalence():
         for q, out in bi_infinite[:10]:
             res = out.residual
             first = out.anchor
-            second = res.next_nonzero(first)
+            second = next_nonzero(res, first)
             while second is not None and res.value_at(second) <= 2:
-                second = res.next_nonzero(second)
+                second = next_nonzero(res, second)
             if second is None:
                 continue
             other = psi(q, window, anchor=second)

@@ -260,13 +260,6 @@ def test_missing_file_is_io_error(capsys):
     assert _json_out(capsys)["error"]["kind"] == "schema"
 
 
-def test_synthesize_cap_reached_is_inconclusive(qfile, capsys, monkeypatch):
-    # force an absurdly small pass cap through the environment
-    monkeypatch.setenv("FRIEZE_CAP", "1")
-    assert main(["synthesize", "--window=-4..4", qfile(refdata.ZIGZAG)]) == 2
-    assert _json_out(capsys)["error"]["kind"] == "inconclusive"
-
-
 def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
     monkeypatch.setenv("FRIEZE_DEPTH", "many")
     assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 3
@@ -281,10 +274,11 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
      "environment variable FRIEZE_DEPTH must be >= 2, got 1"),
     (["roundtrip"], {"FRIEZE_DEPTH": "1"},
      "environment variable FRIEZE_DEPTH must be >= 2, got 1"),
-    (["roundtrip"], {"FRIEZE_CAP": "0"}, "environment variable FRIEZE_CAP must be >= 1, got 0"),
-    (["synthesize", "--window=-4..4", "--cap", "0"], {}, "--cap must be >= 1, got 0"),
-    (["synthesize", "--window=-4..4"], {"FRIEZE_CAP": "-2"},
-     "environment variable FRIEZE_CAP must be >= 1, got -2"),
+    (["roundtrip"], {"FRIEZE_DEPTH": "0"}, "environment variable FRIEZE_DEPTH must be >= 2, got 0"),
+    # phase A needs no pass cap, so synthesize has no --cap
+    (["synthesize", "--window=-4..4", "--cap=0"], {}, "unrecognized arguments: --cap=0"),
+    (["roundtrip"], {"FRIEZE_DEPTH": "-2"},
+     "environment variable FRIEZE_DEPTH must be >= 2, got -2"),
     (["polygon", "render", "--svg", "p.svg", "--scale", "0"], {},
      "--scale must be finite and > 0, got 0.0"),
     (["polygon", "render", "--svg", "p.svg", "--scale=-3"], {},
@@ -301,7 +295,7 @@ def test_bad_env_value_is_schema_error(qfile, capsys, monkeypatch):
      "--scale is too large to draw, got 1e+308"),
     (["strip", "render", "--svg", "s.svg", "--scale", "1e308"], {},
      "--scale is too large to draw, got 1e+308"),
-    # a malformed command line too, never argparse's exit 2, which means inconclusive
+    # a malformed command line too, never argparse's exit 2
     (["quiddity", "validate", "--depth", "x"], {}, "argument --depth: invalid int value: 'x'"),
     (["quiddity", "validate", "--deep=3"], {}, "unrecognized arguments: --deep=3"),
     (["synthesize"], {}, "the following arguments are required: --window"),
@@ -500,9 +494,10 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     window's ranges, driven with edge values.
 
     Each value lands in each command's flag or variable, in either flag
-    form, with the other variable set at random.  Every case exits 0-3 with
-    no SystemExit, a failure prints the JSON error, and no output or SVG
-    holds inf or nan beyond the echo of an input.
+    form, with FRIEZE_DEPTH set at random when it is not the one driven.
+    Every case exits 0, 1 or 3 with no SystemExit, a failure prints the JSON
+    error, and no output or SVG holds inf or nan beyond the echo of an
+    input.
     """
     rng = random.Random(21)
     monkeypatch.chdir(tmp_path)
@@ -514,8 +509,7 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     commands = [(["quiddity", "validate"], "--depth", ["FRIEZE_DEPTH"]),
                 (["frieze", "print", "--cols=-2..2"], "--rows", []),
                 (["frieze", "print", "--rows=-2..2"], "--cols", []),
-                (["synthesize", "--window=-2..2"], "--cap", ["FRIEZE_CAP"]),
-                (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH", "FRIEZE_CAP"]),
+                (["roundtrip", "--window=-1..1"], None, ["FRIEZE_DEPTH"]),
                 (["synthesize"], "--window", []),
                 (["roundtrip"], "--window", []),
                 (["count", "cc", "--j=1"], "--i", []),
@@ -526,7 +520,7 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
     started, codes = time.perf_counter(), set()
     cases = [(c, v) for c in commands for v in (windows if c[1] == "--window" else values)]
     for (argv, flag, variables), value in cases * 2:
-        env = {var: rng.choice([None, *values]) for var in ("FRIEZE_DEPTH", "FRIEZE_CAP")}
+        env = {"FRIEZE_DEPTH": rng.choice([None, *values])}
         argv = list(argv)
         if flag and (not variables or rng.random() < 0.5):
             argv += rng.choice([[flag, value], [f"{flag}={value}"]])
@@ -543,7 +537,7 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
         except SystemExit as e:
             pytest.fail(f"SystemExit({e.code}) on {case}")
         out = capsys.readouterr().out
-        assert code in range(4), case
+        assert code in (0, 1, 3), case
         if code:
             assert set(json.loads(out)["error"]) == {"kind", "message"}, case
         text = out + (svg.read_text() if svg.exists() else "")
@@ -552,7 +546,7 @@ def test_settings_fuzz_never_escapes_the_exit_codes(input_for, tmp_path, capsys,
         assert not re.search(r"\b(inf|infinity|nan)\b", text, re.IGNORECASE), case
         svg.unlink(missing_ok=True)
         codes.add((argv[0], code))
-    # each command both succeeds and refuses a setting; none is inconclusive
+    # each command both succeeds and refuses a setting
     assert codes == {(argv[0], code) for argv, _, _ in commands for code in (0, 3)}, codes
     assert time.perf_counter() - started < 2.0
 
@@ -561,7 +555,6 @@ def test_lowest_settings_are_accepted(qfile, capsys, monkeypatch):
     monkeypatch.setenv("FRIEZE_DEPTH", "2")
     assert main(["quiddity", "validate", qfile(refdata.LINEAR)]) == 0
     assert _json_out(capsys) == {"status": "valid_to_depth", "depth": 2}
-    assert main(["synthesize", "--window=-2..2", "--cap", "1", qfile(refdata.LINEAR)]) == 0
 
 
 def test_count_on_a_thousand_vertex_cut(tmp_path, capsys):

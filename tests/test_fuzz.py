@@ -18,8 +18,8 @@ import random
 
 import pytest
 
-from friezes import (InconclusiveError, QuiddityDescriptor, QuiddityError, StripError, cli,
-                     psi, synthesis, validate)
+from friezes import (QuiddityDescriptor, QuiddityError, StripError, cli, psi, synthesis,
+                     validate)
 from friezes.serialize import dumps, quiddity_to_json
 
 from corpus import W68, RANDOM_TAILS, fan_word, polygon_word, random_descriptor
@@ -94,20 +94,10 @@ def test_extremes_raise_documented_errors(shift):
         psi(q, (shift + 1, shift - 1))
     assert psi(q, (shift, shift)).triangulation.quiddity_of() == {shift: 2}
     far = (shift + 500, shift + 508)
-    for cap in (1, 2, 3):
-        if cap < 3:
-            with pytest.raises(InconclusiveError):
-                psi(q, far, cap=cap)
-        else:  # recurrence is seen at pass 3, and the cap counts only passes before it
-            out = psi(q, far, cap=cap)
-            assert out.triangulation == psi(q, far).triangulation
-            assert out.triangulation.quiddity_of() == dict(enumerate(q.values(*far), far[0]))
-        with pytest.raises(QuiddityError, match="not a valid quiddity sequence"):
-            psi(adjacent_ones, (shift - 8, shift + 8), cap=cap)
-        # a cap before the pass whose rule refuses the word still names validate's zero
-        with pytest.raises(QuiddityError, match="not a valid quiddity sequence"):
-            psi(polygon, (shift - 8, shift + 8), cap=cap)
-    with pytest.raises(QuiddityError):
+    assert psi(q, far).triangulation.quiddity_of() == dict(enumerate(q.values(*far), far[0]))
+    with pytest.raises(QuiddityError, match="not a valid quiddity sequence"):
+        psi(adjacent_ones, (shift - 8, shift + 8))
+    with pytest.raises(QuiddityError, match="not a valid quiddity sequence"):
         psi(polygon, (shift - 8, shift + 8))
 
 
@@ -115,18 +105,14 @@ def test_refused_psi_runs_phase_a_once(monkeypatch):
     """A refusal scans for validate's witness without a second phase-A run,
     and says what validate(q) at its default depth would have it say."""
     rng = random.Random(8167)
-    cap = synthesis.DEFAULT_CAP
-    draws = [(q, cap) for q, _ in _polygon_draws(rng)][::6]
-    draws += [(q, cap) for q in (random_descriptor(rng, TAILS, 10) for _ in range(200))
+    draws = [q for q, _ in _polygon_draws(rng)][::6]
+    draws += [q for q in (random_descriptor(rng, TAILS, 10) for _ in range(200))
               if not validate(q).ok]
-    draws += [(QuiddityDescriptor.periodic(fan_word(70)), cap),
-              (QuiddityDescriptor((3,), W68, (3,), 0), cap),
-              (QuiddityDescriptor((2,), (1, 1), (2,), 0), 1),
-              (QuiddityDescriptor.periodic(polygon_word(rng, 12)), 2),
-              # a valid nested-ear core, refused at a cap before recurrence
-              (QuiddityDescriptor((3,), (54, 1) + (2,) * 51 + (4,), (3,), 0), 20)]
+    draws += [QuiddityDescriptor.periodic(fan_word(70)), QuiddityDescriptor((3,), W68, (3,), 0),
+              QuiddityDescriptor((2,), (1, 1), (2,), 0),
+              QuiddityDescriptor.periodic(polygon_word(rng, 12))]
     expected = []
-    for q, cap in draws:
+    for q in draws:
         report = validate(q)
         expected.append(None if report.ok else
                         f"not a valid quiddity sequence: t{report.witness[:2]} = "
@@ -139,10 +125,10 @@ def test_refused_psi_runs_phase_a_once(monkeypatch):
         return run_step_a(*args, **kwargs)
 
     monkeypatch.setattr(synthesis, "run_step_a", recording)
-    for (q, cap), message in zip(draws, expected):
+    for q, message in zip(draws, expected):
         calls.clear()
-        with pytest.raises((QuiddityError, InconclusiveError)) as refused:
-            psi(q, (-8, 8), cap)
+        with pytest.raises(QuiddityError) as refused:
+            psi(q, (-8, 8))
         assert calls == [q], q
         if message is None:  # no witness up to the default depth: the run's own error
             assert "not a valid" not in str(refused.value), q

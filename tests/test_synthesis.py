@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from friezes import (FriezeView, InconclusiveError, QuiddityDescriptor, QuiddityError,
-                     StripTriangulation, bci_entry, bridging, cc_entry, cli,
-                     peripheral, psi, run_step_a, step_a_pass, step_b, validate)
+from friezes import (FriezeView, QuiddityDescriptor, QuiddityError, StripTriangulation,
+                     bci_entry, bridging, cc_entry, cli, peripheral, psi, run_step_a,
+                     step_a_pass, step_b, validate)
 from friezes.serialize import dumps, quiddity_to_json
 from friezes.strip import M2_EMPTY
 from friezes.synthesis import Residual, _Survivors, _trim, pass_arcs
@@ -106,7 +106,7 @@ def test_zigzag_nonterminating_empty_upper_boundary():
     # the printed strip picture: ladder arcs around the bend
     arcs = set(tri.peripheral_arcs)
     assert {(-2, 0), (-2, 1), (1, 3), (-2, 3), (-4, -2), (-4, 3), (-4, 5), (3, 5)} <= arcs
-    # a wide window fits the pass cap: the run stops once the window's cut is final;
+    # a wide window: the run stops once the window's cut is final;
     # 1-free tails whose 3s the core's 1s consume are nonterminating too
     eaten = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
     for q, window in ((refdata.ZIGZAG, (-128, 128)), (eaten, (-5, 5)), (eaten, (30, 40))):
@@ -129,18 +129,14 @@ def test_zigzag_collapsed_recurrence_detected():
 
 
 def test_cap_bounds_only_passes_before_recurrence():
-    # zigzag recurs at pass 3; its window 10^3 out takes 1011 passes, past the
-    # 1000-pass cap, and answers as the pass-by-pass run does
+    # zigzag recurs at pass 3; its window 10^3 out takes 1011 passes, and
+    # answers as the pass-by-pass run does
     out = psi(refdata.ZIGZAG, (992, 1008))
-    dense = dense_run_step_a(refdata.ZIGZAG, 990, 1010, cap=2000)
+    dense = dense_run_step_a(refdata.ZIGZAG, 990, 1010)
     assert (out.step_a_verdict, out.step_a_passes) == (dense.verdict, dense.passes) \
         == ("nonterminating", 1011)
     assert out.triangulation.peripheral_arcs == dense.arcs
     assert out.triangulation.quiddity_of() == dict(enumerate(refdata.ZIGZAG.values(992, 1008), 992))
-    # two passes come before the recurrence
-    with pytest.raises(InconclusiveError,
-                       match=r"2-pass cap without terminating or recurring$"):
-        psi(refdata.ZIGZAG, (992, 1008), cap=2)
 
 
 def test_step_a_pass_simultaneous_update():
@@ -298,7 +294,7 @@ def test_margin_stability_default_pipeline():
               QuiddityDescriptor.constant(3), refdata.ZIGZAG):
         tri = psi(q, (lo, hi)).triangulation
         wide = 5 * (hi - lo + 1 + 2 * tri.margin)
-        a = run_step_a(q, lo - wide, hi + wide, cap=5000)
+        a = run_step_a(q, lo - wide, hi + wide)
         arcs = {peripheral(i, j) for i, j in a.arcs}
         m2 = M2_EMPTY
         if a.verdict == "terminated":
