@@ -41,24 +41,19 @@ its own periodic context, run it.  It rejects three patterns that no frieze
 reaches (Conway-Coxeter: a residual 1 is an ear): two 1s adjacent through
 zeros, as the continuant K(1, 1) is 0; a 2 between two 1s, as K(1, 2, 1) is
 0, the one decrement that would zero a position without an arc; and a 1
-with an all-zero side, which has no end for its arc.  These rules decide
-validity: a run that trips none builds a strip whose triangle counts are q,
+with an all-zero side, which has no end for its arc.  A pass that trips
+none refuses a 1 at the core's edge facing a tail of 2s, which would eat
+it until two 1s meet.  These rules decide validity: a run that trips none builds a strip whose triangle counts are q,
 so psi needs no separate positivity check.  A window's cut is read off the
 survivors, as zeroed positions never revive.  Each pass's 1s are recorded
 once and read over the cut when asked for; the residual after a pass is
 rebuilt from the recorded changes only when read.  Nontermination of phase
 A is detected by recurrence, up to translation, of the residual with its
 zeros collapsed away (zero positions are inert, and the gaps between
-survivors grow, so the uncollapsed residual never recurs).  Signatures are
-compared only between passes whose collapsed cores are as long.  Every
-run ends: it terminates or recurs (run_step_a says why).  After recurrence
-the run checks that the survivors came back translated over the period just
-stepped, else over the next: those left of the growing zero run moved by
-one shift, the rest by another.  The pass rule reads only nearest nonzero
-neighbours, so every later pass is then an earlier one translated; the
-passes that consume the window are found by bisection and read off the
-translation, so a recurring run costs the same at any distance from the
-core.
+survivors grow, so the uncollapsed residual never recurs).  Past one
+certified period every pass is an earlier one translated, so a recurring
+run costs the same at any distance from the core.  run_step_a argues both,
+and that every run ends within passes bounded by its word's length.
 """
 
 from __future__ import annotations
@@ -327,6 +322,9 @@ class _Survivors:
         values as (position, value) pairs, 0 for a position no longer held.
         """
         left, right, pos, vals = self.left, self.right, self.pos, self.vals
+        # a 1 at the core's edge facing a tail of 2s (and 0s) is refused, after the rule
+        fan = next((pos[k] for k, t in ((0, left), (-1, right))
+                    if vals and vals[k] == 1 and 2 in t and set(t) <= {0, 2}), None)
         L, R = len(left), len(right)
         c0, c1 = self.cs - L, self.ce + R
         lo, hi = self.cs, self.ce  # pos holds every nonzero value in lo..hi - 1
@@ -378,6 +376,10 @@ class _Survivors:
             triples.append((pos[-1], xr, None, 1, ar, 0))
         changes, core_ones = _rule(triples)
         new_right, right_ones = _period_pass(right, hi)
+        if fan is not None:
+            raise QuiddityError(f"residual 1 at {fan} starts a fan into a tail of 2s, which no "
+                                "finite value closes; the input is not the quiddity "
+                                "sequence of an infinite frieze")
 
         carry = []
         for i, v in changes:
@@ -687,13 +689,8 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> St
     """Iterate phase-A passes until no 1 remains, or recurrence consumes
     mat_lo..mat_hi.
 
-    The residual is held as survivors: the nonzero core positions with their
-    values, between two tail periods.  A pass finds the neighbours of its 1s
-    by bisect, or in a tail by period arithmetic, takes into the core only
-    the tail values it changes there, and trims what continues the new
-    periods, so its cost grows with its 1s and the periods, not with the
-    core.  Recurrence is looked for among passes whose collapsed cores are
-    as long, so a long core that never recurs is never copied.
+    The residual is held as survivors (_Survivors.step), so a pass costs
+    about as much as its 1s and the periods, not the core.
 
     Every run that trips no rule ends, by termination or by recurrence:
     (a) a tail period that holds a 1 loses at least one nonzero value per
@@ -704,8 +701,18 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> St
     except from 1 to 2 when a lone survivor 1 consumes both sides; (c)
     values never grow.  So there are finitely many collapsed states up to
     translation, and a run that neither trips a rule nor terminates repeats
-    a signature, which the run sees, as it compares each pass with every
-    earlier pass whose collapsed core is as long.
+    a signature, which the run sees, as it looks each pass's signature up
+    among those of earlier passes whose collapsed cores are as long.
+
+    (d) Those states grow with the values, but the passes need not: a
+    value falls only where a 1 next to it is zeroed.  A 1 at the core's
+    edge starts a front that eats the tail beside it, one value a pass
+    while they are 2s, and the survivor behind it falls each pass; a tail
+    of 2s (and 0s) would feed it for as many passes as that value, until
+    two 1s meet, so a pass refuses such a front at once.  Other fronts stop
+    within a period, and a new one starts only once a survivor is zeroed
+    for good or, with two survivors, the other front has brought the edge
+    to exactly 1.  So the passes are bounded by len(core), L and R alone.
 
     On recurrence of the collapsed residual at pass d against pass i, the
     run is known nonterminating, and window queries need the passes until
@@ -746,16 +753,14 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> St
     the tightest arc (p, n) with p <= mat_lo and mat_hi <= n, or else the
     ends of the nearest bridging arcs.  This needs no 0 in the range before
     the first pass, as for every QuiddityDescriptor; a Residual with zeros
-    there is out of scope.  Each pass's 1s and arcs are recorded once, and
-    read over the cut; its residual_after is rebuilt only when read, and so
-    is the final residual.
+    there is out of scope.
     """
     s = _Survivors(*_trim(q.left_period, q.core, q.right_period, q.core_start))
     history = _History(s)
-    # passes by the length of their collapsed core; signatures are built
-    # only for passes whose lengths meet, as only those can be equal
-    lengths = {s.core_length(): [0]}
-    signatures = {}
+    # signatures are built only for passes whose collapsed cores are as long, so a long
+    # core that never recurs is never copied; per length, the pass not yet built, or None
+    lengths: dict[int, int | None] = {s.core_length(): 0}
+    seen = {}  # signature -> the pass it was built for
     found = []
     cut = None
     detected: int | None = None
@@ -765,9 +770,8 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> St
         if cut is None and s.zero_on(mat_lo + 1, mat_hi - 1):
             cut = s.prev_nonzero(mat_lo + 1), s.next_nonzero(mat_hi - 1)
         k = len(found)
-        verdict = ("terminated" if not s.has_one()
-                   else "nonterminating" if detected is not None and s.zero_on(mat_lo, mat_hi)
-                   else None)
+        verdict = ("terminated" if not s.has_one() else "nonterminating"
+                   if detected is not None and s.zero_on(mat_lo, mat_hi) else None)
         if verdict:
             break
         if period:
@@ -781,17 +785,17 @@ def run_step_a(q: QuiddityDescriptor | Residual, mat_lo: int, mat_hi: int) -> St
         found.append(ones)
         history.add(s, changes)
         if detected is None:
-            same = lengths.setdefault(s.core_length(), [])
-            if same:
-                signatures[k + 1] = s.signature()
-                for i in same:
-                    if i not in signatures:
-                        signatures[i] = history.state(i).signature()
-                match = [i for i in same if signatures[i] == signatures[k + 1]]
-                if match:  # the period just stepped is the first one checked
-                    detected, period = k + 1, k + 1 - match[-1]
-                    since = [history.state(i) for i in range(match[-1], k + 1)]
-            same.append(k + 1)
+            n = s.core_length()
+            if n not in lengths:
+                lengths[n] = k + 1
+                continue
+            if (i := lengths[n]) is not None:
+                seen[history.state(i).signature()] = i
+                lengths[n] = None
+            i = seen.setdefault(s.signature(), k + 1)
+            if i <= k:  # the period just stepped is the first one checked
+                detected, period = k + 1, k + 1 - i
+                since = [history.state(j) for j in range(i, k + 1)]
     jump = history.jump
     if jump:
         start = k + 1

@@ -798,6 +798,15 @@ def dense_step_a_pass(res) -> Residual:
     for period, got in ((res.left_period, left), (res.right_period, right)):
         if got != sweep(list(period) * 3, -len(period), 0, len(period) - 1)[0]:
             raise AssertionError("tail rewrite deviated from its periodic context")
+    # a pass that trips no rule still refuses a core edge 1 facing a tail
+    # whose nonzero values are all 2
+    nonzero = list(compress(count(res.core_start), res.core))
+    for i, period in ((nonzero[:1], res.left_period), (nonzero[-1:], res.right_period)):
+        if i and res.value_at(i[0]) == 1 and 2 in period and set(period) <= {0, 2}:
+            raise QuiddityError(
+                f"residual 1 at {i[0]} starts a fan into a tail of 2s, which no "
+                "finite value closes; the input is not the quiddity sequence "
+                "of an infinite frieze")
     return normalize(Residual(left, core, right, w_lo + L))
 
 

@@ -255,6 +255,18 @@ def test_roundtrip_invalid_input(qfile, capsys, tmp_path):
     assert "FAIL validate" in capsys.readouterr().out
 
 
+def test_a_fan_of_value_a_billion_answers_at_once(qfile, capsys):
+    """The 1 of (3),(10**9, 1),(2) would eat the tail of 2s for 10**9
+    passes; phase A refuses it at its first, and validate's band scan finds
+    no witness at its default depth."""
+    path = qfile(QuiddityDescriptor((3,), (10**9, 1), (2,), 0))
+    assert main(["quiddity", "validate", path]) == 0
+    assert _json_out(capsys)["status"] == "valid_to_depth"
+    for cmd in ("synthesize", "roundtrip"):
+        assert main([cmd, "--window=-8..8", path]) == 1
+        assert "fan into a tail of 2s" in _json_out(capsys)["error"]["message"]
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["quiddity", "validate", "/nonexistent.json"]) == 3
     assert _json_out(capsys)["error"]["kind"] == "schema"

@@ -7,7 +7,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from friezes import QuiddityDescriptor, QuiddityError, psi, run_step_a, step_b
+import pytest
+
+from friezes import QuiddityDescriptor, QuiddityError, psi, run_step_a, step_b, validate
 from friezes import synthesis
 
 import refdata
@@ -74,7 +76,8 @@ EATEN = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
 
 def test_recurring_runs_match_the_dense_oracle_far_out_and_past_the_cap():
     """Recurring runs answer however many passes their window takes, here
-    up to more than 10^3; the dense oracle steps every one of them."""
+    up to more than 10^3, past the 1000 passes at which phase A used to stop
+    (the name keeps that cap); the dense oracle steps every one of them."""
     empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1), EATEN]
     cases = [(q, hw, mid) for q in empty
              for hw, mid in ((0, 0), (256, 0), (8, 300), (8, 0), (100, 100))]
@@ -177,6 +180,9 @@ def _grow_ears(rng: random.Random, q: QuiddityDescriptor, ears: int) -> Quiddity
 
 
 def test_nested_ear_cores_answer_at_the_default_cap():
+    """Cores of 100 to 999 nested ears, which phase A answered even when it
+    had a default cap of 1000 passes (the name keeps that cap), answer in
+    n + 1 passes, and as the dense oracle does up to 200 ears."""
     rng = random.Random(4441)
     for n in sorted({100, 999, *(round(10 ** rng.uniform(2, 3)) for _ in range(3))}):
         q = _nested_ears(n)
@@ -195,34 +201,71 @@ def test_nested_ear_cores_past_a_thousand_ears_answer():
         assert (out.step_a_verdict, out.step_a_passes) == ("terminated", n + 1), n
 
 
-def test_accepted_runs_end_within_the_length_of_their_word():
-    """Every run that trips no rule ends (run_step_a's argument), and on these
-    draws it terminates, or sees recurrence, within len(core) + L + R passes:
-    seeded words with tails of 1-5 and cores of 0-10 values from 1..6, 1
-    twice as likely, and ear-grown corpus and empty-class words."""
+def test_runs_end_within_twice_the_length_of_their_word(monkeypatch):
+    """A measured bound, not a theorem: on these draws every run ends, is
+    refused, or sees recurrence within 2 * (len(core) + L + R) passes,
+    whatever its values.  Draws are seeded words with tails of 1-5 and cores
+    of 0-10 values from 1..6, 1 twice as likely, and one value in eight
+    drawn up to 10**3 or 10**9, and ear-grown corpus and empty-class words.
+    The length alone is no bound: (4),(3, 3, 2, 1),(3) terminates at pass 7 > 6, and
+    over every word with values 1..5, tails of 1-2 and cores of 0-4 values
+    the worst run takes 1.75 times its length."""
     rng = random.Random(38)
     values = (1, 1, 2, 3, 4, 5, 6)
 
     def word(least: int, most: int) -> tuple[int, ...]:
-        return tuple(rng.choice(values) for _ in range(rng.randint(least, most)))
+        top = rng.choice((10**3, 10**9))
+        return tuple(rng.choice(values) if rng.random() < 7 / 8 else rng.randint(7, top)
+                     for _ in range(rng.randint(least, most)))
 
     draws = [QuiddityDescriptor(word(1, 5), word(0, 10), word(1, 5), rng.randint(-5, 5))
-             for _ in range(5000)]
+             for _ in range(4000)]
     bases = bijection_corpus() + enough_ones_corpus() + random_corpus()
     empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1), EATEN]
     draws += [_grow_ears(rng, rng.choice(bases), rng.randint(1, 60)) for _ in range(200)]
     draws += [_grow_ears(rng, rng.choice(empty), rng.randint(1, 60)) for _ in range(100)]
+    draws.append(QuiddityDescriptor((4,), (3, 3, 2, 1), (3,), 0))
+    step, steps = synthesis._Survivors.step, [0]
+
+    def counted(self):
+        steps[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(synthesis._Survivors, "step", counted)
     seen = Counter()
     for q in draws:
+        steps[0] = 0
         try:
             a = run_step_a(q, q.core_start, q.core_start)
         except QuiddityError:
-            seen["refused"] += 1
-            continue
-        ended = a.passes if a.verdict == "terminated" else a.detected_at
-        assert ended <= len(q.core) + len(q.left_period) + len(q.right_period), (q, a.verdict)
-        seen[a.verdict] += 1
+            ended, kind = steps[0], "refused"
+        else:
+            ended = a.passes if a.verdict == "terminated" else a.detected_at
+            kind = a.verdict
+        assert ended <= 2 * (len(q.core) + len(q.left_period) + len(q.right_period)), (q, kind)
+        seen[kind] += 1
+    assert (a.verdict, a.passes) == ("terminated", 7), a
     assert seen["terminated"] >= 1500 and seen["nonterminating"] >= 100, seen
+    assert seen["refused"] >= 1500, seen
+
+
+def test_a_fan_into_a_tail_of_2s_is_refused_whatever_its_value():
+    """The 1 of (3),(V, 1),(2) eats one 2 per pass while V falls, until two 1s
+    meet after about V passes; phase A refuses it at its first pass, so the
+    work does not grow with V.  The left tail (1, 4) turns into (0, 2) after
+    its first pass, and the core's 1 then faces it.  validate falls back to
+    its band scan, which finds no witness at its default depth."""
+    for make in (lambda v: QuiddityDescriptor((3,), (v, 1), (2,), 0),
+                 lambda v: QuiddityDescriptor((2,), (1, v), (3,), 0),
+                 lambda v: QuiddityDescriptor((1, 4), (2, 1, 3, v), (3,), 0)):
+        work = {}
+        for v in (10**3, 10**6, 10**9):
+            with pytest.raises(QuiddityError, match="fan into a tail of 2s"):
+                psi(make(v), (-8, 8))
+            assert validate(make(v)).status == "valid_to_depth", v
+            work[v] = (lines_run(lambda: pytest.raises(QuiddityError, run_step_a, make(v), 0, 0)),
+                       lines_run(lambda: validate(make(v))))
+        assert work[10**3] == work[10**6] == work[10**9], (make(1), work)
 
 
 def test_random_ear_insertions_keep_the_class():
