@@ -207,9 +207,9 @@ def test_runs_end_within_twice_the_length_of_their_word(monkeypatch):
     whatever its values.  Draws are seeded words with tails of 1-5 and cores
     of 0-10 values from 1..6, 1 twice as likely, and one value in eight
     drawn up to 10**3 or 10**9, and ear-grown corpus and empty-class words.
-    The length alone is no bound: (4),(3, 3, 2, 1),(3) terminates at pass 7 > 6, and
-    over every word with values 1..5, tails of 1-2 and cores of 0-4 values
-    the worst run takes 1.75 times its length."""
+    The length alone is no bound: (4),(3, 3, 2, 1),(3) terminates at pass
+    7 > 6, and over every word with values 1..5, tails of 1-2 and cores of
+    0-4 values the worst run takes 1.75 times its length."""
     rng = random.Random(38)
     values = (1, 1, 2, 3, 4, 5, 6)
 
