@@ -49,6 +49,8 @@ class FriezeView:
     row is a new list stored with one assignment, never extended in place,
     so concurrent readers at worst recompute an entry.  Entries are exact
     Python integers; they grow without bound with the band width.
+    render_frieze reads a grid's first two rows through row and the rest by
+    the column recurrence, so a grid adds at most two rows to the memo.
     """
 
     def __init__(self, quiddity: QuiddityDescriptor):

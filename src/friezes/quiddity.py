@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import cycle, islice
 from math import log10
 from typing import ClassVar
 
@@ -81,11 +80,9 @@ class QuiddityDescriptor:
     def values(self, lo: int, hi: int) -> list[int]:
         """Values at indices lo..hi inclusive; empty when lo > hi."""
         (lp, ln), core, (rp, rn) = self._pieces(lo, hi)
-        out = [*islice(cycle(self.left_period), lp, lp + ln)] if ln else []
-        out += core
-        if rn:
-            out += islice(cycle(self.right_period), rp, rp + rn)
-        return out
+        left, right = self.left_period, self.right_period  # a missing piece is (0, 0)
+        return [*(left * -(-(lp + ln) // len(left)))[lp:lp + ln], *core,
+                *(right * -(-(rp + rn) // len(right)))[rp:rp + rn]]
 
     def _pieces(self, lo: int, hi: int):
         """lo..hi split as (phase, count) in the left tail, the core values, and
@@ -157,17 +154,23 @@ def _tail(m: Matrix, period: tuple[int, ...], phase: int, count: int) -> Matrix:
 
     The period matrix P has det 1, so P^2 = tau P - I for its trace tau, and
     P^n = U_{n-1} P - U_{n-2} I with U as in _chebyshev: a whole-period power
-    costs two products of large integers per bit of n, and applying it to
-    m two more per entry of m.
+    costs two products of large integers per bit of n.  When m is IDENTITY,
+    as for a left tail piece, that combination of P and I is the answer;
+    otherwise P^n m is the same combination of P m, a second walk of the
+    period, and m, two more products per entry of m.
     """
     turned = period[phase:] + period[:phase]
     whole, rest = divmod(count, len(period))
     if whole:
-        p = _walk(IDENTITY, turned)
-        u0, u1 = _chebyshev(p[0] + p[3], whole - 1)  # U_{whole-2}, U_{whole-1}
-        pm = _walk(m, turned)
-        m = tuple(u1 * x - u0 * y for x, y in zip(pm, m))
-    return _walk(m, turned[:rest])
+        w, x, y, z = _walk(IDENTITY, turned)
+        u0, u1 = _chebyshev(w + z, whole - 1)  # U_{whole-2}, U_{whole-1}
+        if m == IDENTITY:
+            m = u1 * w - u0, u1 * x, u1 * y, u1 * z - u0
+        else:
+            a, b, c, d = m
+            w, x, y, z = _walk(m, turned)
+            m = u1 * w - u0 * a, u1 * x - u0 * b, u1 * y - u0 * c, u1 * z - u0 * d
+    return _walk(m, turned[:rest]) if rest else m
 
 
 def transfer(q: QuiddityDescriptor, lo: int, hi: int) -> Matrix:
@@ -178,11 +181,13 @@ def transfer(q: QuiddityDescriptor, lo: int, hi: int) -> Matrix:
     transfer(q, p + 1, q - 1)[0].  The core values are multiplied out and
     whole tail periods are raised to a power by the Chebyshev recurrence of
     the period's trace (see _tail), so the number of products grows with the
-    logarithm of the distance, not with the distance.
+    logarithm of the distance, not with the distance.  A range right of the
+    core has no left piece and no core piece, so its right tail starts from
+    IDENTITY too; an empty core piece is not walked.
     """
     (lp, ln), core, (rp, rn) = q._pieces(lo, hi)
     m = _tail(IDENTITY, q.left_period, lp, ln) if ln else IDENTITY
-    m = _walk(m, core)
+    m = _walk(m, core) if core else m
     return _tail(m, q.right_period, rp, rn) if rn else m
 
 

@@ -16,7 +16,6 @@ is a ValueError.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
 
 from .frieze import FriezeView
 from .polygon import PolygonTriangulation
@@ -27,17 +26,30 @@ def render_frieze(view: FriezeView, rows: tuple[int, int],
                   cols: tuple[int, int]) -> str:
     """ASCII grid of t(r, c) for r in rows, c in cols (inclusive, maybe empty).
 
-    Each grid row is one FriezeView.row walk.
+    Rows r_lo - 1 and r_lo are FriezeView.row walks; each later row comes
+    from the two above it by the column recurrence t(r, c) = a_{r-1}
+    t(r-1, c) - t(r-2, c), the row recurrence read through antisymmetry, on
+    either side of the diagonal.  Cells take the width of the widest label,
+    str(max) or str(min), and each line is one %-template.
     """
-    r_lo, r_hi = rows
-    c_lo, c_hi = cols
-    header = [""] + [f"({c})" for c in range(c_lo, c_hi + 1)]
-    table = [header]
-    for r in range(r_lo, r_hi + 1):
-        table.append([f"({r})", *map(str, view.row(r, c_lo, c_hi))])
-    width = max(map(len, chain.from_iterable(table)), default=0)
-    return "\n".join(" ".join(map(str.rjust, row, repeat(width))).rstrip()
-                     for row in table) + "\n"
+    (r_lo, r_hi), (c_lo, c_hi) = rows, cols
+    grid = []
+    if r_lo <= r_hi:
+        cur = view.row(r_lo, c_lo, c_hi)
+        prev = view.row(r_lo - 1, c_lo, c_hi) if r_lo < r_hi else []
+        grid.append(cur)
+        for a in view.quiddity.values(r_lo, r_hi - 1):
+            prev, cur = cur, [a * x - y for x, y in zip(cur, prev)]
+            grid.append(cur)
+    labels = [f"({c})" for c in range(c_lo, c_hi + 1)]
+    heads = [f"({r})" for r in range(r_lo, r_hi + 1)]
+    width = max(map(len, labels + heads), default=0)
+    if grid and labels:
+        width = max(width, len(str(max(map(max, grid)))), len(str(min(map(min, grid)))))
+    header = (f"%{width}s" + f" %{width}s" * len(labels)) % ("", *labels)
+    line = f"%{width}s" + f" %{width}d" * len(labels)
+    return "\n".join([header.rstrip(), *(line % (head, *cells)
+                                        for head, cells in zip(heads, grid))]) + "\n"
 
 
 def _fmt(x: float) -> str:

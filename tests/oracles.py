@@ -4,9 +4,10 @@ These deliberately avoid the code paths under test: the determinant oracle
 runs fraction-free Gaussian elimination on the full matrix rather than any
 three-term recurrence, the transfer-matrix oracle multiplies 2x2 matrices
 and raises a whole tail period to a power, the unimodular checker reads
-entries pairwise, and the strip and chord checkers test every pair with the
-crossing rule itself.  The validation oracle walks every row of the scan
-range on its own, reading each value through value_at; the growth
+entries pairwise, the grid renderer evaluates every cell on its own, and
+the strip and chord checkers test every pair with the crossing rule itself.
+The validation oracle walks every row of the scan range on its own, reading
+each value through value_at; the growth
 certificate proves every entry positive from tail growth alone, with no
 phase A; and the zero-gap oracle counts zero runs one value at a time.  The polygon oracles
 split the polygon recursively at the triangle on its first side, propagate CC
@@ -307,6 +308,19 @@ def unimodular_ok(entry, lo: int, hi: int) -> bool:
             if det != 1:
                 return False
     return True
+
+
+def render_frieze_oracle(view: FriezeView, rows: tuple[int, int],
+                         cols: tuple[int, int]) -> str:
+    """render_frieze cell by cell: one FriezeView.entry per cell, every cell
+    right-aligned to the widest string of the table, trailing blanks stripped."""
+    (r_lo, r_hi), (c_lo, c_hi) = rows, cols
+    table = [[""] + [f"({c})" for c in range(c_lo, c_hi + 1)]]
+    for r in range(r_lo, r_hi + 1):
+        table.append([f"({r})"] + [str(view.entry(r, c)) for c in range(c_lo, c_hi + 1)])
+    width = max(len(cell) for row in table for cell in row)
+    return "\n".join(" ".join(cell.rjust(width) for cell in row).rstrip()
+                     for row in table) + "\n"
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:

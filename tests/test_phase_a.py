@@ -74,10 +74,9 @@ def test_survivor_runs_match_the_dense_oracle():
 EATEN = QuiddityDescriptor((3,), (1, 2), (3,), core_start=-1)
 
 
-def test_recurring_runs_match_the_dense_oracle_far_out_and_past_the_cap():
+def test_recurring_runs_match_the_dense_oracle_far_out_and_past_a_thousand_passes():
     """Recurring runs answer however many passes their window takes, here
-    up to more than 10^3, past the 1000 passes at which phase A used to stop
-    (the name keeps that cap); the dense oracle steps every one of them."""
+    up to more than 10^3; the dense oracle steps every one of them."""
     empty = [refdata.ZIGZAG, QuiddityDescriptor((5, 1), (3, 2), (1, 5), core_start=-1), EATEN]
     cases = [(q, hw, mid) for q in empty
              for hw, mid in ((0, 0), (256, 0), (8, 300), (8, 0), (100, 100))]
@@ -179,10 +178,9 @@ def _grow_ears(rng: random.Random, q: QuiddityDescriptor, ears: int) -> Quiddity
     return QuiddityDescriptor(q.left_period, tuple(word), q.right_period, lo)
 
 
-def test_nested_ear_cores_answer_at_the_default_cap():
-    """Cores of 100 to 999 nested ears, which phase A answered even when it
-    had a default cap of 1000 passes (the name keeps that cap), answer in
-    n + 1 passes, and as the dense oracle does up to 200 ears."""
+def test_nested_ear_cores_take_one_pass_per_ear():
+    """Cores of 100 to 999 nested ears answer bi_infinite in n + 1 passes,
+    and as the dense oracle does up to 200 ears."""
     rng = random.Random(4441)
     for n in sorted({100, 999, *(round(10 ** rng.uniform(2, 3)) for _ in range(3))}):
         q = _nested_ears(n)

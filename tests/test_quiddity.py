@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 import pytest
 
 from friezes import QuiddityDescriptor, QuiddityError, Residual, ValidationReport, psi, validate
-from friezes.quiddity import IDENTITY, _tail, transfer
+from friezes.quiddity import IDENTITY, _tail, _walk, transfer
 from friezes.synthesis import run_step_a
 
 import refdata
@@ -16,6 +17,7 @@ from corpus import (W68, bijection_corpus, enough_ones_corpus, fan_word, polygon
                     random_corpus, random_descriptor)
 from oracles import (_tail_transfer, grows, mat_mul, max_zero_gap, max_zero_gap_loop,
                      transfer as transfer_oracle, transfer_matrix, validate_rows)
+from workcount import lines_run
 
 
 def test_constant_descriptor_value_at():
@@ -212,6 +214,29 @@ def test_transfer_matches_matrix_product_oracle():
                 (a, b), (c, d) = transfer_oracle(q.value_at(i) for i in range(lo, hi + 1))
                 assert transfer(q, lo, hi) == (a, b, c, d), (q, lo, hi)
     assert transfer(refdata.LINEAR, 5, 4) == IDENTITY
+    # lo and hi each in the left tail, the core or the right tail, in either order,
+    # over 0-3 whole periods or up to 10^4 values, with and without a core: transfer
+    # against the walk of values (a range right of the core has no left piece, so the
+    # right tail's power starts from IDENTITY too), and values against value_at
+    rng = random.Random(2719)
+    for cls in (QuiddityDescriptor, Residual):
+        for _ in range(40):
+            word = _random_word(rng, cls, rng.choice((0, rng.randint(-30, 30), -10**6)))
+            for q in (word, cls(word.left_period, (), word.right_period, word.core_start)):
+                start, end = q.core_start, q.core_start + len(q.core)
+                L, R = len(q.left_period), len(q.right_period)
+                places = (
+                    lambda: start - rng.randint(0, 3) * L - rng.randint(0, L),  # left tail
+                    lambda: start + rng.randrange(len(q.core)) if q.core else start,
+                    lambda: end + rng.randint(0, 3) * R + rng.randint(-1, R))   # right tail
+                pairs = [(lo_at(), hi_at()) for lo_at, hi_at in product(places, repeat=2)]
+                far = round(10 ** rng.uniform(1, 4))
+                pairs += [(start - far, places[1]()), (places[1](), end + far)]
+                for x, y in pairs:
+                    for lo, hi in ((x, y), (y, x), (x, x), (x, x - 1)):
+                        vals = q.values(lo, hi)
+                        assert vals == [q.value_at(i) for i in range(lo, hi + 1)], (q, lo, hi)
+                        assert transfer(q, lo, hi) == _walk(IDENTITY, vals), (q, lo, hi)
 
 
 def _flat(m) -> tuple[int, int, int, int]:
@@ -348,6 +373,16 @@ def test_certified_validation_is_depth_free():
     for q in (QuiddityDescriptor.constant(3), refdata.MIXED_TAILS, refdata.ZIGZAG):
         assert _phase_a_accepts(q), q
         _assert_depth_free(q)
+
+
+def test_certified_validation_work_does_not_grow_with_the_depth():
+    # phase A certifies these at any depth, so depth 1024 runs no more lines than
+    # depth 64; the first call also fills the caches of the tails' primitive periods
+    # (synthesis._primitive, _nonzero_ends), so it is not counted
+    for q in (refdata.ZIGZAG, refdata.MIXED_TAILS, QuiddityDescriptor.constant(3)):
+        validate(q)
+        work = {depth: lines_run(lambda: validate(q, depth)) for depth in (64, 256, 1024)}
+        assert work[1024] <= work[256] <= work[64], (q, work)
 
 
 # tails with 1s, whose friezes may have enough ones, and tails whose entries grow

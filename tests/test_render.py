@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from friezes import FriezeView, polygon_from_quiddity, psi
+from friezes import FriezeView, QuiddityDescriptor, Residual, polygon_from_quiddity, psi
+from friezes.frieze import ROW_BAND
 from friezes.render import render_frieze, render_polygon_svg, render_strip_svg
 
 import refdata
+from corpus import log_offset
+from oracles import render_frieze_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +59,34 @@ def test_grid_cells_are_fixed_width():
     body = out.splitlines()[1:]
     widths = {len(line) for line in body}
     assert len(widths) == 1  # right-aligned constant-width rows
+
+
+def _span(rng: random.Random, lo: int) -> tuple[int, int]:
+    """An inclusive range from lo: empty (maybe reversed), one line, or up to 12."""
+    n = rng.choice((-rng.randint(0, 3), 1, rng.randint(2, 12), rng.randint(2, 12)))
+    return lo, lo + n - 1
+
+
+def test_grids_match_the_cell_by_cell_oracle():
+    # the column recurrence and the %-templates against one entry per cell, on
+    # descriptors and on Residuals holding 0s, with grids across, above and
+    # below the diagonal, some past ROW_BAND, out to 10^6 from the core
+    rng = random.Random(3923)
+    for k in range(300):
+        cls = Residual if k % 3 == 2 else QuiddityDescriptor
+        left, core, right = (tuple(rng.randint(cls.MIN_VALUE, 6) for _ in range(rng.randint(*n)))
+                             for n in ((1, 4), (0, 8), (1, 4)))
+        q = cls(left, core, right, rng.randint(-10, 10))
+        view, oracle = FriezeView(q), FriezeView(q)
+        for _ in range(4):
+            rows = _span(rng, q.core_start + log_offset(rng, 10**6))
+            gap = rng.choice((rng.randint(0, 30), ROW_BAND + rng.randint(-3, 3)))
+            width = max(rows[1] - rows[0] + 1, 0)
+            cols = _span(rng, rng.choice((rows[0] + rng.randint(-12, 12),  # across
+                                          rows[0] + width + gap,           # above
+                                          rows[0] - 12 - gap)))            # below
+            got = render_frieze(view, rows, cols)
+            assert got == render_frieze_oracle(oracle, rows, cols), (q, rows, cols)
 
 
 def test_strip_svg_matches_golden():

@@ -128,10 +128,9 @@ def test_zigzag_collapsed_recurrence_detected():
     assert result.detected_at is not None and result.detected_at <= 6
 
 
-def test_cap_bounds_only_passes_before_recurrence():
-    # the name keeps the former 1000-pass cap: zigzag recurs at pass 3, and
-    # its window 10^3 out takes 1011 passes and answers as the pass-by-pass
-    # run does
+def test_zigzag_far_window_matches_the_dense_run():
+    # zigzag recurs at pass 3, and its window 10^3 out takes 1011 passes and
+    # answers as the pass-by-pass run does
     out = psi(refdata.ZIGZAG, (992, 1008))
     dense = dense_run_step_a(refdata.ZIGZAG, 990, 1010)
     assert (out.step_a_verdict, out.step_a_passes) == (dense.verdict, dense.passes) \
